@@ -123,7 +123,7 @@ fn retry_recovery(seed_list: &[u64]) {
     // One cell per (drop, seed, policy) triple: the plain and the
     // retrying run of a cell are independent simulations. (Frame drops
     // act from t = 0, so these cells share no warmed prefix — they run
-    // classic inside the same pool pass.)
+    // from scratch inside the same pool pass.)
     let drops = [0.10, 0.20, 0.30];
     let cells: Vec<SweepCell> = drops
         .iter()

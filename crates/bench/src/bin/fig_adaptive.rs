@@ -11,11 +11,8 @@
 //! A second, purely analytic section prints the planner's working
 //! points across workload ratios τ (Lemma 5.6 split + Corollary 5.3
 //! floor + §6.1 refresh budget).
-//!
-//! `PQS_ADAPTIVE=0` skips the adaptive arms (static arms and the
-//! planner table still run).
 
-use pqs_bench::{adaptive, bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
 use pqs_core::analysis::{intersection_after_churn, ChurnRegime};
 use pqs_core::runner::{aggregate, ChurnPlan, RunMetrics, ScenarioConfig};
 use pqs_plan::{run_adaptive_scenario, ControllerConfig, Planner, PlannerConfig};
@@ -23,7 +20,6 @@ use pqs_plan::{run_adaptive_scenario, ControllerConfig, Planner, PlannerConfig};
 fn main() {
     let n = largest_n();
     let the_seeds = seeds(3);
-    let with_adaptive = adaptive();
 
     let mut base = ScenarioConfig::paper(n);
     base.net.avg_degree = 15.0;
@@ -56,25 +52,24 @@ fn main() {
         .collect();
 
     let static_runs = sweep::runs(&cfgs, &the_seeds);
-    let adaptive_runs: Option<Vec<Vec<RunMetrics>>> = with_adaptive.then(|| {
-        let jobs: Vec<_> = cfgs
-            .iter()
-            .flat_map(|cfg| {
-                the_seeds
-                    .iter()
-                    .map(move |&seed| move || run_adaptive_scenario(cfg, ctrl, seed))
-            })
-            .collect();
-        let mut flat = sweep::run_jobs(jobs).into_iter();
-        cfgs.iter()
-            .map(|_| {
-                the_seeds
-                    .iter()
-                    .map(|_| flat.next().expect("one run per (scenario, seed)"))
-                    .collect()
-            })
-            .collect()
-    });
+    let jobs: Vec<_> = cfgs
+        .iter()
+        .flat_map(|cfg| {
+            the_seeds
+                .iter()
+                .map(move |&seed| move || run_adaptive_scenario(cfg, ctrl, seed))
+        })
+        .collect();
+    let mut flat = sweep::run_jobs(jobs).into_iter();
+    let adaptive_runs: Vec<Vec<RunMetrics>> = cfgs
+        .iter()
+        .map(|_| {
+            the_seeds
+                .iter()
+                .map(|_| flat.next().expect("one run per (scenario, seed)"))
+                .collect()
+        })
+        .collect();
 
     header(
         &format!("Adaptive vs static under replacement churn, n = {n}, d = 15, eps = {eps0:.3}"),
@@ -90,37 +85,26 @@ fn main() {
     );
     for (i, &fr) in fracs.iter().enumerate() {
         let static_agg = aggregate(&static_runs[i]);
-        let (adaptive_cell, reconfigs, holds) = match &adaptive_runs {
-            None => ("-".to_string(), "-".to_string(), "-".to_string()),
-            Some(runs) => {
-                let agg = aggregate(&runs[i]);
-                let k = runs[i].len() as f64;
-                let mean = |pick: fn(&RunMetrics) -> u64| {
-                    runs[i].iter().map(|r| pick(r) as f64).sum::<f64>() / k
-                };
-                (
-                    f(agg.intersection_ratio),
-                    f(mean(|r| r.counters.reconfigures)),
-                    f(mean(|r| {
-                        r.counters.controller_holds_no_estimate
-                            + r.counters.controller_holds_dead_band
-                            + r.counters.controller_holds_dwell
-                    })),
-                )
-            }
-        };
+        let adaptive = &adaptive_runs[i];
+        let k = adaptive.len() as f64;
+        let mean =
+            |pick: fn(&RunMetrics) -> u64| adaptive.iter().map(|r| pick(r) as f64).sum::<f64>() / k;
         row(&[
             f(fr),
             f(static_agg.intersection_ratio),
-            adaptive_cell,
+            f(aggregate(adaptive).intersection_ratio),
             f(intersection_after_churn(
                 eps0,
                 fr,
                 ChurnRegime::FailuresAndJoins,
             )),
             f(1.0 - eps0),
-            reconfigs,
-            holds,
+            f(mean(|r| r.counters.reconfigures)),
+            f(mean(|r| {
+                r.counters.controller_holds_no_estimate
+                    + r.counters.controller_holds_dead_band
+                    + r.counters.controller_holds_dwell
+            })),
         ]);
     }
 

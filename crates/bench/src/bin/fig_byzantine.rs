@@ -13,11 +13,10 @@
 //!   ε. Wrong reads drop to zero; the price is the larger `|Qℓ|`.
 //!
 //! Adversary mixes: `liars` (every Byzantine node fabricates) and
-//! `mixed` (silent/liar/stale/equivocator in equal shares). `PQS_BYZ=0`
-//! skips the Byzantine cells and runs only the fault-free baselines.
+//! `mixed` (silent/liar/stale/equivocator in equal shares).
 //! Deterministic per `(scenario, seed)`; pool-width invariant.
 
-use pqs_bench::{byz, f, header, row, seeds, sweep};
+use pqs_bench::{f, header, row, seeds, sweep};
 use pqs_core::runner::{run_scenario, RunMetrics, ScenarioConfig};
 use pqs_core::service::{ByzPolicy, Fanout};
 use pqs_core::spec::{self, AccessStrategy};
@@ -50,9 +49,6 @@ fn cells() -> Vec<Cell> {
         mix_name: "none",
         mix: Vec::new(),
     }];
-    if !byz() {
-        return out;
-    }
     for frac in [0.05, 0.1, 0.2] {
         out.push(Cell {
             frac,

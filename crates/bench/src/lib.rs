@@ -9,15 +9,12 @@
 //! - `PQS_FULL=1` — include the `n = 800` configurations,
 //! - `PQS_SIZES=50,100` — override the swept network sizes outright
 //!   (smoke tests, CI),
-//! - `PQS_ADAPTIVE=0` — skip the adaptive-controller arms of
-//!   `fig_adaptive` (default: on),
 //! - `PQS_JOBS=j` — width of the worker pool the sweeps run on
 //!   (default: available parallelism; results are identical at every
 //!   width, see [`sweep`]).
 //!
 //! Knobs that select *which experiments run* (`PQS_SEEDS`,
-//! `PQS_BASE_SEED`, `PQS_FULL`, `PQS_SIZES`, `PQS_ADAPTIVE`) abort
-//! with a clear error
+//! `PQS_BASE_SEED`, `PQS_FULL`, `PQS_SIZES`) abort with a clear error
 //! when set to an unparseable value — silently falling back to defaults
 //! would run a long sweep the user did not ask for. `PQS_JOBS` only
 //! bounds resource use and never changes results, so a malformed value
@@ -104,27 +101,6 @@ pub fn full() -> bool {
     match std::env::var("PQS_FULL") {
         Err(_) => false,
         Ok(raw) => parse_bool_knob("PQS_FULL", &raw).unwrap_or_else(|msg| fail_knob(&msg)),
-    }
-}
-
-/// Returns `true` unless `PQS_ADAPTIVE` is set falsy (skip the adaptive
-/// controller arms of `fig_adaptive`; the static arms and the analytic
-/// planner table still run). Defaults to `true`; aborts on anything
-/// unparseable.
-pub fn adaptive() -> bool {
-    match std::env::var("PQS_ADAPTIVE") {
-        Err(_) => true,
-        Ok(raw) => parse_bool_knob("PQS_ADAPTIVE", &raw).unwrap_or_else(|msg| fail_knob(&msg)),
-    }
-}
-
-/// Returns `true` unless `PQS_BYZ` is set falsy (skip the Byzantine
-/// arms of `fig_byzantine`; the fault-free baseline still runs).
-/// Defaults to `true`; aborts on anything unparseable.
-pub fn byz() -> bool {
-    match std::env::var("PQS_BYZ") {
-        Err(_) => true,
-        Ok(raw) => parse_bool_knob("PQS_BYZ", &raw).unwrap_or_else(|msg| fail_knob(&msg)),
     }
 }
 
@@ -221,12 +197,11 @@ pub mod sweep {
         out
     }
 
-    /// Runs explicit `(scenario, seed)` cells through the snapshot-
-    /// sharing prefix tree ([`pqs_core::runner::run_cells`]) on the
-    /// bounded pool, returns the metrics in cell order, and records the
-    /// sweep in the report collector. Results are byte-identical to
-    /// running each cell alone, at any pool width, and with
-    /// `PQS_SNAPSHOT=0`.
+    /// Runs explicit `(scenario, seed)` cells through the prefix-
+    /// sharing tree ([`pqs_core::runner::run_cells`]) on the bounded
+    /// pool, returns the metrics in cell order, and records the sweep in
+    /// the report collector. Results are byte-identical to running each
+    /// cell alone, at any pool width.
     pub fn run_cells(cells: Vec<SweepCell>) -> Vec<RunMetrics> {
         super::report::touch_start();
         let width = width();
@@ -460,14 +435,6 @@ pub mod report {
                 "jobs_source",
                 JsonValue::from(pqs_sim::pool::width_source()),
             ),
-            (
-                "snapshots",
-                JsonValue::from(if pqs_core::runner::snapshots_enabled() {
-                    "on"
-                } else {
-                    "off"
-                }),
-            ),
             ("wall_ms", JsonValue::from(bench_age().as_millis() as u64)),
             (
                 "sweep_wall_ms",
@@ -514,6 +481,25 @@ pub fn f(x: f64) -> String {
         format!("{x:.1}")
     } else {
         format!("{x:.3}")
+    }
+}
+
+/// A workload scaled for single-core benchmarking: `adv` advertisements
+/// paced to the network size (heavier routing load at larger `n` needs a
+/// longer window to avoid melting the medium) and `lkp` lookups at the
+/// paper's ~2/s.
+pub fn bench_workload(adv: usize, lkp: usize, n: usize) -> pqs_core::workload::WorkloadConfig {
+    use pqs_sim::{SimDuration, SimTime};
+    let adv_secs = ((adv as f64) * (n as f64 / 250.0).max(0.4)).ceil() as u64;
+    pqs_core::workload::WorkloadConfig {
+        advertisements: adv,
+        lookups: lkp,
+        lookers: 25.min(lkp.max(1)),
+        start: SimTime::from_secs(5),
+        advertise_window: SimDuration::from_secs(adv_secs.max(1)),
+        phase_gap: SimDuration::from_secs(20),
+        lookup_window: SimDuration::from_secs(((lkp as u64) / 2).max(1)),
+        present_fraction: if adv == 0 { 0.0 } else { 1.0 },
     }
 }
 
@@ -583,24 +569,5 @@ mod tests {
         assert_eq!(f(0.912), "0.912");
         assert_eq!(f(13.37), "13.4");
         assert_eq!(f(456.7), "457");
-    }
-}
-
-/// A workload scaled for single-core benchmarking: `adv` advertisements
-/// paced to the network size (heavier routing load at larger `n` needs a
-/// longer window to avoid melting the medium) and `lkp` lookups at the
-/// paper's ~2/s.
-pub fn bench_workload(adv: usize, lkp: usize, n: usize) -> pqs_core::workload::WorkloadConfig {
-    use pqs_sim::{SimDuration, SimTime};
-    let adv_secs = ((adv as f64) * (n as f64 / 250.0).max(0.4)).ceil() as u64;
-    pqs_core::workload::WorkloadConfig {
-        advertisements: adv,
-        lookups: lkp,
-        lookers: 25.min(lkp.max(1)),
-        start: SimTime::from_secs(5),
-        advertise_window: SimDuration::from_secs(adv_secs.max(1)),
-        phase_gap: SimDuration::from_secs(20),
-        lookup_window: SimDuration::from_secs(((lkp as u64) / 2).max(1)),
-        present_fraction: if adv == 0 { 0.0 } else { 1.0 },
     }
 }

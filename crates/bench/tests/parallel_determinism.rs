@@ -24,7 +24,6 @@ fn run_binary(exe: &str, name: &str, jobs: &str) -> (String, String) {
         .env("PQS_SIZES", "50")
         .env_remove("PQS_FULL")
         .env_remove("PQS_BASE_SEED")
-        .env_remove("PQS_ADAPTIVE")
         .stdout(std::process::Stdio::null())
         .status()
         .expect("spawn bench binary");

@@ -80,8 +80,8 @@ pub use membership::Membership;
 pub use messages::{AppMsg, OpId};
 pub use obs::{HoldReason, LoadSummary, TraceEvent};
 pub use runner::{
-    run_cells, run_scenario, run_scenario_hooked, run_seeds, snapshots_enabled, Aggregate,
-    ControllerHook, RunMetrics, ScenarioConfig, SweepCell,
+    run_cells, run_scenario, run_scenario_hooked, run_seeds, Aggregate, ControllerHook, RunMetrics,
+    ScenarioConfig, SweepCell,
 };
 pub use service::{
     Fanout, OpKind, OpRecord, QuorumCounters, RepairMode, RetryPolicy, ServiceConfig,

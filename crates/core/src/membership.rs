@@ -154,7 +154,7 @@ mod tests {
         let mut r = rng::stream(2, 0);
         let pop = population(50);
         let m = Membership::converged(50, &pop, 10, &mut r);
-        let mut counts = vec![0u32; 50];
+        let mut counts = [0u32; 50];
         for i in 0..50 {
             for nbr in m.view(NodeId(i)) {
                 counts[nbr.index()] += 1;

@@ -17,7 +17,6 @@ use pqs_sim::{SimDuration, SimTime};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Churn applied between the advertise and lookup phases, mirroring the
 /// §8.7 experiment ("after all advertisements finished, we fail every
@@ -44,8 +43,9 @@ pub struct ScenarioConfig {
     /// Optional churn between the phases.
     pub churn: Option<ChurnPlan>,
     /// Optional deterministic fault plan (frame drops/delays/duplicates,
-    /// timed crashes, partitions) installed into the substrate before the
-    /// run starts.
+    /// timed crashes, partitions), installed into the substrate at the
+    /// latest stage boundary (build, workload start, advertise cut) that
+    /// precedes the plan's first activity.
     pub faults: Option<FaultPlan>,
     /// Extra time after the last lookup for replies to drain.
     pub drain: SimDuration,
@@ -263,94 +263,54 @@ fn advance(
 
 /// Runs one scenario with one seed.
 ///
-/// Eligible scenarios route through the phased pipeline (build, stack-
-/// free warmup, advertise phase, measure) that [`run_cells`] shares
-/// across sweep cells; the rest run through the classic single-pass
-/// runner. The split is invisible in the results — it exists so a
-/// standalone run is byte-identical to the same cell inside a
-/// snapshot-sharing sweep.
+/// One pipeline of three stages — **warm** (build, run to the workload
+/// start), **advertise** (workload generated, advertisements issued up
+/// to the advertise cut), **measure** (phase gap, churn, lookups, drain,
+/// metrics) — executed front to back from `t = 0` with the real stack
+/// attached. [`run_cells`] runs the same stage functions but enters at a
+/// later stage from a fork of a prefix shared between cells, so a cell
+/// means the same thing alone and inside a sweep.
 pub fn run_scenario(cfg: &ScenarioConfig, seed: u64) -> RunMetrics {
     run_scenario_hooked(cfg, seed, None)
 }
 
 /// [`run_scenario`] with an optional runtime controller that fires on a
-/// deterministic sim-time schedule throughout both phases (including the
-/// churn settle window and the final drain).
-///
-/// Hooked runs always use the classic runner: the controller may observe
-/// any instant of the run, so no prefix of it is shareable.
+/// deterministic sim-time schedule throughout the run (warmup, both
+/// phases, the churn settle window and the final drain).
 pub fn run_scenario_hooked(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    hook: Option<ControllerHook<'_>>,
-) -> RunMetrics {
-    if hook.is_some() || !snapshots_enabled() || fault_install_point(cfg) == FaultInstall::Build {
-        return run_scenario_classic(cfg, seed, hook);
-    }
-    run_phased(cfg, seed, None, None).unwrap_or_else(|| run_scenario_classic(cfg, seed, None))
-}
-
-/// The classic single-pass runner: faults installed at build time, the
-/// whole run driven front to back with the real stack attached from
-/// `t = 0`. Used for hooked runs, for fault plans whose first activity
-/// precedes the workload start, and as the deterministic fallback when a
-/// warmup turns out not to be stack-free.
-fn run_scenario_classic(
     cfg: &ScenarioConfig,
     seed: u64,
     mut hook: Option<ControllerHook<'_>>,
 ) -> RunMetrics {
-    let mut net: QuorumNet = Network::new(derived_net_config(cfg, seed));
-    if let Some(plan) = &cfg.faults {
-        net.install_faults(plan.clone());
-    }
-    let mut stack = QuorumStack::new(&net, cfg.service, seed);
-    let n0 = net.alive_nodes().len();
-
-    let mut workload_rng = rng::stream(seed, streams::WORKLOAD);
-    let workload = Workload::generate(&cfg.workload, &net.alive_nodes(), &mut workload_rng);
-
-    // Phase 1: advertisements.
-    for &(at, who, key, value) in &workload.advertisements {
-        advance(&mut net, &mut stack, &mut hook, at);
-        stack.advertise(&mut net, who, key, value);
-    }
-    advance(&mut net, &mut stack, &mut hook, cfg.workload.lookup_start());
-
-    churn_and_settle(cfg, seed, n0, &mut net, &mut stack, &mut hook);
-    lookup_tail(cfg, seed, &mut net, &mut stack, &workload, &mut hook, n0)
+    let (mut net, mut stack, workload) = advertise_phase(cfg, seed, None, &mut hook);
+    measure_phase(cfg, seed, &mut net, &mut stack, &workload, &mut hook)
 }
 
-/// Applies the optional between-phase churn and lets joins integrate
-/// (heartbeats) before lookups begin.
-fn churn_and_settle(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    n0: usize,
-    net: &mut QuorumNet,
-    stack: &mut QuorumStack,
-    hook: &mut Option<ControllerHook<'_>>,
-) {
-    if let Some(plan) = cfg.churn {
-        apply_churn(net, stack, plan, seed, n0);
-        let settle = net.now() + SimDuration::from_secs(15);
-        advance(net, stack, hook, settle);
-    }
-}
-
-/// Phase 2 plus metrics assembly: snapshots the advertise-phase message
-/// counts, issues the lookups (dead lookers are substituted by live
-/// nodes — the paper's lookups are always issued by live nodes), drains,
-/// and folds the operation records into [`RunMetrics`].
-fn lookup_tail(
+/// The measure stage, from the advertise cut to the end of the run:
+/// late fault plans installed, the phase gap, the optional between-phase
+/// churn (joins get a heartbeat settle window before lookups begin), the
+/// lookups (dead lookers are substituted by live nodes — the paper's
+/// lookups are always issued by live nodes), the drain, and the
+/// operation records folded into [`RunMetrics`].
+fn measure_phase(
     cfg: &ScenarioConfig,
     seed: u64,
     net: &mut QuorumNet,
     stack: &mut QuorumStack,
     workload: &Workload,
     hook: &mut Option<ControllerHook<'_>>,
-    n0: usize,
 ) -> RunMetrics {
+    // Every node is alive at build time, so the pre-churn population size
+    // is the configured node count even when faults already crashed some
+    // nodes by the cut.
+    let n0 = cfg.net.n;
+    install_faults_at(cfg, net, FaultInstall::AdvertiseCut);
+    advance(net, stack, hook, cfg.workload.lookup_start());
+    if let Some(plan) = cfg.churn {
+        apply_churn(net, stack, plan, seed, n0);
+        let settle = net.now() + SimDuration::from_secs(15);
+        advance(net, stack, hook, settle);
+    }
     let after_advertise = snapshot(net, stack);
 
     let mut substitute_rng = rng::stream(seed, streams::WORKLOAD ^ 0x10ed);
@@ -476,22 +436,8 @@ fn apply_churn(
 }
 
 // ---------------------------------------------------------------------
-// Snapshot/fork pipeline
+// Stage boundaries, the advertise stage, and shared prefixes
 // ---------------------------------------------------------------------
-
-/// Returns `false` when `PQS_SNAPSHOT=0` (or `off` / `false`) forces
-/// every sweep cell to run from scratch. Snapshots never change results
-/// — the knob exists as the equivalence oracle's control arm and for
-/// debugging — so any other value (or no value) enables them.
-pub fn snapshots_enabled() -> bool {
-    match std::env::var("PQS_SNAPSHOT") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => true,
-    }
-}
 
 /// The network configuration a scenario actually runs with: the seed
 /// stamped in, and promiscuous mode forced on when the service relies on
@@ -511,18 +457,18 @@ fn advertise_cut(w: &WorkloadConfig) -> SimTime {
     w.start + w.advertise_window
 }
 
-/// Where a fault plan is installed, chosen as the latest phase boundary
-/// that still precedes the plan's first possible influence. Both the
-/// classic and the phased pipeline follow this classification, so the
-/// installation point is a function of the scenario alone — never of
-/// snapshot mode or template reuse.
+/// Where a fault plan is installed, chosen as the latest stage boundary
+/// that still precedes the plan's first possible influence. Every entry
+/// into the pipeline follows this classification, so the installation
+/// point is a function of the scenario alone — never of whether a
+/// prefix of the run was shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultInstall {
-    /// First activity precedes the workload start: install at build time
-    /// and run classic (no prefix of the run is shareable).
+    /// First activity precedes the workload start: install at build
+    /// time; no prefix of the run is shareable.
     Build,
-    /// First activity falls inside the advertise phase: install right
-    /// after stack construction at the workload start.
+    /// First activity falls inside the advertise phase: install at the
+    /// workload start.
     Start,
     /// Inert until the advertise window has ended (or no plan at all):
     /// install at the advertise cut.
@@ -555,6 +501,16 @@ fn fault_install_point(cfg: &ScenarioConfig) -> FaultInstall {
         Some(t) if t < cfg.workload.start => FaultInstall::Build,
         Some(t) if t < advertise_cut(&cfg.workload) => FaultInstall::Start,
         Some(_) => FaultInstall::AdvertiseCut,
+    }
+}
+
+/// Installs the scenario's fault plan if `point` is its classified
+/// installation boundary.
+fn install_faults_at(cfg: &ScenarioConfig, net: &mut QuorumNet, point: FaultInstall) {
+    if let Some(plan) = &cfg.faults {
+        if fault_install_point(cfg) == point {
+            net.install_faults(plan.clone());
+        }
     }
 }
 
@@ -624,26 +580,12 @@ fn adv_key(cfg: &ScenarioConfig, seed: u64) -> String {
     format!("{:?}|{seed}", template_scenario(cfg))
 }
 
-/// A substrate warmed to the workload start with no service stack on
-/// top. `net` is `None` when the warmup delivered an upcall — the
-/// "stack-free warmup" premise does not hold for that configuration and
-/// every dependent cell falls back to the classic runner.
-struct WarmTemplate {
-    net: Option<QuorumNet>,
-}
-
-/// A full simulation snapshotted at the advertise cut, built under the
-/// canonicalised advertise profile. `population` is the alive set the
-/// workload was generated from, captured at the workload start so member
-/// cells regenerate byte-identical advertise schedules.
-struct AdvTemplate {
-    state: Option<(QuorumNet, QuorumStack, Vec<NodeId>)>,
-}
-
-/// Counts upcalls during a stack-free warmup. Any upcall means the
-/// warmup is not reusable across service configurations; the taint is a
-/// pure function of `(cfg, seed)`, so every snapshot mode reaches the
-/// same fallback decision.
+/// Counts upcalls during a stack-free warmup. A warmup can deliver an
+/// upcall only if something sends a data frame, sets an upper-layer
+/// timer, or a node fails or joins: hellos are consumed inside the
+/// network, frames and timers originate only from a stack, and node
+/// faults before the workload start come only from `Build`-class plans,
+/// which never reach [`build_warm`].
 #[derive(Default)]
 struct WarmupProbe {
     upcalls: u64,
@@ -655,103 +597,79 @@ impl Stack<RoutePacket<AppMsg>> for WarmupProbe {
     }
 }
 
-/// Builds the substrate and warms it (hello traffic, mobility) to the
-/// workload start without a service stack attached.
-fn build_warm(cfg: &ScenarioConfig, seed: u64) -> WarmTemplate {
+/// The warm stage as a shareable prefix: builds the substrate and warms
+/// it (hello traffic, mobility) to the workload start with no service
+/// stack attached, so cells with different service configurations can
+/// fork it.
+fn build_warm(cfg: &ScenarioConfig, seed: u64) -> QuorumNet {
     let mut net: QuorumNet = Network::new(derived_net_config(cfg, seed));
     let mut probe = WarmupProbe::default();
     net.run(&mut probe, cfg.workload.start);
-    WarmTemplate {
-        net: (probe.upcalls == 0).then_some(net),
-    }
+    assert_eq!(
+        probe.upcalls, 0,
+        "a stack-free warmup delivered an upcall: the substrate is not shareable across stacks"
+    );
+    net
 }
 
-/// Runs the advertise phase: a warmed substrate (cloned from `warm`, or
-/// built fresh), the stack constructed at the workload start, the
-/// workload generated, in-phase fault plans installed, and every
-/// advertisement issued up to the advertise cut. Returns `None` when the
-/// warmup was not stack-free.
-#[allow(clippy::type_complexity)]
+fn generate_workload(cfg: &ScenarioConfig, seed: u64, population: &[NodeId]) -> Workload {
+    let mut workload_rng = rng::stream(seed, streams::WORKLOAD);
+    Workload::generate(&cfg.workload, population, &mut workload_rng)
+}
+
+/// The warm and advertise stages: the stack constructed and the workload
+/// generated on a fork of `warm` (or, with no shared prefix, on a fresh
+/// substrate at `t = 0`, run to the workload start with the stack
+/// attached), then every advertisement issued up to the advertise cut.
 fn advertise_phase(
     cfg: &ScenarioConfig,
     seed: u64,
-    warm: Option<&WarmTemplate>,
-) -> Option<(QuorumNet, QuorumStack, Vec<NodeId>, Workload)> {
+    warm: Option<&QuorumNet>,
+    hook: &mut Option<ControllerHook<'_>>,
+) -> (QuorumNet, QuorumStack, Workload) {
     let mut net = match warm {
-        Some(t) => t.net.as_ref()?.clone(),
-        None => build_warm(cfg, seed).net?,
+        Some(warm) => warm.clone(),
+        None => {
+            let mut net: QuorumNet = Network::new(derived_net_config(cfg, seed));
+            install_faults_at(cfg, &mut net, FaultInstall::Build);
+            net
+        }
     };
     let mut stack = QuorumStack::new(&net, cfg.service, seed);
-    let population = net.alive_nodes();
-    let mut workload_rng = rng::stream(seed, streams::WORKLOAD);
-    let workload = Workload::generate(&cfg.workload, &population, &mut workload_rng);
-    if fault_install_point(cfg) == FaultInstall::Start {
-        let plan = cfg.faults.clone().expect("Start implies a plan");
-        net.install_faults(plan);
-    }
+    let workload = generate_workload(cfg, seed, &net.alive_nodes());
+    advance(&mut net, &mut stack, hook, cfg.workload.start);
+    install_faults_at(cfg, &mut net, FaultInstall::Start);
     for &(at, who, key, value) in &workload.advertisements {
-        net.run(&mut stack, at);
+        advance(&mut net, &mut stack, hook, at);
         stack.advertise(&mut net, who, key, value);
     }
-    net.run(&mut stack, advertise_cut(&cfg.workload));
-    Some((net, stack, population, workload))
+    advance(&mut net, &mut stack, hook, advertise_cut(&cfg.workload));
+    (net, stack, workload)
 }
 
-/// Builds an advertise-phase template for every cell sharing `cfg`'s
-/// advertise behaviour.
-fn build_adv(cfg: &ScenarioConfig, seed: u64, warm: Option<&WarmTemplate>) -> AdvTemplate {
-    let tcfg = template_scenario(cfg);
-    AdvTemplate {
-        state: advertise_phase(&tcfg, seed, warm)
-            .map(|(net, stack, population, _)| (net, stack, population)),
-    }
-}
-
-/// The phased pipeline for one cell: the advertise phase (forked from a
-/// template when one is supplied) followed by the measure phase. `None`
-/// means the warmup was not stack-free — the caller falls back to the
-/// classic runner, a decision that depends only on `(cfg, seed)`.
-fn run_phased(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    warm: Option<&WarmTemplate>,
-    adv: Option<&AdvTemplate>,
-) -> Option<RunMetrics> {
-    debug_assert!(fault_install_point(cfg) != FaultInstall::Build);
-    let (mut net, mut stack, workload) = match adv {
-        Some(t) => {
-            let (tnet, tstack, population) = t.state.as_ref()?;
-            debug_assert_eq!(fault_install_point(cfg), FaultInstall::AdvertiseCut);
-            let net = tnet.clone();
-            let mut stack = tstack.clone();
-            // The template ran the advertise phase under the
-            // canonicalised profile; hand the fork its real service
-            // config before any lookup-side knob is read.
-            *stack.config_mut() = cfg.service;
-            let mut workload_rng = rng::stream(seed, streams::WORKLOAD);
-            let workload = Workload::generate(&cfg.workload, population, &mut workload_rng);
-            (net, stack, workload)
-        }
-        None => {
-            let (net, stack, _population, workload) = advertise_phase(cfg, seed, warm)?;
-            (net, stack, workload)
-        }
-    };
-    // Every node is alive at build time, so the pre-churn population size
-    // equals the configured node count even when in-phase faults already
-    // crashed some nodes by the cut.
-    let n0 = cfg.net.n;
-    if fault_install_point(cfg) == FaultInstall::AdvertiseCut {
-        if let Some(plan) = &cfg.faults {
-            net.install_faults(plan.clone());
-        }
-    }
-    let mut hook: Option<ControllerHook<'_>> = None;
-    advance(&mut net, &mut stack, &mut hook, cfg.workload.lookup_start());
-    churn_and_settle(cfg, seed, n0, &mut net, &mut stack, &mut hook);
-    Some(lookup_tail(
-        cfg, seed, &mut net, &mut stack, &workload, &mut hook, n0,
-    ))
+/// Groups the cells that pass `eligible` by `key`: returns each cell's
+/// group index and one representative cell index per group, in first-
+/// appearance order.
+fn group_cells(
+    cells: &[SweepCell],
+    eligible: impl Fn(usize) -> bool,
+    key: impl Fn(&ScenarioConfig, u64) -> String,
+) -> (Vec<Option<usize>>, Vec<usize>) {
+    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut reps: Vec<usize> = Vec::new();
+    let of_cell = cells
+        .iter()
+        .enumerate()
+        .map(|(i, (cfg, seed))| {
+            eligible(i).then(|| {
+                *index.entry(key(cfg, *seed)).or_insert_with(|| {
+                    reps.push(i);
+                    reps.len() - 1
+                })
+            })
+        })
+        .collect();
+    (of_cell, reps)
 }
 
 /// One sweep cell: a scenario and a seed.
@@ -767,102 +685,58 @@ pub type SweepCell = (ScenarioConfig, u64);
 ///    start with no stack on top;
 /// 2. one *advertise template* per distinct advertise-phase behaviour
 ///    (substrate, canonicalised service profile, advertise schedule,
-///    seed), forked from its warm template;
-/// 3. every cell forked from the deepest template it matches and run to
-///    completion.
+///    seed): substrate plus stack at the advertise cut, forked from its
+///    warm template;
+/// 3. every cell entering the pipeline on a fork of the deepest template
+///    it matches — the measure stage from an advertise template, the
+///    advertise stage from a warm template — and run to completion.
 ///
-/// Results are byte-identical to calling [`run_scenario`] per cell — at
-/// any pool width and with `PQS_SNAPSHOT=0` (which really does run every
-/// cell from scratch): sharing decisions depend only on each cell's
-/// `(cfg, seed)`. Cells whose fault plans act before the workload start,
-/// and cells whose warmup turns out not to be stack-free, run classic.
+/// Results are byte-identical to calling [`run_scenario`] per cell at
+/// any pool width: sharing decisions depend only on each cell's
+/// `(cfg, seed)`, and the stages a fork skips are the ones its template
+/// already ran. Cells whose fault plans act before the workload start
+/// share nothing and run all three stages.
 pub fn run_cells(cells: &[SweepCell], width: usize) -> Vec<RunMetrics> {
-    if !snapshots_enabled() || cells.len() <= 1 {
-        let jobs: Vec<_> = cells
-            .iter()
-            .map(|(cfg, seed)| {
-                let seed = *seed;
-                move || run_scenario(cfg, seed)
-            })
-            .collect();
-        return pqs_sim::pool::run_ordered(width, jobs);
+    if cells.len() <= 1 {
+        return cells.iter().map(|(c, s)| run_scenario(c, *s)).collect();
     }
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mode {
-        Classic,
-        Warm,
-        Adv,
-    }
-    let modes: Vec<Mode> = cells
+    let installs: Vec<FaultInstall> = cells
         .iter()
-        .map(|(cfg, _)| match fault_install_point(cfg) {
-            FaultInstall::Build => Mode::Classic,
-            FaultInstall::Start => Mode::Warm,
-            FaultInstall::AdvertiseCut => Mode::Adv,
-        })
+        .map(|(cfg, _)| fault_install_point(cfg))
         .collect();
 
     // Wave 1: warm templates, one per distinct substrate.
-    let mut warm_index: HashMap<String, usize> = HashMap::new();
-    let mut warm_reps: Vec<usize> = Vec::new();
-    let cell_warm: Vec<Option<usize>> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, (cfg, seed))| {
-            if modes[i] == Mode::Classic {
-                return None;
-            }
-            let idx = *warm_index.entry(warm_key(cfg, *seed)).or_insert_with(|| {
-                warm_reps.push(i);
-                warm_reps.len() - 1
-            });
-            Some(idx)
-        })
-        .collect();
+    let (cell_warm, warm_reps) =
+        group_cells(cells, |i| installs[i] != FaultInstall::Build, warm_key);
     let warm_jobs: Vec<_> = warm_reps
         .iter()
         .map(|&i| {
             let (cfg, seed) = &cells[i];
-            let seed = *seed;
-            move || build_warm(cfg, seed)
+            move || build_warm(cfg, *seed)
         })
         .collect();
-    let warms: Vec<Arc<WarmTemplate>> = pqs_sim::pool::run_ordered(width, warm_jobs)
-        .into_iter()
-        .map(Arc::new)
-        .collect();
+    let warms: Vec<QuorumNet> = pqs_sim::pool::run_ordered(width, warm_jobs);
 
-    // Wave 2: advertise templates, forked from their warm template.
-    let mut adv_index: HashMap<String, usize> = HashMap::new();
-    let mut adv_reps: Vec<usize> = Vec::new();
-    let cell_adv: Vec<Option<usize>> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, (cfg, seed))| {
-            if modes[i] != Mode::Adv {
-                return None;
-            }
-            let idx = *adv_index.entry(adv_key(cfg, *seed)).or_insert_with(|| {
-                adv_reps.push(i);
-                adv_reps.len() - 1
-            });
-            Some(idx)
-        })
-        .collect();
+    // Wave 2: advertise templates, forked from their warm template and
+    // run under the canonicalised advertise profile.
+    let (cell_adv, adv_reps) = group_cells(
+        cells,
+        |i| installs[i] == FaultInstall::AdvertiseCut,
+        adv_key,
+    );
     let adv_jobs: Vec<_> = adv_reps
         .iter()
         .map(|&i| {
             let (cfg, seed) = &cells[i];
-            let seed = *seed;
-            let warm = cell_warm[i].map(|w| warms[w].clone());
-            move || build_adv(cfg, seed, warm.as_deref())
+            let warm = cell_warm[i].map(|w| &warms[w]);
+            move || {
+                let (net, stack, _) =
+                    advertise_phase(&template_scenario(cfg), *seed, warm, &mut None);
+                (net, stack)
+            }
         })
         .collect();
-    let advs: Vec<Arc<AdvTemplate>> = pqs_sim::pool::run_ordered(width, adv_jobs)
-        .into_iter()
-        .map(Arc::new)
-        .collect();
+    let advs: Vec<(QuorumNet, QuorumStack)> = pqs_sim::pool::run_ordered(width, adv_jobs);
 
     // Wave 3: every cell, forked from the deepest matching template.
     let leaf_jobs: Vec<_> = cells
@@ -870,13 +744,25 @@ pub fn run_cells(cells: &[SweepCell], width: usize) -> Vec<RunMetrics> {
         .enumerate()
         .map(|(i, (cfg, seed))| {
             let seed = *seed;
-            let mode = modes[i];
-            let warm = cell_warm[i].map(|w| warms[w].clone());
-            let adv = cell_adv[i].map(|a| advs[a].clone());
-            move || match mode {
-                Mode::Classic => run_scenario_classic(cfg, seed, None),
-                Mode::Warm | Mode::Adv => run_phased(cfg, seed, warm.as_deref(), adv.as_deref())
-                    .unwrap_or_else(|| run_scenario_classic(cfg, seed, None)),
+            let warm = cell_warm[i].map(|w| &warms[w]);
+            let adv = cell_adv[i].map(|a| &advs[a]);
+            move || {
+                let (mut net, mut stack, workload) = match adv {
+                    Some((net, stack)) => {
+                        // The template ran the advertise stage under the
+                        // canonicalised profile; hand the fork its real
+                        // service config before any lookup-side knob is
+                        // read. Templates carry no faults or churn, so
+                        // the population at the cut is the one the
+                        // advertise schedule was generated from.
+                        let mut stack = stack.clone();
+                        *stack.config_mut() = cfg.service;
+                        let workload = generate_workload(cfg, seed, &net.alive_nodes());
+                        (net.clone(), stack, workload)
+                    }
+                    None => advertise_phase(cfg, seed, warm, &mut None),
+                };
+                measure_phase(cfg, seed, &mut net, &mut stack, &workload, &mut None)
             }
         })
         .collect();

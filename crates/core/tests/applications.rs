@@ -2,7 +2,7 @@
 //! biquorum layer: the probabilistic register and publish/subscribe.
 
 use pqs_core::pubsub::PubSub;
-use pqs_core::register::{self, RegisterOp};
+use pqs_core::register::RegisterOp;
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_core::{Fanout, QuorumNet, QuorumStack};

@@ -1,14 +1,14 @@
 //! Snapshot/fork equivalence: a sweep grid run through the
 //! prefix-sharing pipeline ([`run_cells`]) must export *byte-identical*
-//! metrics to running every cell from scratch — at any pool width. This
-//! is the in-process counterpart of the `PQS_SNAPSHOT=0` differential in
-//! `scripts/check.sh`: sharing warmed topologies and advertise phases is
-//! a pure wall-clock optimisation, never a result change.
+//! metrics to running every cell from scratch ([`run_scenario`]) — at any
+//! pool width: sharing warmed topologies and advertise phases is a pure
+//! wall-clock optimisation, never a result change.
 //!
 //! The grid deliberately mixes every install-point class: plain cells
 //! differing only in lookup behaviour (deepest sharing), a churn cell, a
-//! post-advertise crash plan, an in-advertise crash plan, and a
-//! from-`t = 0` frame-drop plan (classic, unshareable).
+//! post-advertise crash plan, an in-advertise crash plan, and two plans
+//! active before the workload start (unshareable): a from-`t = 0`
+//! frame-drop plan and a crash during warmup.
 
 use pqs_core::runner::{run_cells, run_scenario, run_scenario_hooked, ScenarioConfig, SweepCell};
 use pqs_core::spec::{QuorumSpec, WeightedBiquorumSpec, WeightedSide};
@@ -62,13 +62,19 @@ fn mixed_grid() -> Vec<SweepCell> {
     let mid = mid_crash.workload.start + SimDuration::from_secs(2);
     mid_crash.faults = Some(FaultPlan::new().crash_at(NodeId(5), mid));
 
-    // Active from t = 0: no shareable prefix, runs classic.
+    // Active from t = 0: no shareable prefix.
     let mut drops = base(n);
     drops.faults = Some(FaultPlan::new().drop_frames(0.15));
 
+    // A crash before the workload start: the one class where an upcall
+    // (`NodeFailed`) reaches the stack during warmup, so forking it from
+    // a stack-free warm template would diverge.
+    let mut early_crash = base(n);
+    early_crash.faults = Some(FaultPlan::new().crash_at(NodeId(7), SimTime::from_secs(1)));
+
     // Weighted mixture (PR 10): per-op quorum selection draws from the
-    // op RNG stream — byte-identity across pool widths and snapshot
-    // arms is exactly what this grid checks.
+    // op RNG stream — byte-identity across pool widths and entry
+    // stages is exactly what this grid checks.
     let mut weighted = base(n);
     let s = weighted.service.spec;
     weighted.service.weighted = Some(WeightedBiquorumSpec {
@@ -90,6 +96,7 @@ fn mixed_grid() -> Vec<SweepCell> {
         late_crash,
         mid_crash,
         drops,
+        early_crash,
         weighted,
     ];
     let seeds = [11u64, 17];
@@ -121,29 +128,26 @@ fn grid_matches_per_cell_runs_at_every_width() {
     }
 }
 
-/// The phased pipeline must also match the *classic* single-pass runner
-/// (the `PQS_SNAPSHOT=0` semantics). A hook with a tick schedule that
-/// never fires inside the horizon forces the classic path without
-/// touching process-global environment state.
+/// A controller that fires every second from `t = 3 s` but does nothing
+/// must leave every cell's export unchanged: the chunking of `net.run`
+/// horizons at tick instants is invisible to the simulation.
 #[test]
-fn phased_matches_classic_runner() {
+fn noop_controller_ticks_leave_the_export_unchanged() {
     let cells = mixed_grid();
-    let never = SimTime::from_secs(1_000_000);
     for (cfg, seed) in &cells {
         let mut noop = |_: &mut _, _: &mut _| {};
-        let classic = run_scenario_hooked(
+        let ticked = run_scenario_hooked(
             cfg,
             *seed,
             Some((
-                TickSchedule::starting_at(never, SimDuration::from_secs(1)),
+                TickSchedule::starting_at(SimTime::from_secs(3), SimDuration::from_secs(1)),
                 &mut noop,
             )),
         );
-        let phased = run_scenario(cfg, *seed);
         assert_eq!(
-            classic.to_json().render(),
-            phased.to_json().render(),
-            "classic and phased runners disagree (seed {seed})"
+            ticked.to_json().render(),
+            run_scenario(cfg, *seed).to_json().render(),
+            "no-op controller ticks changed the export (seed {seed})"
         );
     }
 }

@@ -66,7 +66,7 @@ proptest! {
                     } else if let Some(prev) = before {
                         // Rejection only happens in favour of an entry at
                         // least as fresh.
-                        prop_assert!((prev.wrapping_sub(seq) as i32) >= 0 || true);
+                        prop_assert!((prev.wrapping_sub(seq) as i32) >= 0);
                     }
                 }
                 Op::Invalidate { dst } => {
@@ -86,7 +86,7 @@ proptest! {
                     }
                 }
                 Op::Advance { by_s } => {
-                    now = now + pqs_sim::SimDuration::from_secs(by_s);
+                    now += pqs_sim::SimDuration::from_secs(by_s);
                 }
             }
             // Global invariant: every lookup result is valid and unexpired.

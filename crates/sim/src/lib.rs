@@ -68,6 +68,6 @@ mod scheduler;
 mod time;
 pub mod trace;
 
-pub use queue::{EventId, EventQueue, HeapEventQueue};
+pub use queue::{EventId, EventQueue};
 pub use scheduler::{run_until, Scheduler, Simulate};
 pub use time::{SimDuration, SimTime};

@@ -4,10 +4,10 @@
 //! (Varghese–Lauck style): O(1) amortized schedule/cancel/pop instead of
 //! the `BinaryHeap`'s O(log n), which is what lets the simulator hold
 //! 100k nodes' worth of in-flight events without the scheduler becoming
-//! the bottleneck. The original heap-backed queue survives as
-//! [`HeapEventQueue`], a `#[doc(hidden)]` oracle that the property tests
-//! drive in lockstep with the wheel to prove the pop sequences are
-//! identical. See DESIGN.md §16 for the full design notes.
+//! the bottleneck. A heap-backed queue survives as the oracle in
+//! `tests/queue_oracle.rs`, which the property tests drive in lockstep
+//! with the wheel to prove the pop sequences are identical. See
+//! DESIGN.md §16 for the full design notes.
 
 use crate::hash::FastSet;
 use crate::time::SimTime;
@@ -45,8 +45,8 @@ struct Entry<E> {
 }
 
 // Ordering: earliest time first; ties broken FIFO by sequence number.
-// Used by the `past` side-heap (and by `HeapEventQueue`); both are
-// max-heaps, so the comparison is reversed.
+// Used by the `past` side-heap, a max-heap, so the comparison is
+// reversed.
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
@@ -536,102 +536,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The pre-PR 8 `BinaryHeap`-backed event queue, kept verbatim as a
-/// differential-testing oracle: trivially correct by its total `(at,
-/// seq)` ordering, and driven in lockstep with the timer wheel by the
-/// property tests. Not part of the public API.
-#[doc(hidden)]
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    pending: FastSet<u64>,
-    next_seq: u64,
-    nonce: u64,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            pending: FastSet::default(),
-            next_seq: 0,
-            nonce: NEXT_QUEUE_NONCE.fetch_add(1, AtomicOrdering::Relaxed),
-        }
-    }
-
-    /// Schedules `event` at `at`; same contract as
-    /// [`EventQueue::schedule`].
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            at: at.as_micros(),
-            seq,
-            event,
-        });
-        self.pending.insert(seq);
-        EventId {
-            queue: self.nonce,
-            seq,
-        }
-    }
-
-    /// Cancels a pending event; same contract as
-    /// [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.queue != self.nonce {
-            return false;
-        }
-        let cancelled = self.pending.remove(&id.seq);
-        if cancelled
-            && self.heap.len() >= COMPACT_MIN_STORED
-            && self.heap.len() - self.pending.len() > self.heap.len() / 2
-        {
-            let pending = &self.pending;
-            self.heap.retain(|entry| pending.contains(&entry.seq));
-        }
-        cancelled
-    }
-
-    /// Removes and returns the earliest pending event; same contract as
-    /// [`EventQueue::pop`].
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.pending.remove(&entry.seq) {
-                return Some((SimTime::from_micros(entry.at), entry.event));
-            }
-        }
-        None
-    }
-
-    /// Earliest pending firing time without removal or mutation.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap
-            .iter()
-            .filter(|e| self.pending.contains(&e.seq))
-            .map(|e| e.at)
-            .min()
-            .map(SimTime::from_micros)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,7 +640,7 @@ mod tests {
             Some((SimTime::from_secs(1), "local")),
             "the local event must survive a foreign cancel"
         );
-        assert!(q2.cancel(local) == false, "and symmetrically");
+        assert!(!q2.cancel(local), "and symmetrically");
         assert_eq!(q2.pop(), Some((SimTime::from_secs(1), "foreign")));
     }
 
@@ -865,52 +769,5 @@ mod tests {
         q.schedule(SimTime::from_micros(target), "second");
         assert_eq!(q.pop(), Some((SimTime::from_micros(target), "first")));
         assert_eq!(q.pop(), Some((SimTime::from_micros(target), "second")));
-    }
-
-    #[test]
-    fn wheel_matches_heap_oracle_on_dense_workload() {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut wheel_ids = Vec::new();
-        let mut heap_ids = Vec::new();
-        // Deterministic pseudo-random mix of schedules, cancels and pops
-        // spanning all wheel levels and the overflow list.
-        let mut x = 0x243f_6a88_85a3_08d3u64;
-        for step in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            match x % 10 {
-                0..=5 => {
-                    // Bias towards near times, with occasional far tails.
-                    let at = match x % 7 {
-                        0 => (x >> 8) % (SPAN * 2),
-                        1..=2 => (x >> 8) % 100_000_000,
-                        _ => (x >> 8) % 5_000,
-                    };
-                    let at = SimTime::from_micros(at);
-                    wheel_ids.push(wheel.schedule(at, step));
-                    heap_ids.push(heap.schedule(at, step));
-                }
-                6..=7 => {
-                    if !wheel_ids.is_empty() {
-                        let i = (x >> 16) as usize % wheel_ids.len();
-                        assert_eq!(wheel.cancel(wheel_ids[i]), heap.cancel(heap_ids[i]));
-                    }
-                }
-                _ => {
-                    assert_eq!(wheel.pop(), heap.pop());
-                }
-            }
-            assert_eq!(wheel.len(), heap.len());
-            assert_eq!(wheel.next_deadline(), heap.next_deadline());
-        }
-        loop {
-            let (w, h) = (wheel.pop(), heap.pop());
-            assert_eq!(w, h);
-            if w.is_none() {
-                break;
-            }
-        }
     }
 }

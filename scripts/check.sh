@@ -11,8 +11,8 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
@@ -35,20 +35,13 @@ cargo test -q -p pqs-core --test snapshot_equivalence
 echo "==> sweep engine: PQS_JOBS=2 smoke sweep, diff vs sequential"
 seq_dir="$(mktemp -d)"
 par_dir="$(mktemp -d)"
-snap_dir="$(mktemp -d)"
-trap 'rm -rf "$seq_dir" "$par_dir" "$snap_dir"' EXIT
+trap 'rm -rf "$seq_dir" "$par_dir"' EXIT
 PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
     cargo run --release -q -p pqs-bench --bin fig8_random >/dev/null
 PQS_BENCH_DIR="$par_dir" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
     cargo run --release -q -p pqs-bench --bin fig8_random >/dev/null
 diff "$seq_dir/fig8_random.json" "$par_dir/fig8_random.json" \
     || { echo "fig8_random.json differs between PQS_JOBS=1 and 2"; exit 1; }
-
-echo "==> snapshot sharing: PQS_SNAPSHOT=0 smoke sweep, diff vs snapshots on"
-PQS_BENCH_DIR="$snap_dir" PQS_SNAPSHOT=0 PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig8_random >/dev/null
-diff "$par_dir/fig8_random.json" "$snap_dir/fig8_random.json" \
-    || { echo "fig8_random.json differs between snapshots on and PQS_SNAPSHOT=0"; exit 1; }
 
 echo "==> adaptive planner: fig_adaptive smoke, diff vs sequential"
 PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
@@ -164,6 +157,10 @@ PQS_PERF_BASELINE=ignore cargo run --release -q -p pqs-bench --bin bench_summary
     "$gate_dir" "$gate_dir/out.json" --baseline "$gate_dir/baseline.json" >/dev/null 2>&1 \
     || { echo "perf gate self-test failed: PQS_PERF_BASELINE=ignore did not bypass"; rm -rf "$gate_dir"; exit 1; }
 rm -rf "$gate_dir"
+
+echo "==> benchmark package: builds against the crates' public API, set --quick passes"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    set --quick --out "$seq_dir/quick.json"
 
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test --workspace -q"

@@ -1,12 +1,13 @@
 //! Cross-crate integration tests through the `pqs` facade.
 
-use pqs::core::runner::{run_scenario, ScenarioConfig};
+use pqs::core::runner::{run_cells, run_scenario, ScenarioConfig};
 use pqs::core::spec::{self, AccessStrategy};
 use pqs::core::workload::WorkloadConfig;
 use pqs::graph::rgg::RggConfig;
 use pqs::graph::walks::{partial_cover_steps, WalkKind};
-use pqs::net::{MobilityModel, NetConfig, Network};
-use pqs::sim::rng;
+use pqs::net::{FaultPlan, MobilityModel, NetConfig, Network, NodeId};
+use pqs::sim::json::ToJson;
+use pqs::sim::{rng, SimTime};
 
 #[test]
 fn facade_reexports_are_wired() {
@@ -121,4 +122,27 @@ fn end_to_end_determinism_through_facade() {
     let mut cfg = ScenarioConfig::paper(60);
     cfg.workload = WorkloadConfig::small(5, 20);
     assert_eq!(run_scenario(&cfg, 77), run_scenario(&cfg, 77));
+}
+
+#[test]
+fn sweep_cells_match_standalone_runs() {
+    // A cell must mean the same thing alone and inside a prefix-sharing
+    // sweep. The three cells enter the pipeline at its three stages: the
+    // PATH cell forks the plain cell's advertise template, the crash
+    // precedes the workload start so that cell shares nothing.
+    let mut plain = ScenarioConfig::paper(30);
+    plain.workload = WorkloadConfig::small(4, 8);
+    let mut path_lookup = plain.clone();
+    path_lookup.service.spec.lookup.strategy = AccessStrategy::Path;
+    let mut early_crash = plain.clone();
+    early_crash.faults = Some(FaultPlan::new().crash_at(NodeId(7), SimTime::from_secs(1)));
+    let cells = [(plain, 11), (path_lookup, 11), (early_crash, 11)];
+
+    let render = |m: &pqs::core::RunMetrics| m.to_json().render();
+    let shared: Vec<_> = run_cells(&cells, 2).iter().map(render).collect();
+    let alone: Vec<_> = cells
+        .iter()
+        .map(|(cfg, seed)| render(&run_scenario(cfg, *seed)))
+        .collect();
+    assert_eq!(shared, alone);
 }
