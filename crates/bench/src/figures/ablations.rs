@@ -3,7 +3,7 @@
 //! default (RANDOM × UNIQUE-PATH), under fast mobility where the
 //! maintenance machinery matters.
 
-use pqs_bench::{bench_workload, f, header, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::RepairMode;
 use pqs_net::{MobilityModel, PhyConfig};
@@ -15,10 +15,10 @@ fn base(n: usize) -> ScenarioConfig {
     cfg
 }
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let n = 200;
-    let the_seeds = seeds(3);
-    header(
+    let the_seeds = b.seeds(3);
+    b.header(
         &format!("ablations, RANDOM x UNIQUE-PATH, n = {n}, 10 m/s mobility"),
         &[
             "variant",
@@ -79,9 +79,9 @@ fn main() {
     ];
 
     let cfgs: Vec<ScenarioConfig> = variants.iter().map(|(_, cfg)| cfg.clone()).collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
     for ((name, _), agg) in variants.iter().zip(&aggs) {
-        row(&[
+        b.row(&[
             (*name).into(),
             f(agg.hit_ratio),
             f(agg.intersection_ratio),
@@ -95,5 +95,4 @@ fn main() {
     println!("steps over UNIQUE-PATH for the same target, and the idealised");
     println!("protocol-model PHY confirms the results are not interference");
     println!("artifacts.");
-    pqs_bench::report::finish("ablations").expect("write bench json");
 }

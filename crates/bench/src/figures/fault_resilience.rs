@@ -7,7 +7,7 @@
 //! Both experiments drive the fault subsystem through `FaultPlan`, so
 //! every run is reproducible from `(scenario, seed)` alone.
 
-use pqs_bench::{bench_workload, f, header, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::analysis::{intersection_after_churn, ChurnRegime};
 use pqs_core::runner::{run_scenario, ScenarioConfig, SweepCell};
 use pqs_core::workload::WorkloadConfig;
@@ -29,7 +29,7 @@ fn crash_plan(n: usize, frac: f64, seed: u64, cfg: &ScenarioConfig) -> FaultPlan
     plan
 }
 
-fn degradation(seed_list: &[u64]) {
+fn degradation(b: &mut Bench, seed_list: &[u64]) {
     let n = 150;
     let base = ScenarioConfig::paper(n);
     // ε₀ implied by the paper's default sizing (|Qa| = 2√n, |Qℓ| = 1.15√n).
@@ -39,7 +39,7 @@ fn degradation(seed_list: &[u64]) {
             .spec
             .intersection_lower_bound(n)
             .expect("paper spec sizes are set");
-    header(
+    b.header(
         &format!("measured vs §6.1 closed form: crashed vs silent fraction f (n = {n}, eps0 = {eps0:.3})"),
         &["f", "closed form", "crash", "silent", "delta"],
     );
@@ -70,7 +70,7 @@ fn degradation(seed_list: &[u64]) {
             })
         })
         .collect();
-    let results = sweep::run_cells(cells);
+    let results = b.run_cells(cells);
     for (chunk, &frac) in results.chunks(2 * seed_list.len()).zip(&fracs) {
         let predicted = intersection_after_churn(
             eps0,
@@ -90,7 +90,7 @@ fn degradation(seed_list: &[u64]) {
         };
         let crashed = ratio(crash_chunk);
         let silent = ratio(silent_chunk);
-        row(&[
+        b.row(&[
             f(frac),
             f(predicted),
             f(crashed),
@@ -107,9 +107,9 @@ fn degradation(seed_list: &[u64]) {
     println!("still gets visited and burns a lookup-quorum slot without answering.");
 }
 
-fn retry_recovery(seed_list: &[u64]) {
+fn retry_recovery(b: &mut Bench, seed_list: &[u64]) {
     let n = 80;
-    header(
+    b.header(
         &format!("retry recovery under uniform frame drops (n = {n}, paper workload small(8, 30))"),
         &[
             "drop",
@@ -141,7 +141,7 @@ fn retry_recovery(seed_list: &[u64]) {
             })
         })
         .collect();
-    let results = sweep::run_cells(cells);
+    let results = b.run_cells(cells);
     for (chunk, &drop) in results.chunks(2 * seed_list.len()).zip(&drops) {
         let (mut plain_hits, mut retry_hits, mut lookups) = (0usize, 0usize, 0usize);
         let (mut retries, mut exhausted) = (0u64, 0u64);
@@ -159,7 +159,7 @@ fn retry_recovery(seed_list: &[u64]) {
         } else {
             format!("{}/{missed}", retry_hits.saturating_sub(plain_hits))
         };
-        row(&[
+        b.row(&[
             f(drop),
             format!("{plain_hits}/{lookups}"),
             format!("{retry_hits}/{lookups}"),
@@ -178,26 +178,25 @@ fn retry_recovery(seed_list: &[u64]) {
 /// `--trace`: re-runs one faulty scenario with the stack's trace ring
 /// enabled and dumps the typed event log (sim-time stamped, JSON) so a
 /// single run's retry/failure story can be read end to end.
-fn trace_dump() {
+fn trace_dump(b: &mut Bench) {
     let n = 80;
     let mut cfg = ScenarioConfig::paper(n);
     cfg.workload = WorkloadConfig::small(8, 30);
     cfg.faults = Some(FaultPlan::new().drop_frames(0.20));
     cfg.service.retry = Some(RetryPolicy::default_policy());
     cfg.service.trace_capacity = 4096;
-    let m = run_scenario(&cfg, seeds(1)[0]);
+    let m = run_scenario(&cfg, b.seeds(1)[0]);
     let trace = pqs_core::obs::trace_to_json(&m.trace);
     println!("\n=== trace: n = {n}, 20% frame drops, retry on ===");
     println!("{}", trace.render());
-    pqs_bench::report::add_value("trace", trace);
+    b.add_value("trace", trace);
 }
 
-fn main() {
-    let seed_list = seeds(3);
-    degradation(&seed_list);
-    retry_recovery(&seed_list);
+pub fn run(b: &mut Bench) {
+    let seed_list = b.seeds(3);
+    degradation(b, &seed_list);
+    retry_recovery(b, &seed_list);
     if std::env::args().any(|a| a == "--trace") {
-        trace_dump();
+        trace_dump(b);
     }
-    pqs_bench::report::finish("fault_resilience").expect("write bench json");
 }

@@ -3,15 +3,15 @@
 //! grows. The headline numbers of the paper: 0.9 hit at |Qℓ| ≈ 1.15√n,
 //! costing *fewer than |Qℓ|* messages including the reply.
 
-use pqs_bench::{bench_workload, f, header, network_sizes, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_net::MobilityModel;
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let factors = [0.5, 0.75, 1.0, 1.15, 1.5, 2.0];
-    let the_seeds = seeds(2);
-    let sizes = network_sizes();
+    let the_seeds = b.seeds(2);
+    let sizes = b.network_sizes();
 
     let quorums: Vec<(usize, u32)> = sizes
         .iter()
@@ -31,9 +31,9 @@ fn main() {
             cfg
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
-    header(
+    b.header(
         "Fig. 10(a,b): UNIQUE-PATH lookup hit ratio vs |Ql| (mobile 0.5-2 m/s)",
         &[
             "n \\ |Ql|",
@@ -57,11 +57,11 @@ fn main() {
             hit_cells.push(f(agg.hit_ratio));
             msg_cells.push(format!("{} (Q={ql})", f(agg.msgs_per_lookup)));
         }
-        row(&hit_cells);
+        b.row(&hit_cells);
         msgs_rows.push(msg_cells);
     }
 
-    header(
+    b.header(
         "Fig. 10(c,d): messages per lookup (walk steps + reply, no routing)",
         &[
             "n \\ |Ql|",
@@ -74,10 +74,9 @@ fn main() {
         ],
     );
     for cells in msgs_rows {
-        row(&cells);
+        b.row(&cells);
     }
     println!("\nPaper check: 0.9 hit at |Ql| ≈ 1.15·sqrt(n); messages per lookup stay");
     println!("*below* |Ql| thanks to early halting (~|Ql|/2 to the hit), reply-path");
     println!("reduction, and the originator counting itself in the quorum (§8.3).");
-    pqs_bench::report::finish("fig10_unique_path").expect("write bench json");
 }

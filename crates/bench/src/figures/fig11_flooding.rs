@@ -2,15 +2,15 @@
 //! messages per lookup as the flood TTL grows, static and mobile. The
 //! figure demonstrates flooding's coarse coverage granularity.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_net::MobilityModel;
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let ttls = [1u32, 2, 3, 4, 5];
-    let the_seeds = seeds(2);
-    let sizes = [200usize, largest_n()];
+    let the_seeds = b.seeds(2);
+    let sizes = [200usize, b.largest_n()];
 
     let cfgs: Vec<ScenarioConfig> = [false, true]
         .iter()
@@ -28,12 +28,12 @@ fn main() {
             })
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
     let mut agg_rows = aggs.chunks(ttls.len());
     for mobile in [false, true] {
         let label = if mobile { "mobile 0.5-2 m/s" } else { "static" };
-        header(
+        b.header(
             &format!("Fig. 11: FLOODING lookup, {label} (hit | msgs per lookup)"),
             &["n \\ TTL", "1", "2", "3", "4", "5"],
         );
@@ -43,7 +43,7 @@ fn main() {
             for agg in chunk {
                 cells.push(format!("{}|{}", f(agg.hit_ratio), f(agg.msgs_per_lookup)));
             }
-            row(&cells);
+            b.row(&cells);
         }
     }
     println!("\nPaper check (§8.4): the hit ratio jumps super-linearly with TTL");
@@ -51,5 +51,4 @@ fn main() {
     println!("needs TTL 4 at a disproportionate message cost — flooding's coarse");
     println!("granularity. Mobile networks hit slightly MORE (random-waypoint");
     println!("center-density artifact) while sending more messages.");
-    pqs_bench::report::finish("fig11_flooding").expect("write bench json");
 }

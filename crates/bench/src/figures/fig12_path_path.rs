@@ -4,16 +4,16 @@
 //! Θ(n/log n); the paper measures 0.9 hit at a combined length ≈ n/2.
 //! Also prints the crossing-time scaling check for Theorem 5.5.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_graph::rgg::RggConfig;
 use pqs_graph::walks::{crossing_steps, WalkKind};
 use pqs_sim::rng;
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(2);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(2);
 
     let fractions = [16.0, 8.0, 4.7, 3.0, 2.0];
     let sides: Vec<u32> = fractions
@@ -32,9 +32,9 @@ fn main() {
             cfg
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("Fig. 12: UNIQUE-PATH x UNIQUE-PATH, n = {n} (|Qa| = |Ql|)"),
         &[
             "combined |Q|",
@@ -45,7 +45,7 @@ fn main() {
         ],
     );
     for ((agg, &each), &frac) in aggs.iter().zip(&sides).zip(&fractions) {
-        row(&[
+        b.row(&[
             format!("{} (n/{frac:.1})", 2 * each),
             each.to_string(),
             f(agg.hit_ratio),
@@ -62,7 +62,7 @@ fn main() {
     // job per (r, seed); the per-pair step counts are folded on the main
     // thread in the original order.
     let radii = [0.12f64, 0.08, 0.06];
-    let cross_seeds = seeds(3);
+    let cross_seeds = b.seeds(3);
     let cross_jobs: Vec<_> = radii
         .iter()
         .flat_map(|&r| {
@@ -90,9 +90,9 @@ fn main() {
             })
         })
         .collect();
-    let cross_results = sweep::run_jobs(cross_jobs);
+    let cross_results = b.run_jobs(cross_jobs);
 
-    header(
+    b.header(
         "Theorem 5.5: crossing time of two simple RWs on G2(n=1000, r)",
         &["r", "measured steps", "r^-2 scale"],
     );
@@ -105,8 +105,7 @@ fn main() {
                 count += 1.0;
             }
         }
-        row(&[format!("{r}"), f(total / count.max(1.0)), f(1.0 / (r * r))]);
+        b.row(&[format!("{r}"), f(total / count.max(1.0)), f(1.0 / (r * r))]);
     }
     println!("\n(the measured column should grow at least as fast as r^-2)");
-    pqs_bench::report::finish("fig12_path_path").expect("write bench json");
 }

@@ -2,14 +2,14 @@
 //! degrades with speed, the intersection probability itself does not
 //! (RW salvation at work), and the gap is exactly the dropped replies.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::RepairMode;
 use pqs_net::MobilityModel;
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(2);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(2);
     let speeds = [2.0, 5.0, 10.0, 20.0];
 
     let cfgs: Vec<ScenarioConfig> = speeds
@@ -22,9 +22,9 @@ fn main() {
             cfg
         })
         .collect();
-    let all_runs = sweep::runs(&cfgs, &the_seeds);
+    let all_runs = b.runs(&cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("Fig. 13: fast mobility, NO reply-path repair, n = {n}"),
         &[
             "max speed",
@@ -41,7 +41,7 @@ fn main() {
             .map(|r| r.counters.salvations as f64 / r.lookups as f64)
             .sum::<f64>()
             / runs.len() as f64;
-        row(&[
+        b.row(&[
             format!("{speed} m/s"),
             f(agg.hit_ratio),
             f(agg.intersection_ratio),
@@ -52,5 +52,4 @@ fn main() {
     println!("\nPaper check (Fig. 13): the intersection column stays flat — RW");
     println!("salvation re-aims broken walk steps — while the hit ratio falls with");
     println!("speed because reply messages die on the stale reverse path.");
-    pqs_bench::report::finish("fig13_mobility").expect("write bench json");
 }

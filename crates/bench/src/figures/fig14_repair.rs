@@ -3,15 +3,15 @@
 //! ratio is restored at the price of some routing; a proactively larger
 //! advertise quorum (3√n) helps further.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_core::RepairMode;
 use pqs_net::MobilityModel;
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(2);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(2);
     let speeds = [2.0, 5.0, 10.0, 20.0];
 
     let speed_cfgs: Vec<ScenarioConfig> = speeds
@@ -27,9 +27,9 @@ fn main() {
             cfg
         })
         .collect();
-    let speed_runs = sweep::runs(&speed_cfgs, &the_seeds);
+    let speed_runs = b.runs(&speed_cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("Fig. 14(a-d): fast mobility WITH local repair, n = {n}"),
         &[
             "max speed",
@@ -49,7 +49,7 @@ fn main() {
             })
             .sum::<f64>()
             / runs.len() as f64;
-        row(&[
+        b.row(&[
             format!("{speed} m/s"),
             f(agg.hit_ratio),
             f(agg.intersection_ratio),
@@ -81,15 +81,15 @@ fn main() {
             cfg
         })
         .collect();
-    let proactive_aggs = sweep::aggregates(&proactive_cfgs, &the_seeds);
+    let proactive_aggs = b.aggregates(&proactive_cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("Fig. 14(e): proactive |Qa| = 3*sqrt(n) at 20 m/s, n = {n}"),
         &["advertise |Q|", "hit ratio", "intersection"],
     );
     for (agg, &factor) in proactive_aggs.iter().zip(&factors) {
         let qa = (factor * (n as f64).sqrt()).round() as u32;
-        row(&[
+        b.row(&[
             format!("{factor}√n = {qa}"),
             f(agg.hit_ratio),
             f(agg.intersection_ratio),
@@ -100,5 +100,4 @@ fn main() {
     println!("advertise quorum shortens lookups and reduces reply-path breakage.");
     println!("(|Qa| > 2sqrt(n) exceeds the membership view, so the proactive run");
     println!("also refreshes views — compare the hit columns, not absolutes.)");
-    pqs_bench::report::finish("fig14_repair").expect("write bench json");
 }

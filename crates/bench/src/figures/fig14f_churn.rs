@@ -4,13 +4,13 @@
 //! the lookup quorum is adjusted to the new size. Compared against the
 //! §6.1 closed form.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::analysis::{intersection_after_churn, ChurnRegime};
 use pqs_core::runner::{ChurnPlan, ScenarioConfig};
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(3);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(3);
     let mut base = ScenarioConfig::paper(n);
     base.net.avg_degree = 15.0;
     base.workload = bench_workload(30, 150, n);
@@ -36,9 +36,9 @@ fn main() {
             cfg
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("Fig. 14(f): churn degradation, n = {n}, d = 15, eps0 = {eps0:.3}"),
         &[
             "churn f",
@@ -49,7 +49,7 @@ fn main() {
         ],
     );
     for (agg, &fr) in aggs.iter().zip(&fracs) {
-        row(&[
+        b.row(&[
             f(fr),
             f(agg.intersection_ratio),
             f(agg.hit_ratio),
@@ -70,5 +70,4 @@ fn main() {
     println!("\nPaper check (§8.7): outstanding survivability — the measured curve");
     println!("degrades slowly and tracks the §6.1 analysis (e.g. ≈0.87 at f = 0.5");
     println!("for failures with an adjusted lookup quorum).");
-    pqs_bench::report::finish("fig14f_churn").expect("write bench json");
 }

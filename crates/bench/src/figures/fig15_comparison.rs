@@ -2,14 +2,14 @@
 //! per lookup for UNIQUE-PATH, FLOODING and RANDOM-OPT against a RANDOM
 //! advertise quorum. Each strategy is swept over its control parameter.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_core::Fanout;
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(2);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(2);
 
     let sweeps: [(AccessStrategy, Vec<u32>); 3] = [
         (
@@ -37,9 +37,9 @@ fn main() {
             cfg
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("Fig. 15: hit ratio vs msgs/lookup, RANDOM advertise, n = {n}"),
         &[
             "lookup strategy",
@@ -50,7 +50,7 @@ fn main() {
         ],
     );
     for (agg, &(strategy, param)) in aggs.iter().zip(&cells) {
-        row(&[
+        b.row(&[
             strategy.to_string(),
             param.to_string(),
             f(agg.msgs_per_lookup),
@@ -62,5 +62,4 @@ fn main() {
     println!("ratios but its last TTL step is disproportionately expensive;");
     println!("UNIQUE-PATH reaches high hit ratios with fine-grained, near-linear");
     println!("cost; RANDOM-OPT is inferior once its routing price is counted.");
-    pqs_bench::report::finish("fig15_comparison").expect("write bench json");
 }

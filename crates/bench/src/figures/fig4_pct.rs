@@ -3,7 +3,7 @@
 //! network sizes and densities; simple (PATH) vs self-avoiding
 //! (UNIQUE-PATH) walks. Also checks Theorem 4.1 (PCT(t) ≤ 2αt).
 
-use pqs_bench::{f, header, row, seeds, sweep};
+use pqs_bench::{f, Bench};
 use pqs_graph::rgg::RggConfig;
 use pqs_graph::walks::{pct_profile, WalkKind};
 use pqs_sim::rng;
@@ -11,10 +11,10 @@ use pqs_sim::rng;
 /// Mean steps-per-unique-node profile over several graphs and starts.
 /// Sequential inside one pool job, so every profile is bit-identical at
 /// any pool width.
-fn profile(n: usize, d_avg: f64, upto: usize, kind: WalkKind) -> Vec<f64> {
+fn profile(seeds: &[u64], n: usize, d_avg: f64, upto: usize, kind: WalkKind) -> Vec<f64> {
     let mut sums = vec![0.0f64; upto];
     let mut count = 0.0f64;
-    for seed in seeds(5) {
+    for &seed in seeds {
         let mut r = rng::stream(seed, 4);
         let net = RggConfig::with_avg_degree(n, d_avg).generate(&mut r);
         let comp = net.graph().components().remove(0);
@@ -34,12 +34,14 @@ fn profile(n: usize, d_avg: f64, upto: usize, kind: WalkKind) -> Vec<f64> {
     sums.iter().map(|s| s / count.max(1.0)).collect()
 }
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let checkpoints = [10usize, 20, 30, 40, 60];
     let profile_sizes = [100usize, 200, 400, 800];
     let densities = [7.0, 10.0, 15.0, 20.0, 25.0];
     let unique_densities = [7.0, 10.0, 15.0, 25.0];
 
+    let seeds = &b.seeds(5);
+    let profile = move |n, d_avg, upto, kind| profile(seeds, n, d_avg, upto, kind);
     // Every profile of the four sections is one pool job; results come
     // back grouped per section, in row order.
     let mut jobs: Vec<Box<dyn FnOnce() -> Vec<f64> + Send>> = Vec::new();
@@ -52,19 +54,15 @@ fn main() {
     for &n in &profile_sizes {
         let target = (n as f64).sqrt().round() as usize;
         jobs.push(Box::new(move || profile(n, 10.0, target, WalkKind::Simple)));
-        jobs.push(Box::new(move || {
-            profile(n, 10.0, target, WalkKind::SelfAvoiding)
-        }));
+        jobs.push(Box::new(move || profile(n, 10.0, target, WalkKind::SelfAvoiding)));
     }
     for &d in &unique_densities {
-        jobs.push(Box::new(move || {
-            profile(400, d, 61, WalkKind::SelfAvoiding)
-        }));
+        jobs.push(Box::new(move || profile(400, d, 61, WalkKind::SelfAvoiding)));
     }
-    let mut results = sweep::run_jobs(jobs).into_iter();
+    let mut results = b.run_jobs(jobs).into_iter();
 
     // (a) simple walk, varying n, d_avg = 10.
-    header(
+    b.header(
         "Fig. 4(a): simple RW, steps per unique node (d_avg = 10)",
         &["n \\ unique", "10", "20", "30", "40", "60"],
     );
@@ -72,11 +70,11 @@ fn main() {
         let p = results.next().expect("profile per row");
         let mut cells = vec![n.to_string()];
         cells.extend(checkpoints.iter().map(|&k| f(p[k - 1])));
-        row(&cells);
+        b.row(&cells);
     }
 
     // (b) simple walk, varying density, n = 400.
-    header(
+    b.header(
         "Fig. 4(b): simple RW, varying density (n = 400)",
         &["d_avg \\ unique", "10", "20", "30", "40", "60"],
     );
@@ -84,11 +82,11 @@ fn main() {
         let p = results.next().expect("profile per row");
         let mut cells = vec![format!("{d}")];
         cells.extend(checkpoints.iter().map(|&k| f(p[k - 1])));
-        row(&cells);
+        b.row(&cells);
     }
 
     // (c) PCT at sqrt(n): the paper's constant ≈ 1.7 for all n ≤ 800.
-    header(
+    b.header(
         "Fig. 4(c): PCT(sqrt(n)) / sqrt(n) (paper: <= 1.7)",
         &["n", "simple RW", "unique RW"],
     );
@@ -96,11 +94,11 @@ fn main() {
         let target = (n as f64).sqrt().round() as usize;
         let ps = results.next().expect("simple profile");
         let pu = results.next().expect("unique profile");
-        row(&[n.to_string(), f(ps[target - 1]), f(pu[target - 1])]);
+        b.row(&[n.to_string(), f(ps[target - 1]), f(pu[target - 1])]);
     }
 
     // (d) UNIQUE-PATH almost never revisits (ratio ≈ 1), even sparse.
-    header(
+    b.header(
         "Fig. 4(d): UNIQUE-PATH steps per unique node (n = 400)",
         &["d_avg \\ unique", "10", "20", "30", "40", "60"],
     );
@@ -108,12 +106,11 @@ fn main() {
         let p = results.next().expect("profile per row");
         let mut cells = vec![format!("{d}")];
         cells.extend(checkpoints.iter().map(|&k| f(p[k - 1])));
-        row(&cells);
+        b.row(&cells);
     }
 
     println!("\nTheorem 4.1 check: the columns above are flat-ish in the unique-node");
     println!("count and bounded by a small constant (2*alpha), i.e. PCT(t) = O(t).");
     println!("Paper reference points: simple RW ~1.7 at d_avg=10; ~2.5 at d_avg=7;");
     println!("UNIQUE-PATH ~1.0-1.2 everywhere.");
-    pqs_bench::report::finish("fig4_pct").expect("write bench json");
 }

@@ -2,7 +2,7 @@
 //! (a, b) and the coverage granularity `CG(i) = N_i / N_{i-1}` (c, d),
 //! for varying network sizes and densities.
 
-use pqs_bench::{bench_workload, f, header, network_sizes, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::{RunMetrics, ScenarioConfig};
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 
@@ -24,10 +24,10 @@ fn coverage(runs: &[RunMetrics]) -> f64 {
     total / runs.len() as f64
 }
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let ttls = [1u32, 2, 3, 4, 5, 6];
-    let the_seeds = seeds(2);
-    let sizes = network_sizes();
+    let the_seeds = b.seeds(2);
+    let sizes = b.network_sizes();
     let densities = [7.0, 10.0, 15.0, 20.0, 25.0];
 
     // Both sweeps — (n × TTL) at d = 10 and (density × TTL) at n = 400 —
@@ -41,23 +41,25 @@ fn main() {
             .iter()
             .flat_map(|&d| ttls.iter().map(move |&t| flood_cfg(400, d, t))),
     );
-    let all_runs = sweep::runs(&cfgs, &the_seeds);
+    let all_runs = b.runs(&cfgs, &the_seeds);
     let (size_runs, density_runs) = all_runs.split_at(sizes.len() * ttls.len());
 
-    header(
+    b.header(
         "Fig. 5(a): nodes covered vs TTL (d_avg = 10)",
         &["n \\ TTL", "1", "2", "3", "4", "5", "6"],
     );
     let mut by_n: Vec<(usize, Vec<f64>)> = Vec::new();
     for (chunk, &n) in size_runs.chunks(ttls.len()).zip(&sizes) {
         let cov: Vec<f64> = chunk.iter().map(|runs| coverage(runs)).collect();
-        row(&std::iter::once(n.to_string())
-            .chain(cov.iter().map(|&c| f(c)))
-            .collect::<Vec<_>>());
+        b.row(
+            &std::iter::once(n.to_string())
+                .chain(cov.iter().map(|&c| f(c)))
+                .collect::<Vec<_>>(),
+        );
         by_n.push((n, cov));
     }
 
-    header(
+    b.header(
         "Fig. 5(c): coverage granularity CG(i) = N_i / N_{i-1} (d_avg = 10)",
         &["n \\ TTL", "2", "3", "4", "5", "6"],
     );
@@ -65,23 +67,25 @@ fn main() {
         let cells: Vec<String> = std::iter::once(n.to_string())
             .chain(cov.windows(2).map(|w| f(w[1] / w[0])))
             .collect();
-        row(&cells);
+        b.row(&cells);
     }
 
-    header(
+    b.header(
         "Fig. 5(b): nodes covered vs TTL, varying density (n = 400)",
         &["d \\ TTL", "1", "2", "3", "4", "5", "6"],
     );
     let mut by_d: Vec<(f64, Vec<f64>)> = Vec::new();
     for (chunk, &d) in density_runs.chunks(ttls.len()).zip(&densities) {
         let cov: Vec<f64> = chunk.iter().map(|runs| coverage(runs)).collect();
-        row(&std::iter::once(format!("{d}"))
-            .chain(cov.iter().map(|&c| f(c)))
-            .collect::<Vec<_>>());
+        b.row(
+            &std::iter::once(format!("{d}"))
+                .chain(cov.iter().map(|&c| f(c)))
+                .collect::<Vec<_>>(),
+        );
         by_d.push((d, cov));
     }
 
-    header(
+    b.header(
         "Fig. 5(d): coverage granularity, varying density (n = 400)",
         &["d \\ TTL", "2", "3", "4", "5", "6"],
     );
@@ -89,9 +93,8 @@ fn main() {
         let cells: Vec<String> = std::iter::once(format!("{d}"))
             .chain(cov.windows(2).map(|w| f(w[1] / w[0])))
             .collect();
-        row(&cells);
+        b.row(&cells);
     }
     println!("\nPaper check: CG(3) is always above 2; CG(4) and CG(5) land between");
     println!("1.25 and 1.75 — TTL is a very coarse control knob for quorum size.");
-    pqs_bench::report::finish("fig5_flooding_coverage").expect("write bench json");
 }

@@ -1,10 +1,10 @@
 //! Fig. 7 — analytic degradation of the intersection probability under
 //! churn (§6.1 closed forms), for several initial ε.
 
-use pqs_bench::{f, header, row};
+use pqs_bench::{f, Bench};
 use pqs_core::analysis::{intersection_after_churn, max_tolerable_churn, ChurnRegime};
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let regimes: [(&str, ChurnRegime); 5] = [
         (
             "failures, |Ql| const",
@@ -33,7 +33,7 @@ fn main() {
         ("fail+join", ChurnRegime::FailuresAndJoins),
     ];
     for eps in [0.05, 0.1, 0.2] {
-        header(
+        b.header(
             &format!("Fig. 7: intersection probability vs churn f (eps0 = {eps})"),
             &["regime", "f=0", "f=0.1", "f=0.2", "f=0.3", "f=0.5"],
         );
@@ -45,11 +45,11 @@ fn main() {
                         .map(|&x| f(intersection_after_churn(eps, x, regime))),
                 )
                 .collect();
-            row(&cells);
+            b.row(&cells);
         }
     }
 
-    header(
+    b.header(
         "refresh policy: max churn before P(∩) < 0.9 (eps0 = 0.05)",
         &["regime", "tolerable f"],
     );
@@ -57,9 +57,8 @@ fn main() {
         let tolerable = max_tolerable_churn(0.05, 0.9, regime)
             .map(f)
             .unwrap_or_else(|| "n/a".into());
-        row(&[name.to_string(), tolerable]);
+        b.row(&[name.to_string(), tolerable]);
     }
     println!("\nPaper check (§6.1): starting at 0.95, mixed churn of 30% degrades");
     println!("to slightly below 0.9 — the fail+join row at f=0.3 above.");
-    pqs_bench::report::finish("fig7_degradation").expect("write bench json");
 }

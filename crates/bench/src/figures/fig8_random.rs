@@ -3,15 +3,15 @@
 //! RANDOM lookup hit ratio as the lookup quorum grows. Static networks,
 //! d_avg = 10.
 
-use pqs_bench::{bench_workload, f, header, network_sizes, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_core::Fanout;
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let factors = [0.5, 1.0, 1.5, 2.0, 2.5];
-    let the_seeds = seeds(2);
-    let sizes = network_sizes();
+    let the_seeds = b.seeds(2);
+    let sizes = b.network_sizes();
 
     // (a)+(b): messages per advertise vs |Qa| = factor*sqrt(n). One
     // scenario per (n, factor) cell, all submitted to the pool at once.
@@ -27,9 +27,9 @@ fn main() {
             })
         })
         .collect();
-    let advertise_aggs = sweep::aggregates(&advertise_cfgs, &the_seeds);
+    let advertise_aggs = b.aggregates(&advertise_cfgs, &the_seeds);
 
-    header(
+    b.header(
         "Fig. 8(a,b): RANDOM advertise cost (app msgs | +routing overhead)",
         &["n \\ |Qa|", "0.5√n", "1.0√n", "1.5√n", "2.0√n", "2.5√n"],
     );
@@ -42,7 +42,7 @@ fn main() {
                 f(agg.routing_per_advertise)
             ));
         }
-        row(&cells);
+        b.row(&cells);
         println!(
             "   (cost plateaus at |Qa| >= 2sqrt(n): the membership view holds only 2sqrt(n) ids)"
         );
@@ -63,18 +63,17 @@ fn main() {
             })
         })
         .collect();
-    let lookup_aggs = sweep::aggregates(&lookup_cfgs, &the_seeds);
+    let lookup_aggs = b.aggregates(&lookup_cfgs, &the_seeds);
 
-    header(
+    b.header(
         "Fig. 8(c): RANDOM lookup hit ratio vs |Ql| (advertise 2√n)",
         &["n \\ |Ql|", "0.5√n", "0.75√n", "1.0√n", "1.15√n", "1.5√n"],
     );
     for (chunk, n) in lookup_aggs.chunks(lookup_factors.len()).zip(&sizes) {
         let mut cells = vec![n.to_string()];
         cells.extend(chunk.iter().map(|agg| f(agg.hit_ratio)));
-        row(&cells);
+        b.row(&cells);
     }
     println!("\nPaper check: 0.9 hit ratio at |Ql| ≈ 1.15·sqrt(n) (Lemma 5.1), and");
     println!("routing overhead dominating the application cost of RANDOM advertise.");
-    pqs_bench::report::finish("fig8_random").expect("write bench json");
 }

@@ -2,16 +2,16 @@
 //! and routing price for a handful of routed probes whose relays answer
 //! from their own stores (the §4.5 cross-layer tap). Static and mobile.
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
 use pqs_core::Fanout;
 use pqs_net::MobilityModel;
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let probes = [1u32, 2, 4, 6, 8];
-    let the_seeds = seeds(2);
-    let sizes = [200usize, largest_n()];
+    let the_seeds = b.seeds(2);
+    let sizes = [200usize, b.largest_n()];
 
     // One scenario per (mobility, n, probes) cell, all on the pool.
     let cfgs: Vec<ScenarioConfig> = [false, true]
@@ -31,12 +31,12 @@ fn main() {
             })
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
     let mut agg_rows = aggs.chunks(probes.len());
     for mobile in [false, true] {
         let label = if mobile { "mobile 0.5-2 m/s" } else { "static" };
-        header(
+        b.header(
             &format!("Fig. 9: RANDOM-OPT lookup, {label} (hit | msgs | routing per lookup)"),
             &["n \\ probes", "1", "2", "4", "6", "8"],
         );
@@ -51,7 +51,7 @@ fn main() {
                     f(agg.routing_per_lookup)
                 ));
             }
-            row(&cells);
+            b.row(&cells);
         }
     }
     println!("\nPaper check (§8.2): ~ln(n) probes reach 0.9 hit ratio — far fewer");
@@ -59,5 +59,4 @@ fn main() {
     println!("performs the lookup; the routing price still makes it inferior to");
     println!("UNIQUE-PATH, and mobility degrades it slightly (lost replies, longer");
     println!("stale routes).");
-    pqs_bench::report::finish("fig9_random_opt").expect("write bench json");
 }

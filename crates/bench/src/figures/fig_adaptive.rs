@@ -12,14 +12,14 @@
 //! points across workload ratios τ (Lemma 5.6 split + Corollary 5.3
 //! floor + §6.1 refresh budget).
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::analysis::{intersection_after_churn, ChurnRegime};
 use pqs_core::runner::{aggregate, ChurnPlan, RunMetrics, ScenarioConfig};
 use pqs_plan::{run_adaptive_scenario, ControllerConfig, Planner, PlannerConfig};
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(3);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(3);
 
     let mut base = ScenarioConfig::paper(n);
     base.net.avg_degree = 15.0;
@@ -51,7 +51,7 @@ fn main() {
         })
         .collect();
 
-    let static_runs = sweep::runs(&cfgs, &the_seeds);
+    let static_runs = b.runs(&cfgs, &the_seeds);
     let jobs: Vec<_> = cfgs
         .iter()
         .flat_map(|cfg| {
@@ -60,7 +60,7 @@ fn main() {
                 .map(move |&seed| move || run_adaptive_scenario(cfg, ctrl, seed))
         })
         .collect();
-    let mut flat = sweep::run_jobs(jobs).into_iter();
+    let mut flat = b.run_jobs(jobs).into_iter();
     let adaptive_runs: Vec<Vec<RunMetrics>> = cfgs
         .iter()
         .map(|_| {
@@ -71,7 +71,7 @@ fn main() {
         })
         .collect();
 
-    header(
+    b.header(
         &format!("Adaptive vs static under replacement churn, n = {n}, d = 15, eps = {eps0:.3}"),
         &[
             "churn f",
@@ -89,7 +89,7 @@ fn main() {
         let k = adaptive.len() as f64;
         let mean =
             |pick: fn(&RunMetrics) -> u64| adaptive.iter().map(|r| pick(r) as f64).sum::<f64>() / k;
-        row(&[
+        b.row(&[
             f(fr),
             f(static_agg.intersection_ratio),
             f(aggregate(adaptive).intersection_ratio),
@@ -112,13 +112,13 @@ fn main() {
     // workload mixes at this population (Lemma 5.6 + Corollary 5.3 +
     // the §6.1 refresh budget). Deterministic — no simulation involved.
     let planner = Planner::new(PlannerConfig::paper_default());
-    header(
+    b.header(
         &format!("Planner working points, n = {n}, eps = 0.1, Cost_a:Cost_l = 5:1"),
         &["tau", "|Qa|", "|Ql|", "miss bound", "refresh f"],
     );
     for tau in [2.0, 10.0, 50.0] {
         let plan = planner.plan(n, tau);
-        row(&[
+        b.row(&[
             f(tau),
             plan.spec.advertise.size.to_string(),
             plan.spec.lookup.size.to_string(),
@@ -131,5 +131,4 @@ fn main() {
     println!("while n stays constant — the static arm decays toward 1 - eps^(1-f)");
     println!("whereas the controller's survivor-fraction floor grows the lookup");
     println!("quorum and holds the measured intersection near 1 - eps.");
-    pqs_bench::report::finish("fig_adaptive").expect("write bench json");
 }

@@ -16,7 +16,7 @@
 //! `mixed` (silent/liar/stale/equivocator in equal shares).
 //! Deterministic per `(scenario, seed)`; pool-width invariant.
 
-use pqs_bench::{f, header, row, seeds, sweep};
+use pqs_bench::{f, Bench};
 use pqs_core::runner::{run_scenario, RunMetrics, ScenarioConfig};
 use pqs_core::service::{ByzPolicy, Fanout};
 use pqs_core::spec::{self, AccessStrategy};
@@ -140,12 +140,12 @@ fn aggregate(chunk: &[RunMetrics]) -> (f64, f64, f64, f64) {
     )
 }
 
-fn main() {
+pub fn run(b: &mut Bench) {
     let n = 100;
-    let seed_list = seeds(3);
+    let seed_list = b.seeds(3);
     let cell_list = cells();
     let honest_product = spec::min_quorum_product(n, EPSILON);
-    header(
+    b.header(
         &format!(
             "Byzantine arms: trusting first-reply vs masking vote-verified reads \
              (n = {n}, eps = {EPSILON}, {} seeds)",
@@ -167,7 +167,7 @@ fn main() {
             }
         }
     }
-    let results = sweep::run_jobs(jobs);
+    let results = b.run_jobs(jobs);
     for (arm_idx, arm_chunk) in results
         .chunks(cell_list.len() * seed_list.len())
         .enumerate()
@@ -179,7 +179,7 @@ fn main() {
             let qa = cfg.service.spec.advertise.size;
             let ql = cfg.service.spec.lookup.size;
             let inflate = f64::from(qa) * f64::from(ql) / honest_product;
-            row(&[
+            b.row(&[
                 if masking { "masking" } else { "trusting" }.to_string(),
                 f(cell.frac),
                 cell.mix_name.to_string(),
@@ -198,5 +198,4 @@ fn main() {
     println!("b+1 concurring votes from a lookup side inflated per DESIGN.md §14:");
     println!("wrong reads vanish and fabricated replies surface in the `suspect`");
     println!("column; the cost is the `inflate` factor over n*ln(1/eps).");
-    pqs_bench::report::finish("fig_byzantine").expect("write bench json");
 }

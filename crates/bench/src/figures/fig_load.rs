@@ -25,16 +25,16 @@
 //! (n(1+τ))` is reported alongside each arm — the analytic floor any
 //! access implementation can at best achieve.
 
-use pqs_bench::{bench_workload, f, header, largest_n, report, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::{aggregate, RunMetrics, ScenarioConfig};
 use pqs_core::service::RetryPolicy;
 use pqs_core::spec::AccessStrategy;
 use pqs_plan::{Optimizer, OptimizerConfig, PlannerConfig};
 use pqs_sim::json::JsonValue;
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(3);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(3);
     let advertises = 30;
     let lookups = 150;
     let tau = lookups as f64 / advertises as f64;
@@ -82,7 +82,7 @@ fn main() {
     let mut weighted = base.clone();
     weighted.service.weighted = Some(wp.spec);
 
-    header(
+    b.header(
         &format!(
             "Weighted plan, n = {n}, eps = {:.2}, tau = {tau}, f = {:.2}",
             wp.epsilon, wp.f_resilience
@@ -90,7 +90,7 @@ fn main() {
         &["side", "strategy", "size", "weight"],
     );
     for (spec, w) in wp.spec.advertise.candidates() {
-        row(&[
+        b.row(&[
             "advertise".into(),
             spec.strategy.to_string(),
             spec.size.to_string(),
@@ -98,7 +98,7 @@ fn main() {
         ]);
     }
     for (spec, w) in wp.spec.lookup.candidates() {
-        row(&[
+        b.row(&[
             "lookup".into(),
             spec.strategy.to_string(),
             spec.size.to_string(),
@@ -106,24 +106,24 @@ fn main() {
         ]);
     }
 
-    header(
+    b.header(
         "analytic: predicted peak load and MRW floor",
         &["arm", "miss bound", "predicted peak", "MRW load"],
     );
-    row(&[
+    b.row(&[
         "uniform".into(),
         f(wp.uniform.miss_probability()),
         f(wp.predicted_peak_uniform),
         f(wp.mrw_load_uniform),
     ]);
-    row(&[
+    b.row(&[
         "weighted".into(),
         f(wp.miss_bound),
         f(wp.predicted_peak),
         f(wp.mrw_load),
     ]);
 
-    let runs = sweep::runs(&[base, weighted], &the_seeds);
+    let runs = b.runs(&[base, weighted], &the_seeds);
     let arm = |rs: &[RunMetrics]| {
         let k = rs.len() as f64;
         let mean = |pick: fn(&RunMetrics) -> f64| rs.iter().map(pick).sum::<f64>() / k;
@@ -138,7 +138,7 @@ fn main() {
     let (hit_u, imb_u, p99_u, mean_u, app_u) = arm(&runs[0]);
     let (hit_w, imb_w, p99_w, mean_w, app_w) = arm(&runs[1]);
 
-    header(
+    b.header(
         &format!("measured: per-node load, n = {n} (total = upcalls + forwards)"),
         &[
             "arm",
@@ -149,7 +149,7 @@ fn main() {
             "upcall imb",
         ],
     );
-    row(&[
+    b.row(&[
         "uniform".into(),
         f(hit_u),
         f(imb_u),
@@ -157,7 +157,7 @@ fn main() {
         f(mean_u),
         f(app_u),
     ]);
-    row(&[
+    b.row(&[
         "weighted".into(),
         f(hit_w),
         f(imb_w),
@@ -172,7 +172,7 @@ fn main() {
         0.0
     };
     let hit_delta = (hit_u - hit_w).abs();
-    header(
+    b.header(
         "acceptance: peak per-node load drop at equal hit ratio",
         &[
             "peak (p99) drop",
@@ -181,19 +181,18 @@ fn main() {
             "target delta",
         ],
     );
-    row(&[f(peak_drop), f(hit_delta), "0.200".into(), "0.010".into()]);
+    b.row(&[f(peak_drop), f(hit_delta), "0.200".into(), "0.010".into()]);
 
-    report::add_value("uniform_peak", JsonValue::from(p99_u));
-    report::add_value("weighted_peak", JsonValue::from(p99_w));
-    report::add_value("peak_drop", JsonValue::from(peak_drop));
-    report::add_value("uniform_imbalance", JsonValue::from(imb_u));
-    report::add_value("weighted_imbalance", JsonValue::from(imb_w));
-    report::add_value("hit_uniform", JsonValue::from(hit_u));
-    report::add_value("hit_weighted", JsonValue::from(hit_w));
+    b.add_value("uniform_peak", JsonValue::from(p99_u));
+    b.add_value("weighted_peak", JsonValue::from(p99_w));
+    b.add_value("peak_drop", JsonValue::from(peak_drop));
+    b.add_value("uniform_imbalance", JsonValue::from(imb_u));
+    b.add_value("weighted_imbalance", JsonValue::from(imb_w));
+    b.add_value("hit_uniform", JsonValue::from(hit_u));
+    b.add_value("hit_weighted", JsonValue::from(hit_w));
 
     println!("\nAcceptance check: the weighted mixture must cut the measured peak");
     println!("(p99) per-node total load by >= 20% against uniform-random sizing");
     println!("while keeping the hit ratio within +-0.01 — balance is bought with");
     println!("weights, never with intersection probability.");
-    pqs_bench::report::finish("fig_load").expect("write bench json");
 }

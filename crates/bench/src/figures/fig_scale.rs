@@ -7,10 +7,10 @@
 //! The main export records only deterministic values (node count,
 //! events processed over the fixed window); throughput, wall-clock and
 //! peak RSS are host-dependent and go into the `fig_scale.perf.json`
-//! sidecar via [`report::add_perf_value`]. Override the sizes with
+//! sidecar via [`Bench::add_perf_value`]. Override the sizes with
 //! `PQS_SIZES` (the check-script smoke runs `PQS_SIZES=2000`).
 
-use pqs_bench::{f, header, report, row, scale_sizes};
+use pqs_bench::{f, peak_rss_bytes, Bench};
 use pqs_net::{NetConfig, Network, Stack, Upcall};
 use pqs_sim::json::JsonValue;
 use pqs_sim::SimTime;
@@ -33,11 +33,11 @@ const WINDOW_SECS: u64 = 120;
 /// this much wall-clock accumulates, so small-n rates are not noise.
 const MIN_MEASURE: Duration = Duration::from_secs(1);
 
-fn main() {
-    let sizes = scale_sizes();
+pub fn run(b: &mut Bench) {
+    let sizes = b.scale_sizes();
     let until = SimTime::from_secs(WINDOW_SECS);
 
-    header(
+    b.header(
         &format!("Scale sweep: substrate events over {WINDOW_SECS} s simulated"),
         &["n", "events", "events/node"],
     );
@@ -66,7 +66,7 @@ fn main() {
         }
         let per_run = events / iters;
 
-        row(&[
+        b.row(&[
             n.to_string(),
             per_run.to_string(),
             f(per_run as f64 / n as f64),
@@ -76,7 +76,9 @@ fn main() {
         // VmHWM is a process-wide high-water mark, so with ascending
         // sizes in one process each reading is the peak *through* this
         // size — exactly the footprint bound the largest run needs.
-        let peak_rss = report::peak_rss_bytes().unwrap_or(0);
+        // Under `pqs-bench all` it also counts the figures that ran
+        // before this one: read it from `pqs-bench fig_scale` alone.
+        let peak_rss = peak_rss_bytes().unwrap_or(0);
         perf_points.push(JsonValue::object([
             ("n", JsonValue::from(n)),
             ("events", JsonValue::from(per_run)),
@@ -87,7 +89,5 @@ fn main() {
             ("peak_rss_bytes", JsonValue::from(peak_rss)),
         ]));
     }
-    report::add_perf_value("scale", JsonValue::array(perf_points));
-
-    report::finish("fig_scale").expect("write report");
+    b.add_perf_value("scale", JsonValue::array(perf_points));
 }

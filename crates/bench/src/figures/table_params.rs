@@ -1,9 +1,10 @@
 //! Fig. 2 — the simulation parameters, printed from the live defaults so
 //! the configuration cannot silently drift from the documentation.
 
+use pqs_bench::Bench;
 use pqs_net::{MobilityModel, NetConfig, PathLoss, ReceptionModel};
 
-fn main() {
+pub fn run(_b: &mut Bench) {
     let cfg = NetConfig::paper(800);
     println!("=== Fig. 2: simulation parameters (effective defaults) ===\n");
     println!("--- PHY ---");
@@ -75,5 +76,4 @@ fn main() {
         "Area side at n=800, d=10      {:.0} m  (a^2 = pi r^2 n / d)",
         cfg.area_side_m()
     );
-    pqs_bench::report::finish("table_params").expect("write bench json");
 }

@@ -2,7 +2,7 @@
 //! strategies, with the asymptotic cost column evaluated for concrete
 //! network sizes and the PCT constant measured on real RGGs.
 
-use pqs_bench::{bench_workload, f, header, report, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::analysis::asymptotic_access_cost;
 use pqs_core::runner::{aggregate, ScenarioConfig};
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
@@ -11,9 +11,9 @@ use pqs_graph::walks::{partial_cover_steps, WalkKind};
 use pqs_sim::json::ToJson;
 use pqs_sim::rng;
 
-fn main() {
+pub fn run(b: &mut Bench) {
     use AccessStrategy::*;
-    header(
+    b.header(
         "Fig. 3: qualitative strategy properties",
         &[
             "strategy",
@@ -24,7 +24,7 @@ fn main() {
         ],
     );
     for s in [Random, RandomOpt, Path, UniquePath, Flooding] {
-        row(&[
+        b.row(&[
             s.to_string(),
             yn(s.is_uniform_random()),
             yn(s.needs_routing()),
@@ -33,7 +33,7 @@ fn main() {
         ]);
     }
 
-    header(
+    b.header(
         "Fig. 3: modelled access cost for |Q| = 2*sqrt(n) (messages)",
         &[
             "n",
@@ -46,7 +46,7 @@ fn main() {
     );
     for n in [50usize, 100, 200, 400, 800] {
         let q = (2.0 * (n as f64).sqrt()).round() as u32;
-        row(&[
+        b.row(&[
             n.to_string(),
             f(asymptotic_access_cost(Random, q, n)),
             f(asymptotic_access_cost(RandomOpt, q, n)),
@@ -63,7 +63,7 @@ fn main() {
     // main thread in the original nesting order, so the means are
     // bit-identical to the sequential run.
     let walk_sizes = [100usize, 200, 400, 800];
-    let walk_seeds = seeds(5);
+    let walk_seeds = b.seeds(5);
     let walk_jobs: Vec<_> = walk_sizes
         .iter()
         .flat_map(|&n| {
@@ -100,9 +100,9 @@ fn main() {
             })
         })
         .collect();
-    let walk_results = sweep::run_jobs(walk_jobs);
+    let walk_results = b.run_jobs(walk_jobs);
 
-    header(
+    b.header(
         "measured steps-per-unique-node at |Q| = sqrt(n), d_avg = 10",
         &["n", "PATH (simple)", "UNIQUE-PATH", "paper PATH"],
     );
@@ -117,7 +117,7 @@ fn main() {
                 runs += 1.0;
             }
         }
-        row(&[
+        b.row(&[
             n.to_string(),
             f(simple / runs),
             f(unique / runs),
@@ -129,7 +129,7 @@ fn main() {
     // the per-layer message counters for the three headline lookup
     // strategies (RANDOM advertise at the paper's 2√n throughout).
     let n = 100usize;
-    let the_seeds = seeds(2);
+    let the_seeds = b.seeds(2);
     let strategies = [
         ("RANDOM", QuorumSpec::new(Random, 12)),
         ("PATH", QuorumSpec::new(Path, 12)),
@@ -144,9 +144,9 @@ fn main() {
             cfg
         })
         .collect();
-    let all_runs = sweep::runs(&cfgs, &the_seeds);
+    let all_runs = b.runs(&cfgs, &the_seeds);
 
-    header(
+    b.header(
         &format!("measured: lookup strategies end to end, n = {n} (latency in s)"),
         &[
             "strategy", "hit", "lkp p50", "lkp p90", "lkp p99", "adv p50", "adv p90", "adv p99",
@@ -155,7 +155,7 @@ fn main() {
     let mut layer_rows = Vec::new();
     for ((name, _), runs) in strategies.iter().zip(&all_runs) {
         let agg = aggregate(runs);
-        row(&[
+        b.row(&[
             (*name).into(),
             f(agg.hit_ratio),
             f(agg.lookup_p50_s),
@@ -193,9 +193,9 @@ fn main() {
             defers.to_string(),
             f(load_imbalance),
         ]);
-        report::add_value(&format!("measured_{name}"), agg.to_json());
+        b.add_value(&format!("measured_{name}"), agg.to_json());
     }
-    header(
+    b.header(
         "measured: per-layer counters per run (same scenarios)",
         &[
             "strategy",
@@ -209,13 +209,12 @@ fn main() {
         ],
     );
     for cells in layer_rows {
-        row(&cells);
+        b.row(&cells);
     }
     println!("\nThe latency percentiles come from the merged per-run HDR histograms");
     println!("(±3% bucket error); per-layer counters are per-run means. FLOODING");
     println!("answers fastest but pays in link transmissions; RANDOM's cost hides");
     println!("in the AODV control column (route discoveries).");
-    pqs_bench::report::finish("table_strategies").expect("write bench json");
 }
 
 fn yn(b: bool) -> String {

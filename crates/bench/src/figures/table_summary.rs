@@ -2,7 +2,7 @@
 //! for the main strategy combinations, static and mobile, at the paper's
 //! quorum sizes (|Qa| = 2√n, |Qℓ| = 1.15√n, intersection ≈ 0.9).
 
-use pqs_bench::{bench_workload, f, header, largest_n, row, seeds, sweep};
+use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 use pqs_core::Fanout;
@@ -26,9 +26,9 @@ fn scenario(combo: &Combo, n: usize, mobile: bool, present: f64) -> ScenarioConf
     cfg
 }
 
-fn main() {
-    let n = largest_n();
-    let the_seeds = seeds(2);
+pub fn run(b: &mut Bench) {
+    let n = b.largest_n();
+    let the_seeds = b.seeds(2);
     let sq = (n as f64).sqrt();
     let qa = (2.0 * sq).round() as u32;
     let ql = (1.15 * sq).round() as u32;
@@ -76,12 +76,12 @@ fn main() {
             })
         })
         .collect();
-    let aggs = sweep::aggregates(&cfgs, &the_seeds);
+    let aggs = b.aggregates(&cfgs, &the_seeds);
 
     let mut pairs = aggs.chunks(2);
     for mobile in [false, true] {
         let label = if mobile { "mobile 0.5-2 m/s" } else { "static" };
-        header(
+        b.header(
             &format!("Fig. 16 summary, n = {n}, {label}, target intersection 0.9"),
             &[
                 "combination",
@@ -95,7 +95,7 @@ fn main() {
         for combo in &combos {
             let pair = pairs.next().expect("hit/miss pair per combo");
             let (hits, misses) = (&pair[0], &pair[1]);
-            row(&[
+            b.row(&[
                 combo.name.into(),
                 f(hits.msgs_per_advertise),
                 f(hits.routing_per_advertise),
@@ -110,5 +110,4 @@ fn main() {
     println!("UNIQUE-PATH lookups are the cheapest hits (early halting makes hits");
     println!("cheaper than misses); UNIQUE x UNIQUE trades cheap advertises for");
     println!("expensive lookups — per Lemma 5.6 it only wins when lookups are rare.");
-    pqs_bench::report::finish("table_summary").expect("write bench json");
 }

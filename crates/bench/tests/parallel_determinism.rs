@@ -1,32 +1,32 @@
 //! The sweep engine's headline guarantee: the exported
 //! `bench_results/<name>.json` is byte-identical whether the sweep ran
 //! sequentially (`PQS_JOBS=1`) or on a wide pool (`PQS_JOBS=4`), for a
-//! figure binary and a table binary. Wall-clock goes to the
-//! `<name>.perf.json` sidecar only, which is allowed to differ.
+//! figure and a table. Wall-clock goes to the `<name>.perf.json`
+//! sidecar only, which is allowed to differ.
 
 use pqs_sim::json::JsonValue;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Runs a bench binary with the given pool width into a fresh bench
+/// Runs `pqs-bench <name>` with the given pool width into a fresh bench
 /// dir, returning (main export bytes, perf sidecar bytes).
-fn run_binary(exe: &str, name: &str, jobs: &str) -> (String, String) {
+fn run_figure(name: &str, jobs: &str) -> (String, String) {
     let dir = std::env::temp_dir().join(format!(
         "pqs_parallel_determinism_{}_{name}_{jobs}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create bench dir");
-    let status = Command::new(exe)
+    let status = Command::new(env!("CARGO_BIN_EXE_pqs-bench"))
+        .arg(name)
         .env("PQS_BENCH_DIR", &dir)
         .env("PQS_JOBS", jobs)
         .env("PQS_SEEDS", "2")
         .env("PQS_SIZES", "50")
-        .env_remove("PQS_FULL")
         .env_remove("PQS_BASE_SEED")
         .stdout(std::process::Stdio::null())
         .status()
-        .expect("spawn bench binary");
+        .expect("spawn pqs-bench");
     assert!(status.success(), "{name} failed under PQS_JOBS={jobs}");
     let read = |p: PathBuf| {
         std::fs::read_to_string(&p).unwrap_or_else(|e| {
@@ -39,9 +39,9 @@ fn run_binary(exe: &str, name: &str, jobs: &str) -> (String, String) {
     (main, perf)
 }
 
-fn assert_parallel_export_identical(exe: &str, name: &str) {
-    let (seq, seq_perf) = run_binary(exe, name, "1");
-    let (par, par_perf) = run_binary(exe, name, "4");
+fn assert_parallel_export_identical(name: &str) {
+    let (seq, seq_perf) = run_figure(name, "1");
+    let (par, par_perf) = run_figure(name, "4");
     assert_eq!(
         seq, par,
         "{name}: export differs between PQS_JOBS=1 and PQS_JOBS=4"
@@ -59,12 +59,12 @@ fn assert_parallel_export_identical(exe: &str, name: &str) {
 
 #[test]
 fn fig8_random_export_is_pool_width_invariant() {
-    assert_parallel_export_identical(env!("CARGO_BIN_EXE_fig8_random"), "fig8_random");
+    assert_parallel_export_identical("fig8_random");
 }
 
 #[test]
 fn table_strategies_export_is_pool_width_invariant() {
-    assert_parallel_export_identical(env!("CARGO_BIN_EXE_table_strategies"), "table_strategies");
+    assert_parallel_export_identical("table_strategies");
 }
 
 /// The adaptive-controller figure mixes two arm kinds (plain
@@ -72,5 +72,5 @@ fn table_strategies_export_is_pool_width_invariant() {
 /// its export must still be pool-width invariant.
 #[test]
 fn fig_adaptive_export_is_pool_width_invariant() {
-    assert_parallel_export_identical(env!("CARGO_BIN_EXE_fig_adaptive"), "fig_adaptive");
+    assert_parallel_export_identical("fig_adaptive");
 }

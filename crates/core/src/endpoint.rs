@@ -22,7 +22,7 @@
 //! property the sim-vs-loopback equivalence test pins down.
 
 use crate::messages::OpId;
-use crate::service::{ByzMode, ByzPolicy, OpKind, RetryPolicy};
+use crate::service::{ByzMode, ByzPolicy, OpKind, RetryPolicy, VoteTally};
 use crate::store::{Key, Role, Store, Value};
 use crate::transport::{Transport, WireMsg};
 use pqs_net::NodeId;
@@ -154,7 +154,7 @@ pub struct QuorumEndpoint {
     rng: StdRng,
     ops: BTreeMap<OpId, OpenOp>,
     /// Masking-mode vote tallies: one vote per `(value, responder)`.
-    votes: HashMap<OpId, Vec<(Value, Vec<NodeId>)>>,
+    votes: HashMap<OpId, VoteTally>,
     timers: HashMap<u64, TimerCtx>,
     completions: Vec<Completion>,
     /// Per-kind completion latency in microseconds of the transport
@@ -310,9 +310,9 @@ impl QuorumEndpoint {
                     return Some(op);
                 }
                 ByzMode::Masking => {
-                    let me = self.id;
+                    let tally = self.votes.entry(op).or_default();
                     for v in local {
-                        self.add_vote(op, v, me);
+                        tally.add(v, self.id);
                     }
                     // b+1 == 1 would mean our own store already decides.
                     if let Some(winner) = self.vote_winner(op) {
@@ -397,8 +397,9 @@ impl QuorumEndpoint {
                 }
             }
             ByzMode::Masking => {
+                let tally = self.votes.entry(op).or_default();
                 for v in values {
-                    self.add_vote(op, v, from);
+                    tally.add(v, from);
                 }
                 if let Some(winner) = self.vote_winner(op) {
                     self.complete(t, op, true, Some(winner), false);
@@ -407,39 +408,10 @@ impl QuorumEndpoint {
         }
     }
 
-    /// Records one vote per `(value, responder)` pair, mirroring the
-    /// `QuorumStack` masking tally.
-    fn add_vote(&mut self, op: OpId, value: Value, from: NodeId) {
-        let tally = self.votes.entry(op).or_default();
-        match tally.iter_mut().find(|(v, _)| *v == value) {
-            Some((_, voters)) => {
-                if !voters.contains(&from) {
-                    voters.push(from);
-                }
-            }
-            None => tally.push((value, vec![from])),
-        }
-    }
-
     /// The first value with at least `b+1` distinct voters, if any.
     fn vote_winner(&self, op: OpId) -> Option<Value> {
-        let threshold = self.cfg.byz.threshold();
-        self.votes.get(&op).and_then(|tally| {
-            tally
-                .iter()
-                .find(|(_, voters)| voters.len() >= threshold)
-                .map(|(v, _)| *v)
-        })
-    }
-
-    /// The highest-voted value regardless of threshold (degrade path).
-    fn vote_best(&self, op: OpId) -> Option<Value> {
-        self.votes.get(&op).and_then(|tally| {
-            tally
-                .iter()
-                .max_by_key(|(_, voters)| voters.len())
-                .map(|(v, _)| *v)
-        })
+        let (winner, _) = self.votes.get(&op)?.winner(self.cfg.byz.threshold())?;
+        Some(winner)
     }
 
     fn issue_advertise<T: Transport>(&mut self, t: &mut T, op: OpId) {
@@ -503,12 +475,11 @@ impl QuorumEndpoint {
             return;
         }
         let retry = o.attempts; // backoff before retry #attempts
-        let base = self.cfg.retry.backoff_before(retry).as_micros().max(2);
-        let jittered = self.rng.gen_range(base / 2..=base);
+        let jittered = self.cfg.retry.jittered_backoff(retry, &mut self.rng);
         let token = self.next_token;
         self.next_token += 1;
         self.timers.insert(token, TimerCtx::RetryFire(op));
-        t.set_timer(jittered, token);
+        t.set_timer(jittered.as_micros(), token);
     }
 
     fn retry_fire<T: Transport>(&mut self, t: &mut T, op: OpId) {
@@ -532,7 +503,7 @@ impl QuorumEndpoint {
             None => return,
         };
         if kind == OpKind::Lookup && self.cfg.byz.mode == ByzMode::Masking {
-            if let Some(best) = self.vote_best(op) {
+            if let Some(best) = self.votes.get(&op).and_then(VoteTally::best) {
                 self.complete(t, op, true, Some(best), true);
                 return;
             }
@@ -698,6 +669,41 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].value, Some(5));
         assert_eq!(e.counters().lookups_unverified, 0);
+    }
+
+    /// The degrade path's tie-break is the stack's: of equally voted
+    /// values the first to arrive wins.
+    #[test]
+    fn unverified_masking_lookup_degrades_to_the_first_arrived_of_tied_values() {
+        let peers: Vec<NodeId> = (0..8).map(NodeId).collect();
+        let cfg = EndpointConfig {
+            qa: 3,
+            ql: 5,
+            weighted: None,
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default_policy()
+            },
+            byz: ByzPolicy::masking(1),
+        };
+        let mut e = QuorumEndpoint::new(NodeId(0), peers, cfg, 42);
+        let mut t = QueuedTransport::at(0);
+        let op = e.lookup(&mut t, 7).expect("accepted");
+        for (from, value) in [(1, 111), (2, 222)] {
+            let values = vec![value];
+            e.on_message(
+                &mut t,
+                NodeId(from),
+                WireMsg::LookupReply { op, key: 7, values },
+            );
+        }
+        assert_eq!(e.open_ops(), 1, "one vote each is below b+1 = 2");
+        let (_, check) = t.timers[0];
+        e.on_timer(&mut t, check);
+        let done = e.take_completions();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].value, Some(111));
+        assert_eq!(e.counters().lookups_unverified, 1);
     }
 
     #[test]

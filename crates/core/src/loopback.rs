@@ -1,5 +1,6 @@
-//! Deterministic in-process loopback [`Transport`] host: ordered
-//! per-link channel semantics over a virtual clock, with a seeded
+//! Deterministic in-process loopback
+//! [`Transport`](crate::transport::Transport) host: ordered per-link
+//! channel semantics over a virtual clock, with a seeded
 //! drop/delay shim mirroring the PR 1 `FaultPlan` frame-fault semantics.
 //!
 //! `LoopbackNet` owns one [`QuorumEndpoint`] per node plus a

@@ -4,6 +4,7 @@ use crate::spec::BiquorumSpec;
 use crate::store::{Key, Value};
 use pqs_net::NodeId;
 use pqs_sim::{SimDuration, SimTime};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// How RANDOM / RANDOM-OPT lookup probes are issued (§8.2: parallel
@@ -96,6 +97,15 @@ impl RetryPolicy {
         }
         b.min(self.max_backoff)
     }
+
+    /// The backoff actually waited before re-issue number `retry`:
+    /// uniform in `[b/2, b]` of [`RetryPolicy::backoff_before`] (one
+    /// draw), so repeated failures across nodes desynchronise instead
+    /// of thundering.
+    pub fn jittered_backoff(&self, retry: u32, rng: &mut impl Rng) -> SimDuration {
+        let b = self.backoff_before(retry).as_micros().max(2);
+        SimDuration::from_micros(rng.gen_range(b / 2..=b))
+    }
 }
 
 /// Whether lookup replies are vote-verified (Malkhi–Reiter–Wool
@@ -141,6 +151,58 @@ impl ByzPolicy {
     /// The vote threshold a value must reach to be accepted.
     pub fn threshold(&self) -> usize {
         self.b as usize + 1
+    }
+}
+
+/// The masking-read votes of one open lookup: every distinct value
+/// reported so far with the distinct responders that reported it, in
+/// arrival order. The one implementation of the `b + 1` rule, shared by
+/// `QuorumStack` and `QuorumEndpoint`.
+#[derive(Debug, Clone, Default)]
+pub struct VoteTally {
+    votes: Vec<(Value, Vec<NodeId>)>,
+}
+
+impl VoteTally {
+    /// Records one vote per `(value, responder)` pair — a duplicated
+    /// frame cannot double-count.
+    pub fn add(&mut self, value: Value, from: NodeId) {
+        match self.votes.iter_mut().find(|(v, _)| *v == value) {
+            Some((_, voters)) => {
+                if !voters.contains(&from) {
+                    voters.push(from);
+                }
+            }
+            None => self.votes.push((value, vec![from])),
+        }
+    }
+
+    /// The first-arrived value with at least `threshold` distinct
+    /// voters, with its vote count.
+    pub fn winner(&self, threshold: usize) -> Option<(Value, usize)> {
+        self.votes
+            .iter()
+            .find(|(_, voters)| voters.len() >= threshold)
+            .map(|(v, voters)| (*v, voters.len()))
+    }
+
+    /// The highest-voted value regardless of threshold (the degrade
+    /// path); the first-arrived wins ties, so the choice is
+    /// deterministic. `None` while no vote was cast.
+    pub fn best(&self) -> Option<Value> {
+        // `max_by_key` keeps the last maximum: scan newest-first.
+        let best = self.votes.iter().rev().max_by_key(|(_, v)| v.len());
+        best.map(|(value, _)| *value)
+    }
+
+    /// Votes cast for any value other than `winner` (the replies a
+    /// completed masking read suspects).
+    pub fn dissent(&self, winner: Value) -> u64 {
+        self.votes
+            .iter()
+            .filter(|(v, _)| *v != winner)
+            .map(|(_, voters)| voters.len() as u64)
+            .sum()
     }
 }
 

@@ -1,6 +1,7 @@
 //! `SimHost`: the simulated-MAC implementation of the transport seam.
 //!
-//! This is the original datapath, re-expressed through [`Transport`]:
+//! This is the original datapath, re-expressed through
+//! [`Transport`](crate::transport::Transport):
 //! one [`QuorumEndpoint`] per simulated node, messages carried by the
 //! AODV router over the contention MAC and log-distance PHY of
 //! [`pqs_net::Network`], timers carried by the simulator's event queue.

@@ -12,14 +12,14 @@ use crate::membership::Membership;
 use crate::messages::{AppMsg, FloodMsg, FloodReplyMsg, OpId, QuorumAction, ReplyMsg, WalkMsg};
 use crate::obs::{HoldReason, TraceEvent};
 use crate::service::{
-    ByzMode, Fanout, OpKind, OpRecord, QuorumCounters, RepairMode, ServiceConfig,
+    ByzMode, Fanout, OpKind, OpRecord, QuorumCounters, RepairMode, ServiceConfig, VoteTally,
 };
 use crate::spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 use crate::store::{Key, Role, Store, Value};
 use pqs_net::{fabricated_value, MacDst, Network, NodeBehavior, NodeId, Stack, Upcall};
 use pqs_routing::{RoutePacket, Router, RouterConfig, RouterEvent, TransitHandle};
 use pqs_sim::rng::{self, streams};
-use pqs_sim::{EventId, SimDuration, SimTime};
+use pqs_sim::{EventId, SimTime};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -191,7 +191,7 @@ pub struct QuorumStack {
     /// Masking-mode vote tallies of still-open lookups: each distinct
     /// value with the distinct responders that vouched for it, in
     /// arrival order (deterministic tie-breaks). Empty in trusting mode.
-    byz_votes: HashMap<OpId, Vec<(Value, Vec<NodeId>)>>,
+    byz_votes: HashMap<OpId, VoteTally>,
     /// Population at construction time (the `n` the quorums were sized
     /// for).
     initial_n: usize,
@@ -688,10 +688,7 @@ impl QuorumStack {
             self.retry.remove(&op);
             return;
         };
-        // Jittered exponential backoff: uniform in [b/2, b], so repeated
-        // failures across nodes desynchronise instead of thundering.
-        let b = policy.backoff_before(attempts).as_micros().max(2);
-        let jittered = SimDuration::from_micros(self.rng.gen_range(b / 2..=b));
+        let jittered = policy.jittered_backoff(attempts, &mut self.rng);
         let token = self.token();
         self.timer_ctx.insert(token, TimerCtx::RetryFire { op });
         net.set_timer(origin, jittered, token);
@@ -1482,26 +1479,10 @@ impl QuorumStack {
         }
         let tally = self.byz_votes.entry(op).or_default();
         for &v in &values {
-            match tally.iter_mut().find(|(val, _)| *val == v) {
-                Some((_, voters)) => {
-                    if !voters.contains(&responder) {
-                        voters.push(responder);
-                    }
-                }
-                None => tally.push((v, vec![responder])),
-            }
+            tally.add(v, responder);
         }
-        let threshold = self.cfg.byz.threshold();
-        let accepted = tally
-            .iter()
-            .find(|(_, voters)| voters.len() >= threshold)
-            .map(|(v, voters)| (*v, voters.len()));
-        if let Some((winner, votes)) = accepted {
-            let suspected: u64 = tally
-                .iter()
-                .filter(|(v, _)| *v != winner)
-                .map(|(_, voters)| voters.len() as u64)
-                .sum();
+        if let Some((winner, votes)) = tally.winner(self.cfg.byz.threshold()) {
+            let suspected = tally.dissent(winner);
             self.byz_votes.remove(&op);
             self.counters.byz_suspected_replies += suspected;
             self.trace_push(
@@ -1523,22 +1504,14 @@ impl QuorumStack {
         let Some(tally) = self.byz_votes.remove(&op) else {
             return false;
         };
-        if tally.is_empty() || self.ops.get(&op).is_none_or(|r| r.replied) {
+        let Some(winner) = tally.best() else {
+            return false;
+        };
+        if self.ops.get(&op).is_none_or(|r| r.replied) {
             return false;
         }
         let now = net.now();
-        let mut best = &tally[0];
-        for cand in &tally[1..] {
-            if cand.1.len() > best.1.len() {
-                best = cand;
-            }
-        }
-        let winner = best.0;
-        let suspected: u64 = tally
-            .iter()
-            .filter(|(v, _)| *v != winner)
-            .map(|(_, voters)| voters.len() as u64)
-            .sum();
+        let suspected = tally.dissent(winner);
         self.counters.lookup_unverified += 1;
         self.counters.byz_suspected_replies += suspected;
         self.mark_degraded(op);

@@ -1,7 +1,7 @@
 //! 802.11-like MAC: frames and the per-node transmit state machine.
 //!
 //! This module defines the data structures; the event plumbing (carrier
-//! sense, timers, delivery) lives in [`crate::network`], which drives one
+//! sense, timers, delivery) lives in `crate::network`, which drives one
 //! [`MacState`] per node. The model is a simplified DCF:
 //!
 //! - CSMA with DIFS + slotted binary-exponential backoff,

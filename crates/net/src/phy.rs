@@ -81,7 +81,7 @@ pub fn received_power_mw(phy: &PhyConfig, d: f64) -> f64 {
 }
 
 /// Received power in milliwatts at *squared* distance `d2` (m²) — the
-/// PHY hot-path form: no `log10`, `powf` or `sqrt`. See [`PowerCurve`].
+/// PHY hot-path form: no `log10`, `powf` or `sqrt`. See `PowerCurve`.
 pub fn received_power_mw_d2(phy: &PhyConfig, d2: f64) -> f64 {
     PowerCurve::new(phy).mw_at_d2(d2)
 }

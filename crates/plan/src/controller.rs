@@ -2,7 +2,7 @@
 //! reconfigures the stack, with hysteresis.
 //!
 //! Each tick the controller folds three live signals into the
-//! [`Planner`](crate::Planner):
+//! [`Planner`]:
 //!
 //! - **n̂** from the §6.3 collision estimator
 //!   ([`QuorumStack::estimate_population`]) — when the sample yields no

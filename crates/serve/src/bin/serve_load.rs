@@ -10,7 +10,8 @@
 //! `PQS_SERVE_NODES` (default 5), `PQS_SERVE_CLIENTS` (default 4),
 //! `PQS_SERVE_SEED` (default 1), `PQS_SERVE_WEIGHTED` (when 1, the
 //! self-hosted cluster sizes with the fractional lookup mixture).
-//! Malformed values exit with code 2.
+//! The export directory is the figure harness's `PQS_BENCH_DIR`, read
+//! through [`pqs_bench::Env`]. Malformed values exit with code 2.
 //!
 //! Outcome counters (hit ratio, completion split) land in
 //! `bench_results/serve_throughput.json`; everything wall-clock
@@ -19,7 +20,7 @@
 //! the main export here is *measured over real sockets* and is not
 //! byte-reproducible — check.sh excludes it from the determinism diff.
 
-use pqs_bench::report;
+use pqs_bench::{Env, Report};
 use pqs_serve::load::{self, LoadConfig};
 use pqs_serve::{drain_targets, knobs, ping_targets, Cluster, ServeConfig};
 use pqs_sim::json::JsonValue;
@@ -59,6 +60,10 @@ fn main() -> std::io::Result<()> {
         }
     }
 
+    let env = Env::from_env().unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     let ops = knobs::ops();
     let nodes = knobs::nodes();
     let clients = knobs::clients();
@@ -96,17 +101,18 @@ fn main() -> std::io::Result<()> {
 
     // Configuration first: this also starts the report wall-clock, so
     // the sidecar's wall_ms brackets the load run and the drain.
-    report::add_value("nodes", JsonValue::from(addrs.len()));
-    report::add_value("qa", JsonValue::from(qa));
-    report::add_value("ql", JsonValue::from(ql));
-    report::add_value("epsilon", JsonValue::from(epsilon));
-    report::add_value("weighted", JsonValue::from(weighted_mix.is_some()));
+    let mut report = Report::new(&env);
+    report.add_value("nodes", JsonValue::from(addrs.len()));
+    report.add_value("qa", JsonValue::from(qa));
+    report.add_value("ql", JsonValue::from(ql));
+    report.add_value("epsilon", JsonValue::from(epsilon));
+    report.add_value("weighted", JsonValue::from(weighted_mix.is_some()));
     if let Some(w) = weighted_mix {
-        report::add_value("ql_mean", JsonValue::from(w.lookup.mean_size()));
+        report.add_value("ql_mean", JsonValue::from(w.lookup.mean_size()));
     }
-    report::add_value("ops", JsonValue::from(ops));
-    report::add_value("clients", JsonValue::from(clients));
-    report::add_value("seed", JsonValue::from(seed));
+    report.add_value("ops", JsonValue::from(ops));
+    report.add_value("clients", JsonValue::from(clients));
+    report.add_value("seed", JsonValue::from(seed));
 
     let stats = load::run(&addrs, &LoadConfig::new(ops, clients, seed))?;
 
@@ -120,41 +126,41 @@ fn main() -> std::io::Result<()> {
         }
     };
 
-    report::add_value("puts", JsonValue::from(stats.puts));
-    report::add_value("gets", JsonValue::from(stats.gets));
-    report::add_value("hits", JsonValue::from(stats.hits));
-    report::add_value("ok", JsonValue::from(stats.ok));
-    report::add_value("failed", JsonValue::from(stats.failed));
-    report::add_value("refused", JsonValue::from(stats.refused));
-    report::add_value("timeouts", JsonValue::from(stats.timeouts));
-    report::add_value("value_mismatches", JsonValue::from(stats.value_mismatches));
-    report::add_value("hit_ratio", JsonValue::from(stats.hit_ratio()));
+    report.add_value("puts", JsonValue::from(stats.puts));
+    report.add_value("gets", JsonValue::from(stats.gets));
+    report.add_value("hits", JsonValue::from(stats.hits));
+    report.add_value("ok", JsonValue::from(stats.ok));
+    report.add_value("failed", JsonValue::from(stats.failed));
+    report.add_value("refused", JsonValue::from(stats.refused));
+    report.add_value("timeouts", JsonValue::from(stats.timeouts));
+    report.add_value("value_mismatches", JsonValue::from(stats.value_mismatches));
+    report.add_value("hit_ratio", JsonValue::from(stats.hit_ratio()));
 
-    report::add_perf_value("ops_per_sec", JsonValue::from(stats.ops_per_sec()));
-    report::add_perf_value(
+    report.add_perf_value("ops_per_sec", JsonValue::from(stats.ops_per_sec()));
+    report.add_perf_value(
         "put_p50_us",
         JsonValue::from(stats.put_latency.percentile(0.5)),
     );
-    report::add_perf_value(
+    report.add_perf_value(
         "put_p99_us",
         JsonValue::from(stats.put_latency.percentile(0.99)),
     );
-    report::add_perf_value(
+    report.add_perf_value(
         "get_p50_us",
         JsonValue::from(stats.get_latency.percentile(0.5)),
     );
-    report::add_perf_value(
+    report.add_perf_value(
         "get_p99_us",
         JsonValue::from(stats.get_latency.percentile(0.99)),
     );
     if let Some(reports) = &node_reports {
         let malformed: u64 = reports.iter().map(|r| r.malformed_datagrams).sum();
         let send_errors: u64 = reports.iter().map(|r| r.send_errors).sum();
-        report::add_perf_value("malformed_datagrams", JsonValue::from(malformed));
-        report::add_perf_value("send_errors", JsonValue::from(send_errors));
+        report.add_perf_value("malformed_datagrams", JsonValue::from(malformed));
+        report.add_perf_value("send_errors", JsonValue::from(send_errors));
     }
 
-    let path = report::finish("serve_throughput")?;
+    let path = report.write("serve_throughput")?;
     eprintln!(
         "serve_load: {} ops in {:.2}s ({:.0} ops/sec), hit ratio {:.4}, \
          p50 get {}us p99 get {}us -> {}",

@@ -72,18 +72,6 @@ pub fn configured_width() -> usize {
     }
 }
 
-/// Where [`configured_width`] got its answer: `"env"` when `PQS_JOBS`
-/// is set and parses as a valid width, `"default"` otherwise (unset, or
-/// invalid and therefore ignored). Recorded in the wall-clock sidecars
-/// so perf numbers are never compared across unknowingly different
-/// pool configurations.
-pub fn width_source() -> &'static str {
-    match std::env::var("PQS_JOBS") {
-        Ok(raw) if parse_width(&raw).is_ok() => "env",
-        _ => "default",
-    }
-}
-
 /// RAII guard bumping the in-flight gauge around one job.
 struct InFlight;
 

@@ -20,60 +20,28 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
+echo "==> tier-1: cargo test -q (root package + every deterministic crate)"
 cargo test -q
 
-echo "==> observability: metrics export determinism"
-cargo test -q -p pqs-core --test metrics_determinism
-
-echo "==> planner: pqs-plan suites (planner props + controller)"
-cargo test -q -p pqs-plan
-
-echo "==> snapshot equivalence: pqs-core suite"
-cargo test -q -p pqs-core --test snapshot_equivalence
-
-echo "==> sweep engine: PQS_JOBS=2 smoke sweep, diff vs sequential"
+echo "==> sweep engine: every figure at PQS_JOBS=2, diff vs sequential"
 seq_dir="$(mktemp -d)"
 par_dir="$(mktemp -d)"
 trap 'rm -rf "$seq_dir" "$par_dir"' EXIT
 PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig8_random >/dev/null
+    cargo run --release -q -p pqs-bench -- all >/dev/null
 PQS_BENCH_DIR="$par_dir" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig8_random >/dev/null
-diff "$seq_dir/fig8_random.json" "$par_dir/fig8_random.json" \
-    || { echo "fig8_random.json differs between PQS_JOBS=1 and 2"; exit 1; }
-
-echo "==> adaptive planner: fig_adaptive smoke, diff vs sequential"
-PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig_adaptive >/dev/null
-PQS_BENCH_DIR="$par_dir" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig_adaptive >/dev/null
-diff "$seq_dir/fig_adaptive.json" "$par_dir/fig_adaptive.json" \
-    || { echo "fig_adaptive.json differs between PQS_JOBS=1 and 2"; exit 1; }
-
-echo "==> weighted optimizer: fig_load smoke, diff vs sequential"
-PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig_load >/dev/null
-PQS_BENCH_DIR="$par_dir" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
-    cargo run --release -q -p pqs-bench --bin fig_load >/dev/null
-diff "$seq_dir/fig_load.json" "$par_dir/fig_load.json" \
-    || { echo "fig_load.json differs between PQS_JOBS=1 and 2"; exit 1; }
-
-echo "==> byzantine: pqs-core byzantine suite"
-cargo test -q -p pqs-core --test byzantine
-
-echo "==> byzantine: fig_byzantine smoke, diff vs sequential"
-PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 \
-    cargo run --release -q -p pqs-bench --bin fig_byzantine >/dev/null
-PQS_BENCH_DIR="$par_dir" PQS_JOBS=2 PQS_SEEDS=1 \
-    cargo run --release -q -p pqs-bench --bin fig_byzantine >/dev/null
-diff "$seq_dir/fig_byzantine.json" "$par_dir/fig_byzantine.json" \
-    || { echo "fig_byzantine.json differs between PQS_JOBS=1 and 2"; exit 1; }
+    cargo run --release -q -p pqs-bench -- all >/dev/null
+for export in "$seq_dir"/*.json; do
+    base="$(basename "$export")"
+    [[ "$base" == *.perf.json ]] && continue
+    diff "$export" "$par_dir/$base" \
+        || { echo "$base differs between PQS_JOBS=1 and 2"; exit 1; }
+done
 
 echo "==> scale sweep: fig_scale smoke, sidecar carries throughput + peak RSS"
 scale_dir="$(mktemp -d)"
 PQS_BENCH_DIR="$scale_dir" PQS_SIZES=2000 \
-    cargo run --release -q -p pqs-bench --bin fig_scale >/dev/null
+    cargo run --release -q -p pqs-bench -- fig_scale >/dev/null
 grep -q '"events_per_sec":' "$scale_dir/fig_scale.perf.json" \
     || { echo "fig_scale.perf.json: missing events_per_sec"; rm -rf "$scale_dir"; exit 1; }
 grep -q '"peak_rss_bytes":' "$scale_dir/fig_scale.perf.json" \
@@ -112,52 +80,6 @@ for field in ops_per_sec put_p50_us put_p99_us get_p50_us get_p99_us; do
 done
 rm -rf "$serve_dir"
 
-echo "==> perf sidecars: pool_width >= 1 and PQS_JOBS provenance recorded"
-for sidecar in bench_results/*.perf.json; do
-    [[ -e "$sidecar" ]] || continue
-    grep -q '"jobs_source": *"\(env\|default\)"' "$sidecar" \
-        || { echo "$sidecar: missing jobs_source provenance"; exit 1; }
-    grep -q '"pool_width": *[1-9]' "$sidecar" \
-        || { echo "$sidecar: pool_width must be >= 1"; exit 1; }
-done
-
-echo "==> perf gate: committed sidecars vs committed BENCH_SUMMARY.json"
-PQS_PERF_BASELINE="${PQS_PERF_BASELINE:-}" \
-    cargo run --release -q -p pqs-bench --bin bench_summary -- \
-    bench_results "$seq_dir/BENCH_SUMMARY.json" --baseline BENCH_SUMMARY.json \
-    || { echo "perf gate tripped: a bench regressed >20% vs BENCH_SUMMARY.json"; exit 1; }
-
-echo "==> perf gate self-test: an inflated sidecar must trip the gate"
-gate_dir="$(mktemp -d)"
-cat > "$gate_dir/selftest.perf.json" <<'EOF'
-{
-  "name": "selftest",
-  "wall_ms": 100000
-}
-EOF
-cat > "$gate_dir/baseline.json" <<'EOF'
-{
-  "perf": {
-    "sweeps": [
-      {
-        "name": "selftest",
-        "wall_ms": 1000
-      }
-    ]
-  }
-}
-EOF
-if PQS_PERF_BASELINE= cargo run --release -q -p pqs-bench --bin bench_summary -- \
-    "$gate_dir" "$gate_dir/out.json" --baseline "$gate_dir/baseline.json" >/dev/null 2>&1; then
-    echo "perf gate self-test failed: 100x inflated sidecar did not trip the gate"
-    rm -rf "$gate_dir"
-    exit 1
-fi
-PQS_PERF_BASELINE=ignore cargo run --release -q -p pqs-bench --bin bench_summary -- \
-    "$gate_dir" "$gate_dir/out.json" --baseline "$gate_dir/baseline.json" >/dev/null 2>&1 \
-    || { echo "perf gate self-test failed: PQS_PERF_BASELINE=ignore did not bypass"; rm -rf "$gate_dir"; exit 1; }
-rm -rf "$gate_dir"
-
 echo "==> benchmark package: builds against the crates' public API, set --quick passes"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     set --quick --out "$seq_dir/quick.json"
@@ -166,17 +88,9 @@ if [[ $quick -eq 0 ]]; then
     echo "==> cargo test --workspace -q"
     cargo test --workspace -q
 
-    echo "==> criterion smoke: phy churn micro-bench"
-    cargo bench -p pqs-bench --bench phy >/dev/null
-
-    echo "==> full-suite export diff: every bench vs committed bench_results"
+    echo "==> full-suite export diff: every figure vs committed bench_results"
     full_dir="$(mktemp -d)"
-    for bin in crates/bench/src/bin/*.rs; do
-        name="$(basename "$bin" .rs)"
-        [[ "$name" == "bench_summary" ]] && continue
-        PQS_BENCH_DIR="$full_dir" \
-            cargo run --release -q -p pqs-bench --bin "$name" >/dev/null
-    done
+    PQS_BENCH_DIR="$full_dir" cargo run --release -q -p pqs-bench -- all >/dev/null
     for export in bench_results/*.json; do
         base="$(basename "$export")"
         [[ "$base" == *.perf.json ]] && continue
@@ -185,6 +99,12 @@ if [[ $quick -eq 0 ]]; then
         diff "$export" "$full_dir/$base" \
             || { echo "$base differs from the committed export"; rm -rf "$full_dir"; exit 1; }
     done
+    # Advisory, never failing: the suite's wall-clock budget next to the
+    # committed one (which also counts serve_load's sidecar).
+    cargo run --release -q -p pqs-bench -- summary "$full_dir" "$full_dir/summary.json" >/dev/null
+    wall_ms() { grep -m1 -o '"total_wall_ms": *[0-9]*' "$1" | grep -o '[0-9]*$'; }
+    echo "suite total_wall_ms: $(wall_ms "$full_dir/summary.json") fresh," \
+        "$(wall_ms BENCH_SUMMARY.json) committed"
     rm -rf "$full_dir"
 fi
 
