@@ -73,10 +73,12 @@ impl Env {
         jobs: usize,
     ) -> Result<Env, String> {
         let seed_count: Option<u64> = seeds
-            .map(|raw| {
-                raw.trim()
-                    .parse()
-                    .map_err(|e| format!("PQS_SEEDS={raw}: not a valid run count ({e})"))
+            .map(|raw| match raw.trim().parse() {
+                Ok(0) => Err(format!(
+                    "PQS_SEEDS={raw}: a data point needs at least one run"
+                )),
+                Ok(k) => Ok(k),
+                Err(e) => Err(format!("PQS_SEEDS={raw}: not a valid run count ({e})")),
             })
             .transpose()?;
         let base_seed: u64 = match base_seed {
@@ -485,8 +487,9 @@ mod tests {
     fn seed_window_parsing() {
         assert_eq!(seeds(None, None, 3), vec![1, 2, 3]);
         assert_eq!(seeds(Some("2"), Some("10"), 5), vec![10, 11]);
-        assert_eq!(seeds(Some("0"), None, 3), Vec::<u64>::new());
-        // Unparseable values are rejected, not silently defaulted.
+        // Unparseable values are rejected, not silently defaulted; so is
+        // zero runs, which would print well-formed tables of nothing.
+        assert!(env(Some("0"), None, None).is_err());
         assert!(env(Some("ten"), None, None).is_err());
         assert!(env(Some("-1"), None, None).is_err());
         assert!(env(None, Some("1e3"), None).is_err());

@@ -1,7 +1,10 @@
-//! `QuorumEndpoint`: the per-node probabilistic-quorum protocol engine,
-//! extracted from the simulator-coupled [`crate::stack::QuorumStack`] so
-//! the same advertise/lookup/retry/vote logic runs over any
-//! [`Transport`] — simulated MAC, deterministic loopback, or real UDP.
+//! `QuorumEndpoint`: the per-node probabilistic-quorum protocol engine
+//! that runs over any [`Transport`] — simulated MAC, deterministic
+//! loopback, or real UDP. The per-operation rules (quorum pin, placement
+//! count, votes, retry verdicts) are [`crate::op::OpenOp`]'s, shared
+//! with the simulator-coupled [`crate::stack::QuorumStack`]; this module
+//! adds what is the endpoint's own: uniform peer sampling, `StoreAck`
+//! confirmation, drain, counters and completions.
 //!
 //! The engine implements the RANDOM access strategy of the paper over a
 //! flat membership view: an advertise places `key → value` at `qa`
@@ -19,16 +22,21 @@
 //! [`QuorumEndpoint::on_message`] / [`QuorumEndpoint::on_timer`] and
 //! flush whatever it queued on the [`Transport`]. Identical inputs in
 //! identical order produce identical outputs on every substrate — the
-//! property the sim-vs-loopback equivalence test pins down.
+//! property `tests/transport_equivalence.rs` pins down by hosting this
+//! engine on [`crate::simhost::SimHost`] and on
+//! [`crate::loopback::LoopbackNet`].
 
 use crate::messages::OpId;
-use crate::service::{ByzMode, ByzPolicy, OpKind, RetryPolicy, VoteTally};
+use crate::op::{Judgement, OpenOp};
+use crate::service::{ByzPolicy, OpKind, RetryPolicy};
+use crate::spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 use crate::store::{Key, Role, Store, Value};
 use crate::transport::{Transport, WireMsg};
 use pqs_net::NodeId;
 use pqs_sim::metrics::Histogram;
 use pqs_sim::rng::{entity_stream, streams};
-use rand::{rngs::StdRng, seq::SliceRandom, Rng};
+use pqs_sim::{SimDuration, SimTime};
+use rand::{rngs::StdRng, seq::SliceRandom};
 use std::collections::{BTreeMap, HashMap};
 
 /// Static configuration for one endpoint.
@@ -44,10 +52,12 @@ pub struct EndpointConfig {
     pub byz: ByzPolicy,
     /// Optional weighted size mixture: each operation samples its
     /// quorum size from its side's candidates (one draw from the
-    /// endpoint's op RNG stream). Candidate *strategies* are ignored —
-    /// over real sockets every access is a uniform peer sample, so
-    /// only the size parameter applies. `None` keeps the fixed
-    /// `qa`/`ql` behaviour with no extra RNG draws.
+    /// endpoint's op RNG stream). Candidates should be RANDOM: every
+    /// access here is a uniform peer sample whatever the candidate's
+    /// strategy, so only the size parameter applies (a FLOODING
+    /// candidate's size is a TTL and makes no sense over sockets).
+    /// `None` keeps the fixed `qa`/`ql` behaviour with no extra RNG
+    /// draws.
     pub weighted: Option<crate::spec::WeightedBiquorumSpec>,
 }
 
@@ -119,22 +129,6 @@ pub struct Completion {
     pub latency_micros: u64,
 }
 
-#[derive(Debug, Clone)]
-struct OpenOp {
-    kind: OpKind,
-    key: Key,
-    /// Advertise payload (`None` for lookups).
-    value: Option<Value>,
-    started: u64,
-    deadline: u64,
-    /// Store acks collected so far (advertise only).
-    acked: usize,
-    /// This op's quorum size: the fixed `qa`/`ql`, or its pinned
-    /// weighted sample — concurrent ops may carry different targets.
-    target: usize,
-    attempts: u32,
-}
-
 #[derive(Debug, Clone, Copy)]
 enum TimerCtx {
     /// Attempt timeout elapsed: decide between retry, failure, or (for
@@ -150,11 +144,11 @@ pub struct QuorumEndpoint {
     id: NodeId,
     peers: Vec<NodeId>,
     cfg: EndpointConfig,
+    /// `cfg.qa`/`cfg.ql` as the uniform spec unpinned operations follow.
+    uniform: BiquorumSpec,
     store: Store,
     rng: StdRng,
     ops: BTreeMap<OpId, OpenOp>,
-    /// Masking-mode vote tallies: one vote per `(value, responder)`.
-    votes: HashMap<OpId, VoteTally>,
     timers: HashMap<u64, TimerCtx>,
     completions: Vec<Completion>,
     /// Per-kind completion latency in microseconds of the transport
@@ -178,10 +172,13 @@ impl QuorumEndpoint {
             id,
             rng: entity_stream(seed, streams::QUORUM, u64::from(id.0)),
             peers,
+            uniform: BiquorumSpec::new(
+                QuorumSpec::new(AccessStrategy::Random, cfg.qa as u32),
+                QuorumSpec::new(AccessStrategy::Random, cfg.ql as u32),
+            ),
             cfg,
             store: Store::new(),
             ops: BTreeMap::new(),
-            votes: HashMap::new(),
             timers: HashMap::new(),
             completions: Vec::new(),
             advertise_latency: Histogram::new(),
@@ -244,30 +241,9 @@ impl QuorumEndpoint {
     /// Issues an advertise of `key → value`. Returns the operation id,
     /// or `None` if refused because the endpoint is draining.
     pub fn advertise<T: Transport>(&mut self, t: &mut T, key: Key, value: Value) -> Option<OpId> {
-        self.counters.requests += 1;
-        if self.draining {
-            self.counters.refused += 1;
-            return None;
-        }
+        let op = self.open(t, OpKind::Advertise, key, Some(value))?;
         self.counters.advertises_issued += 1;
-        let op = self.next_op;
-        self.next_op += 1;
-        let now = t.now_micros();
-        let target = self.sample_target(OpKind::Advertise);
-        self.ops.insert(
-            op,
-            OpenOp {
-                kind: OpKind::Advertise,
-                key,
-                value: Some(value),
-                started: now,
-                deadline: now + self.cfg.retry.op_deadline.as_micros(),
-                acked: 0,
-                target,
-                attempts: 1,
-            },
-        );
-        self.issue_advertise(t, op);
+        self.issue(t, op);
         self.arm_check(t, op);
         Some(op)
     }
@@ -276,54 +252,41 @@ impl QuorumEndpoint {
     /// refused because the endpoint is draining. A local hit (§8.3: the
     /// origin counts as a member of its own lookup quorum) completes a
     /// trusting lookup immediately; in masking mode it contributes one
-    /// self-vote and the probes still go out.
+    /// self-vote and the probes still go out (unless `b + 1 == 1`, when
+    /// the origin's own store already decides).
     pub fn lookup<T: Transport>(&mut self, t: &mut T, key: Key) -> Option<OpId> {
+        let op = self.open(t, OpKind::Lookup, key, None)?;
+        self.counters.lookups_issued += 1;
+        let local = self.store.lookup_all(key);
+        self.handle_reply(t, op, self.id, &local);
+        self.issue(t, op);
+        self.arm_check(t, op);
+        Some(op)
+    }
+
+    /// Admits one client operation: a fresh [`OpenOp`] with its quorum
+    /// pinned (one draw from the op RNG stream) when a weighted mixture
+    /// is configured. `None` if refused because the endpoint is
+    /// draining.
+    fn open<T: Transport>(
+        &mut self,
+        t: &mut T,
+        kind: OpKind,
+        key: Key,
+        value: Option<Value>,
+    ) -> Option<OpId> {
         self.counters.requests += 1;
         if self.draining {
             self.counters.refused += 1;
             return None;
         }
-        self.counters.lookups_issued += 1;
         let op = self.next_op;
         self.next_op += 1;
-        let now = t.now_micros();
-        let target = self.sample_target(OpKind::Lookup);
-        self.ops.insert(
-            op,
-            OpenOp {
-                kind: OpKind::Lookup,
-                key,
-                value: None,
-                started: now,
-                deadline: now + self.cfg.retry.op_deadline.as_micros(),
-                acked: 0,
-                target,
-                attempts: 1,
-            },
-        );
-        let local = self.store.lookup_all(key);
-        if !local.is_empty() {
-            match self.cfg.byz.mode {
-                ByzMode::Trusting => {
-                    let value = local[0];
-                    self.complete(t, op, true, Some(value), false);
-                    return Some(op);
-                }
-                ByzMode::Masking => {
-                    let tally = self.votes.entry(op).or_default();
-                    for v in local {
-                        tally.add(v, self.id);
-                    }
-                    // b+1 == 1 would mean our own store already decides.
-                    if let Some(winner) = self.vote_winner(op) {
-                        self.complete(t, op, true, Some(winner), false);
-                        return Some(op);
-                    }
-                }
-            }
+        let mut open = OpenOp::new(kind, key, value, SimTime::from_micros(t.now_micros()));
+        if let Some(mix) = &self.cfg.weighted {
+            open.pin(mix, &mut self.rng);
         }
-        self.issue_lookup(t, op);
-        self.arm_check(t, op);
+        self.ops.insert(op, open);
         Some(op)
     }
 
@@ -340,14 +303,8 @@ impl QuorumEndpoint {
             }
             WireMsg::StoreAck { op } => {
                 self.counters.acks_received += 1;
-                let done = match self.ops.get_mut(&op) {
-                    Some(o) if o.kind == OpKind::Advertise => {
-                        o.acked += 1;
-                        o.acked >= o.target
-                    }
-                    _ => false,
-                };
-                if done {
+                let placed = self.ops.get_mut(&op).map(|o| o.placed(&self.uniform));
+                if placed == Some(true) {
                     self.complete(t, op, true, None, false);
                 }
             }
@@ -358,7 +315,7 @@ impl QuorumEndpoint {
             }
             WireMsg::LookupReply { op, values, .. } => {
                 self.counters.replies_received += 1;
-                self.handle_reply(t, op, from, values);
+                self.handle_reply(t, op, from, &values);
             }
             WireMsg::DrainReq => self.begin_drain(),
             // Client/metrics/health traffic is handled by the host.
@@ -377,138 +334,90 @@ impl QuorumEndpoint {
         }
     }
 
-    fn handle_reply<T: Transport>(
-        &mut self,
-        t: &mut T,
-        op: OpId,
-        from: NodeId,
-        values: Vec<Value>,
-    ) {
+    /// Feeds one responder's values (a peer's reply, or the origin's
+    /// own store) into `op`; late replies for a completed op are
+    /// ignored.
+    fn handle_reply<T: Transport>(&mut self, t: &mut T, op: OpId, from: NodeId, values: &[Value]) {
+        let verdict = self
+            .ops
+            .get_mut(&op)
+            .and_then(|o| o.vote(from, values, &self.cfg.byz));
+        if let Some(verdict) = verdict {
+            self.complete(t, op, true, Some(verdict.value), false);
+        }
+    }
+
+    /// One issue attempt: an advertise places the shortfall
+    /// (`|Qa|` minus the acks so far), a lookup probes a fresh `|Qℓ|`,
+    /// each at uniformly sampled peers (the RANDOM strategy).
+    fn issue<T: Transport>(&mut self, t: &mut T, op: OpId) {
         let Some(o) = self.ops.get(&op) else {
-            return; // late reply for a completed op
+            return; // completed synchronously (local hit)
         };
-        if o.kind != OpKind::Lookup {
-            return;
-        }
-        match self.cfg.byz.mode {
-            ByzMode::Trusting => {
-                if let Some(&value) = values.first() {
-                    self.complete(t, op, true, Some(value), false);
-                }
-            }
-            ByzMode::Masking => {
-                let tally = self.votes.entry(op).or_default();
-                for v in values {
-                    tally.add(v, from);
-                }
-                if let Some(winner) = self.vote_winner(op) {
-                    self.complete(t, op, true, Some(winner), false);
-                }
-            }
-        }
-    }
-
-    /// The first value with at least `b+1` distinct voters, if any.
-    fn vote_winner(&self, op: OpId) -> Option<Value> {
-        let (winner, _) = self.votes.get(&op)?.winner(self.cfg.byz.threshold())?;
-        Some(winner)
-    }
-
-    fn issue_advertise<T: Transport>(&mut self, t: &mut T, op: OpId) {
-        let Some(o) = self.ops.get(&op) else { return };
-        let want = o.target.saturating_sub(o.acked);
-        let (key, value) = (o.key, o.value.unwrap_or_default());
-        for to in self.sample_peers(want) {
-            self.send(t, to, WireMsg::Store { op, key, value });
-        }
-    }
-
-    fn issue_lookup<T: Transport>(&mut self, t: &mut T, op: OpId) {
-        let Some(o) = self.ops.get(&op) else { return };
-        let (key, want) = (o.key, o.target);
-        for to in self.sample_peers(want) {
-            self.send(t, to, WireMsg::LookupReq { op, key });
-        }
-    }
-
-    /// Samples up to `k` distinct peers uniformly (RANDOM strategy).
-    fn sample_peers(&mut self, k: usize) -> Vec<NodeId> {
-        self.peers
-            .choose_multiple(&mut self.rng, k)
+        let (key, payload) = (o.key, o.value);
+        let want = match o.kind {
+            OpKind::Advertise => o.shortfall(&self.uniform),
+            OpKind::Lookup => o.quorum(&self.uniform).size as usize,
+        };
+        let targets: Vec<NodeId> = self
+            .peers
+            .choose_multiple(&mut self.rng, want)
             .copied()
-            .collect()
+            .collect();
+        for to in targets {
+            let msg = match payload {
+                Some(value) => WireMsg::Store { op, key, value },
+                None => WireMsg::LookupReq { op, key },
+            };
+            self.send(t, to, msg);
+        }
     }
 
-    /// The quorum size a fresh operation targets: its side's fixed
-    /// size, or — in weighted mode — a size sampled from the mixture
-    /// with one draw from the op RNG stream (pinned for the op's whole
-    /// life, retries included).
-    fn sample_target(&mut self, kind: OpKind) -> usize {
-        let Some(w) = self.cfg.weighted else {
-            return match kind {
-                OpKind::Advertise => self.cfg.qa,
-                OpKind::Lookup => self.cfg.ql,
-            };
-        };
-        let side = match kind {
-            OpKind::Advertise => w.advertise,
-            OpKind::Lookup => w.lookup,
-        };
-        side.pick(self.rng.gen::<f64>()).size as usize
+    /// Arms `ctx` to fire after `delay`.
+    fn arm<T: Transport>(&mut self, t: &mut T, delay: SimDuration, ctx: TimerCtx) {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.timers.insert(token, ctx);
+        t.set_timer(delay.as_micros(), token);
     }
 
     fn arm_check<T: Transport>(&mut self, t: &mut T, op: OpId) {
-        if !self.ops.contains_key(&op) {
-            return; // completed synchronously (local hit / self-delivery)
+        // Not if it completed synchronously (local hit).
+        if self.ops.contains_key(&op) {
+            self.arm(t, self.cfg.retry.attempt_timeout, TimerCtx::RetryCheck(op));
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, TimerCtx::RetryCheck(op));
-        t.set_timer(self.cfg.retry.attempt_timeout.as_micros(), token);
     }
 
     fn retry_check<T: Transport>(&mut self, t: &mut T, op: OpId) {
         let Some(o) = self.ops.get(&op) else { return };
-        let now = t.now_micros();
-        if now >= o.deadline || o.attempts >= self.cfg.retry.max_attempts {
-            self.finish_failed(t, op);
-            return;
+        let now = SimTime::from_micros(t.now_micros());
+        match o.judge(&self.uniform, &self.cfg.retry, now, &mut self.rng) {
+            Judgement::Done => {}
+            Judgement::Backoff(jittered) => self.arm(t, jittered, TimerCtx::RetryFire(op)),
+            Judgement::Exhausted | Judgement::Deadline => self.finish_failed(t, op),
         }
-        let retry = o.attempts; // backoff before retry #attempts
-        let jittered = self.cfg.retry.jittered_backoff(retry, &mut self.rng);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, TimerCtx::RetryFire(op));
-        t.set_timer(jittered.as_micros(), token);
     }
 
     fn retry_fire<T: Transport>(&mut self, t: &mut T, op: OpId) {
         let Some(o) = self.ops.get_mut(&op) else {
             return;
         };
-        o.attempts += 1;
-        self.counters.op_retries += 1;
-        match o.kind {
-            OpKind::Advertise => self.issue_advertise(t, op),
-            OpKind::Lookup => self.issue_lookup(t, op),
+        if !o.fire(&self.cfg.retry, SimTime::from_micros(t.now_micros())) {
+            self.finish_failed(t, op);
+            return;
         }
+        self.counters.op_retries += 1;
+        self.issue(t, op);
         self.arm_check(t, op);
     }
 
     /// Deadline or attempt budget exhausted: fail, unless a masking
     /// lookup can degrade to its highest-voted (unverified) value.
     fn finish_failed<T: Transport>(&mut self, t: &mut T, op: OpId) {
-        let kind = match self.ops.get(&op) {
-            Some(o) => o.kind,
-            None => return,
-        };
-        if kind == OpKind::Lookup && self.cfg.byz.mode == ByzMode::Masking {
-            if let Some(best) = self.votes.get(&op).and_then(VoteTally::best) {
-                self.complete(t, op, true, Some(best), true);
-                return;
-            }
+        match self.ops.get_mut(&op).and_then(OpenOp::degrade) {
+            Some(verdict) => self.complete(t, op, true, Some(verdict.value), true),
+            None => self.complete(t, op, false, None, false),
         }
-        self.complete(t, op, false, None, false);
     }
 
     fn complete<T: Transport>(
@@ -522,7 +431,6 @@ impl QuorumEndpoint {
         let Some(o) = self.ops.remove(&op) else {
             return;
         };
-        self.votes.remove(&op);
         if ok {
             self.counters.completed_ok += 1;
         } else {
@@ -531,7 +439,7 @@ impl QuorumEndpoint {
         if degraded {
             self.counters.lookups_unverified += 1;
         }
-        let latency = t.now_micros().saturating_sub(o.started);
+        let latency = t.now_micros().saturating_sub(o.started.as_micros());
         match o.kind {
             OpKind::Advertise => self.advertise_latency.record(latency),
             OpKind::Lookup => self.lookup_latency.record(latency),
@@ -623,87 +531,56 @@ mod tests {
         assert_eq!(done[0].value, Some(55));
     }
 
+    /// The vote, degrade and retry rules are `OpenOp`'s (tested in
+    /// `crate::op`); this pins how the endpoint reports their outcomes.
     #[test]
-    fn masking_lookup_needs_threshold_concurring_voters() {
+    fn masking_lookups_complete_verified_degraded_or_failed() {
         let peers: Vec<NodeId> = (0..8).map(NodeId).collect();
         let cfg = EndpointConfig {
-            qa: 3,
-            ql: 5,
-            weighted: None,
-            retry: RetryPolicy::default_policy(),
-            byz: ByzPolicy::masking(1),
-        };
-        let mut e = QuorumEndpoint::new(NodeId(0), peers, cfg, 42);
-        let mut t = QueuedTransport::at(0);
-        let op = e.lookup(&mut t, 7).expect("accepted");
-        e.on_message(
-            &mut t,
-            NodeId(1),
-            WireMsg::LookupReply {
-                op,
-                key: 7,
-                values: vec![5],
-            },
-        );
-        // Duplicate voter must not double-count.
-        e.on_message(
-            &mut t,
-            NodeId(1),
-            WireMsg::LookupReply {
-                op,
-                key: 7,
-                values: vec![5],
-            },
-        );
-        assert_eq!(e.open_ops(), 1, "one voter is below b+1 = 2");
-        e.on_message(
-            &mut t,
-            NodeId(2),
-            WireMsg::LookupReply {
-                op,
-                key: 7,
-                values: vec![5],
-            },
-        );
-        let done = e.take_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].value, Some(5));
-        assert_eq!(e.counters().lookups_unverified, 0);
-    }
-
-    /// The degrade path's tie-break is the stack's: of equally voted
-    /// values the first to arrive wins.
-    #[test]
-    fn unverified_masking_lookup_degrades_to_the_first_arrived_of_tied_values() {
-        let peers: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let cfg = EndpointConfig {
-            qa: 3,
-            ql: 5,
-            weighted: None,
             retry: RetryPolicy {
                 max_attempts: 1,
                 ..RetryPolicy::default_policy()
             },
             byz: ByzPolicy::masking(1),
+            ..EndpointConfig::new(3, 5)
         };
         let mut e = QuorumEndpoint::new(NodeId(0), peers, cfg, 42);
         let mut t = QueuedTransport::at(0);
-        let op = e.lookup(&mut t, 7).expect("accepted");
-        for (from, value) in [(1, 111), (2, 222)] {
-            let values = vec![value];
+        let verified = e.lookup(&mut t, 7).expect("accepted");
+        let degraded = e.lookup(&mut t, 8).expect("accepted");
+        let voteless = e.lookup(&mut t, 9).expect("accepted");
+        for (op, key, from) in [(verified, 7, 1), (verified, 7, 2), (degraded, 8, 1)] {
+            let values = vec![5];
             e.on_message(
                 &mut t,
                 NodeId(from),
-                WireMsg::LookupReply { op, key: 7, values },
+                WireMsg::LookupReply { op, key, values },
             );
         }
-        assert_eq!(e.open_ops(), 1, "one vote each is below b+1 = 2");
-        let (_, check) = t.timers[0];
-        e.on_timer(&mut t, check);
         let done = e.take_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].value, Some(111));
-        assert_eq!(e.counters().lookups_unverified, 1);
+        assert_eq!(done.len(), 1, "only b + 1 = 2 concurring voters verify");
+        assert_eq!((done[0].op, done[0].value), (verified, Some(5)));
+        assert_eq!(e.counters().lookups_unverified, 0);
+
+        // The single-attempt budget is spent at the first judgement.
+        for (_, check) in t.timers.clone() {
+            e.on_timer(&mut t, check);
+        }
+        let done = e.take_completions();
+        assert_eq!(done.len(), 2);
+        assert_eq!(
+            (done[0].op, done[0].ok, done[0].value),
+            (degraded, true, Some(5))
+        );
+        assert_eq!(
+            (done[1].op, done[1].ok, done[1].value),
+            (voteless, false, None)
+        );
+        let c = e.counters();
+        assert_eq!(
+            (c.lookups_unverified, c.completed_ok, c.completed_failed),
+            (1, 2, 1)
+        );
     }
 
     #[test]
@@ -753,30 +630,5 @@ mod tests {
         let issued = c.advertises_issued + c.lookups_issued;
         assert_eq!(c.requests, issued + c.refused);
         assert_eq!(issued, c.completed_ok + c.completed_failed);
-    }
-
-    #[test]
-    fn retry_exhaustion_fails_the_op() {
-        let peers: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let cfg = EndpointConfig {
-            qa: 3,
-            ql: 3,
-            weighted: None,
-            retry: RetryPolicy {
-                max_attempts: 1,
-                ..RetryPolicy::default_policy()
-            },
-            byz: ByzPolicy::trusting(),
-        };
-        let mut e = QuorumEndpoint::new(NodeId(0), peers, cfg, 42);
-        let mut t = QueuedTransport::at(0);
-        e.lookup(&mut t, 1).expect("accepted");
-        let (_, token) = t.timers[0];
-        let mut t2 = QueuedTransport::at(t.timers[0].0);
-        e.on_timer(&mut t2, token);
-        let done = e.take_completions();
-        assert_eq!(done.len(), 1);
-        assert!(!done[0].ok);
-        assert_eq!(e.counters().completed_failed, 1);
     }
 }

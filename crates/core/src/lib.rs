@@ -11,14 +11,17 @@
 //!   asymmetric sizing (Lemma 5.6), asymptotic cost tables (Figs. 3, 6),
 //! - [`membership`]: converged random membership views (RaWMS-style),
 //! - [`store`]: the location-service store with owner/bystander roles,
-//! - [`stack`]: the protocol stack implementing all access strategies —
-//!   RANDOM, RANDOM-OPT, PATH, UNIQUE-PATH, FLOODING — plus RW salvation,
-//!   reply-path reduction, reply-path local repair, early halting,
-//!   caching and promiscuous replies,
+//! - [`op`]: the open-operation core both engines run on — per
+//!   operation, the pinned quorum sample, the placement count, the
+//!   `b + 1` vote and the retry verdicts, defined once,
+//! - [`stack`]: the simulator engine: dissemination for all access
+//!   strategies — RANDOM, RANDOM-OPT, PATH, UNIQUE-PATH, FLOODING — plus
+//!   RW salvation, reply-path reduction, reply-path local repair, early
+//!   halting, caching and promiscuous replies,
 //! - [`transport`] / [`wire`] / [`endpoint`]: the transport seam — the
-//!   RANDOM-strategy engine factored out of [`stack`] so the same
-//!   protocol runs over the simulated MAC ([`simhost`]), deterministic
-//!   in-process links ([`loopback`]), or real UDP sockets (`pqs-serve`),
+//!   RANDOM-strategy engine that runs the same operations over the
+//!   simulated MAC ([`simhost`]), deterministic in-process links
+//!   ([`loopback`]), or real UDP sockets (`pqs-serve`),
 //! - [`estimator`]: network-size estimation from walk collisions (§6.3),
 //! - [`workload`] / [`runner`]: the paper's simulation scenarios and the
 //!   multi-seed experiment runner.
@@ -62,6 +65,7 @@ pub mod loopback;
 pub mod membership;
 pub mod messages;
 pub mod obs;
+pub mod op;
 pub mod pubsub;
 pub mod register;
 pub mod runner;

@@ -300,6 +300,46 @@ mod tests {
         assert!(net7.stats().dropped > 0, "faults actually fired");
     }
 
+    /// The deadline is re-checked when the backoff expires (the
+    /// stack's rule): an operation judged retryable just before its
+    /// deadline is closed at the fire, not re-issued once more.
+    #[test]
+    fn backoff_expiring_after_the_deadline_fails_without_another_issue() {
+        let mut c = cfg(
+            8,
+            LinkFaults {
+                drop_prob: 1.0,
+                ..LinkFaults::none()
+            },
+        );
+        // Judged at 100 ms (before the 120 ms deadline, attempts left),
+        // backing off 50..=100 ms: the fire lands at 150 ms or later.
+        c.endpoint.retry = crate::service::RetryPolicy {
+            max_attempts: 3,
+            attempt_timeout: SimDuration::from_millis(100),
+            base_backoff: SimDuration::from_millis(100),
+            max_backoff: SimDuration::from_millis(100),
+            op_deadline: SimDuration::from_millis(120),
+            ..c.endpoint.retry
+        };
+        let mut net = LoopbackNet::new(c);
+        net.lookup(NodeId(0), 1).expect("accepted");
+        net.advertise(NodeId(1), 2, 22).expect("accepted");
+        net.run_idle();
+        for node in [NodeId(0), NodeId(1)] {
+            let done = net.take_completions(node);
+            assert_eq!(done.len(), 1);
+            assert!(!done[0].ok);
+            assert!((150_000..=200_000).contains(&done[0].latency_micros));
+            assert_eq!(net.endpoint(node).counters().op_retries, 0);
+        }
+        assert_eq!(
+            net.stats().dropped,
+            3 + 3,
+            "only the first |Qa| and |Ql| sends"
+        );
+    }
+
     #[test]
     fn same_seed_same_execution() {
         let run = || {

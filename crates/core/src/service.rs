@@ -154,58 +154,6 @@ impl ByzPolicy {
     }
 }
 
-/// The masking-read votes of one open lookup: every distinct value
-/// reported so far with the distinct responders that reported it, in
-/// arrival order. The one implementation of the `b + 1` rule, shared by
-/// `QuorumStack` and `QuorumEndpoint`.
-#[derive(Debug, Clone, Default)]
-pub struct VoteTally {
-    votes: Vec<(Value, Vec<NodeId>)>,
-}
-
-impl VoteTally {
-    /// Records one vote per `(value, responder)` pair — a duplicated
-    /// frame cannot double-count.
-    pub fn add(&mut self, value: Value, from: NodeId) {
-        match self.votes.iter_mut().find(|(v, _)| *v == value) {
-            Some((_, voters)) => {
-                if !voters.contains(&from) {
-                    voters.push(from);
-                }
-            }
-            None => self.votes.push((value, vec![from])),
-        }
-    }
-
-    /// The first-arrived value with at least `threshold` distinct
-    /// voters, with its vote count.
-    pub fn winner(&self, threshold: usize) -> Option<(Value, usize)> {
-        self.votes
-            .iter()
-            .find(|(_, voters)| voters.len() >= threshold)
-            .map(|(v, voters)| (*v, voters.len()))
-    }
-
-    /// The highest-voted value regardless of threshold (the degrade
-    /// path); the first-arrived wins ties, so the choice is
-    /// deterministic. `None` while no vote was cast.
-    pub fn best(&self) -> Option<Value> {
-        // `max_by_key` keeps the last maximum: scan newest-first.
-        let best = self.votes.iter().rev().max_by_key(|(_, v)| v.len());
-        best.map(|(value, _)| *value)
-    }
-
-    /// Votes cast for any value other than `winner` (the replies a
-    /// completed masking read suspects).
-    pub fn dissent(&self, winner: Value) -> u64 {
-        self.votes
-            .iter()
-            .filter(|(v, _)| *v != winner)
-            .map(|(_, voters)| voters.len() as u64)
-            .sum()
-    }
-}
-
 /// Configuration of the quorum-backed location service.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServiceConfig {
@@ -365,12 +313,6 @@ pub struct OpRecord {
     /// A retry had to shrink the access below the Corollary 5.3 sizing
     /// rule because the estimated live population could not support it.
     pub degraded: bool,
-    /// The quorum size (or TTL) this operation sampled from a
-    /// [`crate::spec::WeightedBiquorumSpec`] mixture. `0` = unset (the
-    /// uniform single-pair path); a weighted op keeps its sampled
-    /// target across retries and completion checks so concurrent ops
-    /// with different samples never read each other's size.
-    pub quorum_target: u32,
 }
 
 impl OpRecord {
@@ -392,7 +334,6 @@ impl OpRecord {
             retries_exhausted: false,
             deadline_expired: false,
             degraded: false,
-            quorum_target: 0,
         }
     }
 }

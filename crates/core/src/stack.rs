@@ -11,18 +11,18 @@ use crate::estimator;
 use crate::membership::Membership;
 use crate::messages::{AppMsg, FloodMsg, FloodReplyMsg, OpId, QuorumAction, ReplyMsg, WalkMsg};
 use crate::obs::{HoldReason, TraceEvent};
+use crate::op::{Judgement, OpenOp};
 use crate::service::{
-    ByzMode, Fanout, OpKind, OpRecord, QuorumCounters, RepairMode, ServiceConfig, VoteTally,
+    ByzMode, Fanout, OpKind, OpRecord, QuorumCounters, RepairMode, ServiceConfig,
 };
 use crate::spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 use crate::store::{Key, Role, Store, Value};
 use pqs_net::{fabricated_value, MacDst, Network, NodeBehavior, NodeId, Stack, Upcall};
 use pqs_routing::{RoutePacket, Router, RouterConfig, RouterEvent, TransitHandle};
 use pqs_sim::rng::{self, streams};
-use pqs_sim::{EventId, SimTime};
+use pqs_sim::{EventId, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// The network type this stack runs over.
@@ -116,23 +116,6 @@ struct SerialLookup {
     substitutions: u32,
 }
 
-/// Per-operation state of the retry layer.
-#[derive(Clone)]
-struct RetryState {
-    /// Issue attempts so far (mirrors `OpRecord::attempts`).
-    attempts: u32,
-    /// Absolute give-up time (`started + policy.op_deadline`).
-    deadline: SimTime,
-    /// Advertise payload for re-issue (lookups carry only the key).
-    value: Option<Value>,
-}
-
-/// Why a retried operation was finally closed without success.
-enum RetryFailure {
-    Exhausted,
-    Deadline,
-}
-
 /// Why [`QuorumStack::reconfigure`] rejected a new spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigureError {
@@ -172,6 +155,11 @@ pub struct QuorumStack {
     stores: Vec<Store>,
     membership: Membership,
     ops: BTreeMap<OpId, OpRecord>,
+    /// The engine-side state of every operation in `ops`: retry clock,
+    /// pinned quorum sample, placements, votes. Never closed — frames
+    /// still in flight consult the pin, and late stores and votes land,
+    /// after the retry layer has given its verdict.
+    open: BTreeMap<OpId, OpenOp>,
     next_op: OpId,
     next_token: u64,
     link_ctx: HashMap<u64, LinkCtx>,
@@ -182,16 +170,6 @@ pub struct QuorumStack {
     flood_seen: Vec<HashSet<u64>>,
     flood_parent: Vec<HashMap<u64, NodeId>>,
     next_flood: u64,
-    retry: HashMap<OpId, RetryState>,
-    /// The `(strategy, size)` candidate each weighted operation sampled
-    /// at issue time (absent when `ServiceConfig::weighted` is `None`).
-    /// Pinned for the op's whole life so retries and completion checks
-    /// never read a concurrent op's sample or a reconfigured mixture.
-    weighted_picks: BTreeMap<OpId, QuorumSpec>,
-    /// Masking-mode vote tallies of still-open lookups: each distinct
-    /// value with the distinct responders that vouched for it, in
-    /// arrival order (deterministic tie-breaks). Empty in trusting mode.
-    byz_votes: HashMap<OpId, VoteTally>,
     /// Population at construction time (the `n` the quorums were sized
     /// for).
     initial_n: usize,
@@ -238,6 +216,7 @@ impl QuorumStack {
             stores: (0..n).map(|_| Store::new()).collect(),
             membership,
             ops: BTreeMap::new(),
+            open: BTreeMap::new(),
             next_op: 0,
             next_token: 0,
             link_ctx: HashMap::new(),
@@ -248,9 +227,6 @@ impl QuorumStack {
             flood_seen: vec![HashSet::new(); n],
             flood_parent: vec![HashMap::new(); n],
             next_flood: 0,
-            retry: HashMap::new(),
-            weighted_picks: BTreeMap::new(),
-            byz_votes: HashMap::new(),
             initial_n: n,
             original_failed: HashSet::new(),
             transit_tap: needs_tap,
@@ -327,40 +303,33 @@ impl QuorumStack {
         self.next_token
     }
 
-    /// Samples and pins `op`'s quorum candidate from the weighted
-    /// mixture (one draw from the op RNG stream). No-op — and no RNG
-    /// draw, keeping the uniform path byte-identical — when
-    /// `ServiceConfig::weighted` is `None`.
-    fn sample_weighted(&mut self, op: OpId, kind: OpKind) {
-        let Some(w) = self.cfg.weighted else {
-            return;
-        };
-        let side = match kind {
-            OpKind::Advertise => w.advertise,
-            OpKind::Lookup => w.lookup,
-        };
-        let pick = side.pick(self.rng.gen::<f64>());
-        self.weighted_picks.insert(op, pick);
-        if let Some(rec) = self.ops.get_mut(&op) {
-            rec.quorum_target = pick.size;
+    /// Records a freshly issued operation and opens its engine state,
+    /// pinning its quorum (one draw from the op RNG stream) when a
+    /// weighted mixture is configured.
+    fn open_op(
+        &mut self,
+        now: SimTime,
+        kind: OpKind,
+        origin: NodeId,
+        key: Key,
+        value: Option<Value>,
+    ) -> OpId {
+        let op = self.next_op;
+        self.next_op += 1;
+        self.ops.insert(op, OpRecord::new(kind, key, origin, now));
+        self.trace_push(now, TraceEvent::OpIssued { op, kind, origin });
+        let mut open = OpenOp::new(kind, key, value, now);
+        if let Some(mix) = &self.cfg.weighted {
+            open.pin(mix, &mut self.rng);
         }
+        self.open.insert(op, open);
+        op
     }
 
-    /// The advertise-side `(strategy, size)` this op uses: its pinned
-    /// weighted sample, or the live uniform spec.
-    fn advertise_spec_for(&self, op: OpId) -> QuorumSpec {
-        self.weighted_picks
-            .get(&op)
-            .copied()
-            .unwrap_or(self.cfg.spec.advertise)
-    }
-
-    /// The lookup-side `(strategy, size)` this op uses.
-    fn lookup_spec_for(&self, op: OpId) -> QuorumSpec {
-        self.weighted_picks
-            .get(&op)
-            .copied()
-            .unwrap_or(self.cfg.spec.lookup)
+    /// The `(strategy, size)` `op` accesses: its pinned weighted sample,
+    /// or the live uniform spec.
+    fn quorum_of(&self, op: OpId) -> Option<QuorumSpec> {
+        self.open.get(&op).map(|o| o.quorum(&self.cfg.spec))
     }
 
     // ------------------------------------------------------------------
@@ -369,24 +338,11 @@ impl QuorumStack {
 
     /// Publishes `key → value` from `node` through the advertise quorum.
     pub fn advertise(&mut self, net: &mut QuorumNet, node: NodeId, key: Key, value: Value) -> OpId {
-        let op = self.next_op;
-        self.next_op += 1;
-        self.ops
-            .insert(op, OpRecord::new(OpKind::Advertise, key, node, net.now()));
-        self.trace_push(
-            net.now(),
-            TraceEvent::OpIssued {
-                op,
-                kind: OpKind::Advertise,
-                origin: node,
-            },
-        );
-        self.sample_weighted(op, OpKind::Advertise);
-        if !net.is_alive(node) {
-            return op;
+        let op = self.open_op(net.now(), OpKind::Advertise, node, key, Some(value));
+        if net.is_alive(node) {
+            self.issue_advertise(net, node, op, key, value);
+            self.arm_retry(net, op);
         }
-        self.issue_advertise(net, node, op, key, value);
-        self.arm_retry(net, op, Some(value));
         op
     }
 
@@ -402,11 +358,11 @@ impl QuorumStack {
         value: Value,
     ) {
         self.counters.advertises_issued += 1;
-        let spec = self.advertise_spec_for(op);
+        let open = self.open.get(&op).expect("open while issuing");
+        let spec = open.quorum(&self.cfg.spec);
         match spec.strategy {
             AccessStrategy::Random | AccessStrategy::RandomOpt => {
-                let placed = self.ops.get(&op).map_or(0, |r| r.stores_placed) as usize;
-                let want = (spec.size as usize).saturating_sub(placed);
+                let want = open.shortfall(&self.cfg.spec);
                 if want == 0 {
                     return;
                 }
@@ -417,18 +373,14 @@ impl QuorumStack {
                     if i == 0 || self.cfg.store_spacing.is_zero() {
                         self.send_store(net, node, op, key, value, target, 0);
                     } else {
-                        let token = self.token();
-                        self.timer_ctx.insert(
-                            token,
-                            TimerCtx::DeferredStore {
-                                op,
-                                origin: node,
-                                key,
-                                value,
-                                target,
-                            },
-                        );
-                        net.set_timer(node, self.cfg.store_spacing * i as u64, token);
+                        let ctx = TimerCtx::DeferredStore {
+                            op,
+                            origin: node,
+                            key,
+                            value,
+                            target,
+                        };
+                        self.arm_timer(net, node, self.cfg.store_spacing * i as u64, ctx);
                     }
                 }
             }
@@ -459,24 +411,11 @@ impl QuorumStack {
     /// originator is part of its own quorum (§8.3), so a locally known
     /// key completes immediately.
     pub fn lookup(&mut self, net: &mut QuorumNet, node: NodeId, key: Key) -> OpId {
-        let op = self.next_op;
-        self.next_op += 1;
-        self.ops
-            .insert(op, OpRecord::new(OpKind::Lookup, key, node, net.now()));
-        self.trace_push(
-            net.now(),
-            TraceEvent::OpIssued {
-                op,
-                kind: OpKind::Lookup,
-                origin: node,
-            },
-        );
-        self.sample_weighted(op, OpKind::Lookup);
-        if !net.is_alive(node) {
-            return op;
+        let op = self.open_op(net.now(), OpKind::Lookup, node, key, None);
+        if net.is_alive(node) {
+            self.issue_lookup(net, node, op, key);
+            self.arm_retry(net, op);
         }
-        self.issue_lookup(net, node, op, key);
-        self.arm_retry(net, op, None);
         op
     }
 
@@ -484,6 +423,7 @@ impl QuorumStack {
     /// the retry layer, which picks a fresh access set each time).
     fn issue_lookup(&mut self, net: &mut QuorumNet, node: NodeId, op: OpId, key: Key) {
         self.counters.lookups_issued += 1;
+        let spec = self.quorum_of(op).expect("open while issuing");
         // The originator is part of its own quorum (§8.3). A local hit
         // completes the lookup immediately; parallel fan-outs still probe
         // the rest of the quorum so that collect-style consumers (the
@@ -498,7 +438,7 @@ impl QuorumStack {
             self.complete_lookup_from(net, op, node, local);
             let keeps_probing = self.cfg.lookup_fanout == Fanout::Parallel
                 && matches!(
-                    self.lookup_spec_for(op).strategy,
+                    spec.strategy,
                     AccessStrategy::Random | AccessStrategy::RandomOpt
                 );
             let replied = self.ops.get(&op).is_none_or(|r| r.replied);
@@ -506,7 +446,6 @@ impl QuorumStack {
                 return;
             }
         }
-        let spec = self.lookup_spec_for(op);
         match spec.strategy {
             AccessStrategy::Random | AccessStrategy::RandomOpt => {
                 let targets = self
@@ -522,17 +461,13 @@ impl QuorumStack {
                             if i == 0 || self.cfg.probe_spacing.is_zero() {
                                 self.send_probe(net, node, op, key, target);
                             } else {
-                                let token = self.token();
-                                self.timer_ctx.insert(
-                                    token,
-                                    TimerCtx::DeferredProbe {
-                                        op,
-                                        origin: node,
-                                        key,
-                                        target,
-                                    },
-                                );
-                                net.set_timer(node, self.cfg.probe_spacing * i as u64, token);
+                                let ctx = TimerCtx::DeferredProbe {
+                                    op,
+                                    origin: node,
+                                    key,
+                                    target,
+                                };
+                                self.arm_timer(net, node, self.cfg.probe_spacing * i as u64, ctx);
                             }
                         }
                     }
@@ -576,53 +511,19 @@ impl QuorumStack {
     // Operation-level retry (deadline + jittered exponential backoff)
     // ------------------------------------------------------------------
 
-    /// Whether the operation needs no (further) retries.
-    fn op_succeeded(&self, op: OpId) -> bool {
-        let Some(rec) = self.ops.get(&op) else {
-            return true;
-        };
-        match rec.kind {
-            OpKind::Lookup => rec.replied,
-            OpKind::Advertise => {
-                let spec = self.advertise_spec_for(op);
-                // Flooding's size parameter is a TTL, not a member count,
-                // and floods are unconfirmed — the origin's own store is
-                // the only guaranteed placement.
-                let target = match spec.strategy {
-                    AccessStrategy::Flooding => 1,
-                    _ => spec.size,
-                };
-                rec.stores_placed >= target
-            }
-        }
-    }
-
-    /// Records one placed store for an advertise access. When the
-    /// placement target is reached the record is stamped complete (the
-    /// advertise-latency source; routed strategies previously never set
-    /// `completed` on success) and an [`TraceEvent::OpCompleted`] is
-    /// traced.
+    /// Records one placed store for an advertise access — in-process,
+    /// from the receiving node's handler: the paper's message-cost model
+    /// has no ack frame. When the placement target is reached the record
+    /// is stamped complete (the advertise-latency source) and an
+    /// [`TraceEvent::OpCompleted`] is traced.
     fn note_store_placed(&mut self, now: SimTime, op: OpId) {
-        let spec = self.advertise_spec_for(op);
-        let target = match spec.strategy {
-            // A flood's size parameter is a TTL and floods are
-            // unconfirmed: the origin's own store is the only guaranteed
-            // placement (mirrors `op_succeeded`).
-            AccessStrategy::Flooding => 1,
-            _ => spec.size,
+        let (Some(rec), Some(open)) = (self.ops.get_mut(&op), self.open.get_mut(&op)) else {
+            return;
         };
-        let mut done = None;
-        if let Some(rec) = self.ops.get_mut(&op) {
-            rec.stores_placed += 1;
-            if rec.kind == OpKind::Advertise
-                && rec.stores_placed >= target
-                && rec.completed.is_none()
-            {
-                rec.completed = Some(now);
-                done = Some(now - rec.started);
-            }
-        }
-        if let Some(latency) = done {
+        rec.stores_placed += 1;
+        if open.placed(&self.cfg.spec) && rec.completed.is_none() {
+            rec.completed = Some(now);
+            let latency = now - rec.started;
             self.trace_push(
                 now,
                 TraceEvent::OpCompleted {
@@ -634,64 +535,52 @@ impl QuorumStack {
         }
     }
 
+    /// Arms `ctx` to fire at `node` after `delay`.
+    fn arm_timer(
+        &mut self,
+        net: &mut QuorumNet,
+        node: NodeId,
+        delay: SimDuration,
+        ctx: TimerCtx,
+    ) -> EventId {
+        let token = self.token();
+        self.timer_ctx.insert(token, ctx);
+        net.set_timer(node, delay, token)
+    }
+
     /// Arms the retry layer for a freshly issued operation.
-    fn arm_retry(&mut self, net: &mut QuorumNet, op: OpId, value: Option<Value>) {
+    fn arm_retry(&mut self, net: &mut QuorumNet, op: OpId) {
         let Some(policy) = self.cfg.retry else {
             return;
         };
-        if self.op_succeeded(op) {
+        if self.open[&op].is_done(&self.cfg.spec) {
             return;
         }
-        let Some(rec) = self.ops.get(&op) else {
-            return;
-        };
-        let origin = rec.origin;
-        self.retry.insert(
-            op,
-            RetryState {
-                attempts: 1,
-                deadline: net.now() + policy.op_deadline,
-                value,
-            },
+        let origin = self.ops[&op].origin;
+        self.arm_timer(
+            net,
+            origin,
+            policy.attempt_timeout,
+            TimerCtx::RetryCheck { op },
         );
-        let token = self.token();
-        self.timer_ctx.insert(token, TimerCtx::RetryCheck { op });
-        net.set_timer(origin, policy.attempt_timeout, token);
     }
 
-    /// Judgement point, `attempt_timeout` after an issue: success drops
-    /// the state; failure schedules a jittered backoff or closes the
+    /// Judgement point, `attempt_timeout` after an issue: success ends
+    /// the retries; failure schedules a jittered backoff or closes the
     /// operation (exhaustion / deadline) with a distinct outcome.
     fn retry_check(&mut self, net: &mut QuorumNet, op: OpId) {
         let Some(policy) = self.cfg.retry else {
-            self.retry.remove(&op);
             return;
         };
-        if self.op_succeeded(op) {
-            self.retry.remove(&op);
-            return;
+        let origin = self.ops[&op].origin;
+        match self.open[&op].judge(&self.cfg.spec, &policy, net.now(), &mut self.rng) {
+            Judgement::Done => {}
+            Judgement::Backoff(jittered) => {
+                self.arm_timer(net, origin, jittered, TimerCtx::RetryFire { op });
+            }
+            Judgement::Exhausted => self.finish_failed(net, op, false),
+            Judgement::Deadline => self.finish_failed(net, op, true),
         }
-        let Some(state) = self.retry.get(&op) else {
-            return;
-        };
-        let (attempts, deadline) = (state.attempts, state.deadline);
-        let now = net.now();
-        if now >= deadline {
-            self.finish_failed(net, op, RetryFailure::Deadline);
-            return;
-        }
-        if attempts >= policy.max_attempts {
-            self.finish_failed(net, op, RetryFailure::Exhausted);
-            return;
-        }
-        let Some(origin) = self.ops.get(&op).map(|r| r.origin) else {
-            self.retry.remove(&op);
-            return;
-        };
-        let jittered = policy.jittered_backoff(attempts, &mut self.rng);
-        let token = self.token();
-        self.timer_ctx.insert(token, TimerCtx::RetryFire { op });
-        net.set_timer(origin, jittered, token);
     }
 
     /// Backoff expiry: re-issue with a fresh access set.
@@ -699,37 +588,22 @@ impl QuorumStack {
         let Some(policy) = self.cfg.retry else {
             return;
         };
-        if self.op_succeeded(op) {
-            self.retry.remove(&op);
-            return;
-        }
-        let Some(state) = self.retry.get(&op) else {
+        let (Some(rec), Some(open)) = (self.ops.get_mut(&op), self.open.get_mut(&op)) else {
             return;
         };
-        let (deadline, value) = (state.deadline, state.value);
-        if net.now() >= deadline {
-            self.finish_failed(net, op, RetryFailure::Deadline);
+        if open.is_done(&self.cfg.spec) {
             return;
         }
-        let Some((kind, origin, key)) = self.ops.get(&op).map(|r| (r.kind, r.origin, r.key)) else {
-            self.retry.remove(&op);
+        if !open.fire(&policy, net.now()) {
+            self.finish_failed(net, op, true);
             return;
-        };
-        if !net.is_alive(origin) {
-            self.retry.remove(&op);
-            return;
-        }
-        if let Some(state) = self.retry.get_mut(&op) {
-            state.attempts += 1;
         }
         self.counters.op_retries += 1;
-        let mut attempt = 0;
-        if let Some(rec) = self.ops.get_mut(&op) {
-            rec.attempts += 1;
-            attempt = rec.attempts;
-            // Reopen a record a previous attempt closed as a miss.
-            rec.completed = None;
-        }
+        let attempt = open.attempts();
+        rec.attempts = attempt;
+        // Reopen a record a previous attempt closed as a miss.
+        rec.completed = None;
+        let (kind, origin, key, value) = (rec.kind, rec.origin, rec.key, open.value);
         self.trace_push(net.now(), TraceEvent::OpRetried { op, attempt });
         if policy.adapt_quorum && kind == OpKind::Lookup {
             self.adapt_lookup_quorum(net, op, policy.epsilon);
@@ -740,13 +614,9 @@ impl QuorumStack {
         let view = (self.cfg.membership_view_factor * (alive.len() as f64).sqrt()).round() as usize;
         self.membership
             .refresh_view(origin, &alive, view.max(1), &mut self.rng);
-        match kind {
-            OpKind::Advertise => {
-                if let Some(value) = value {
-                    self.issue_advertise(net, origin, op, key, value);
-                }
-            }
-            OpKind::Lookup => {
+        match value {
+            Some(value) => self.issue_advertise(net, origin, op, key, value),
+            None => {
                 // Clear per-attempt lookup state so the re-issue runs
                 // clean (stale replies still complete the op if they
                 // arrive first).
@@ -759,40 +629,33 @@ impl QuorumStack {
                 self.issue_lookup(net, origin, op, key);
             }
         }
-        let token = self.token();
-        self.timer_ctx.insert(token, TimerCtx::RetryCheck { op });
-        net.set_timer(origin, policy.attempt_timeout, token);
+        self.arm_timer(
+            net,
+            origin,
+            policy.attempt_timeout,
+            TimerCtx::RetryCheck { op },
+        );
     }
 
     /// Closes a retried operation without success, with a distinct
     /// outcome (exhaustion vs deadline expiry — not a silent miss).
-    fn finish_failed(&mut self, net: &mut QuorumNet, op: OpId, why: RetryFailure) {
+    fn finish_failed(&mut self, net: &mut QuorumNet, op: OpId, deadline: bool) {
         // Masking degradation: a lookup that collected votes but never
         // verified closes with its highest-voted value (a `Degraded`
         // outcome) instead of being flagged a plain failure.
         if self.degrade_unverified(net, op) {
-            self.retry.remove(&op);
             return;
         }
-        self.retry.remove(&op);
         let now = net.now();
-        let mut failed = None;
         if let Some(rec) = self.ops.get_mut(&op) {
-            match why {
-                RetryFailure::Exhausted => {
-                    rec.retries_exhausted = true;
-                    self.counters.retries_exhausted += 1;
-                    failed = Some(false);
-                }
-                RetryFailure::Deadline => {
-                    rec.deadline_expired = true;
-                    self.counters.deadlines_expired += 1;
-                    failed = Some(true);
-                }
+            if deadline {
+                rec.deadline_expired = true;
+                self.counters.deadlines_expired += 1;
+            } else {
+                rec.retries_exhausted = true;
+                self.counters.retries_exhausted += 1;
             }
             rec.completed.get_or_insert(now);
-        }
-        if let Some(deadline) = failed {
             self.trace_push(now, TraceEvent::OpFailed { op, deadline });
         }
     }
@@ -1080,10 +943,12 @@ impl QuorumStack {
             return;
         };
         let (origin, key) = (state.origin, state.key);
-        let timer_token = self.token();
-        self.timer_ctx
-            .insert(timer_token, TimerCtx::SerialProbe { op });
-        let timer = net.set_timer(origin, self.cfg.probe_timeout, timer_token);
+        let timer = self.arm_timer(
+            net,
+            origin,
+            self.cfg.probe_timeout,
+            TimerCtx::SerialProbe { op },
+        );
         if let Some(state) = self.serial.get_mut(&op) {
             state.timer = Some(timer);
         }
@@ -1346,27 +1211,18 @@ impl QuorumStack {
         }
     }
 
-    fn complete_lookup_values(&mut self, net: &mut QuorumNet, op: OpId, values: Vec<Value>) {
+    /// Stamps a lookup answered with `value` (its first reply, its
+    /// vote winner, or its degraded best).
+    fn close_lookup(&mut self, net: &mut QuorumNet, op: OpId, value: Value) {
         let now = net.now();
-        let Some(first) = values.first().copied() else {
-            return;
-        };
         if let Some(rec) = self.ops.get_mut(&op) {
-            for &v in &values {
-                if !rec.values_seen.contains(&v) {
-                    rec.values_seen.push(v);
-                }
-            }
-            if rec.replied {
-                return;
-            }
             rec.replied = true;
             rec.intersected = true;
-            rec.value = Some(first);
+            rec.value = Some(value);
             rec.completed = Some(now);
             let latency = now - rec.started;
             if self.cfg.caching {
-                self.stores[rec.origin.index()].insert(rec.key, first, Role::Bystander);
+                self.stores[rec.origin.index()].insert(rec.key, value, Role::Bystander);
             }
             self.trace_push(
                 now,
@@ -1442,11 +1298,11 @@ impl QuorumStack {
         }
     }
 
-    /// Attributed lookup completion. Trusting mode is the paper's
-    /// first-reply-wins (byte-identical to the pre-Byzantine path);
-    /// masking mode tallies one vote per `(value, responder)` pair —
-    /// duplicated frames cannot double-count — and completes only once
-    /// some value reaches `b + 1` concurring votes.
+    /// Attributed lookup completion: every reply widens the record's
+    /// observed value set, and the one that answers the lookup (see
+    /// [`OpenOp::vote`]: the first in trusting mode, the `b + 1`-th
+    /// concurring vote in masking mode) closes it. Late replies never
+    /// reopen a completed op.
     fn complete_lookup_from(
         &mut self,
         net: &mut QuorumNet,
@@ -1454,69 +1310,37 @@ impl QuorumStack {
         responder: NodeId,
         values: Vec<Value>,
     ) {
-        if !self.masking() {
-            self.complete_lookup_values(net, op, values);
+        let (Some(rec), Some(open)) = (self.ops.get_mut(&op), self.open.get_mut(&op)) else {
             return;
-        }
-        if values.is_empty() {
-            return;
-        }
-        let now = net.now();
-        {
-            let Some(rec) = self.ops.get_mut(&op) else {
-                return;
-            };
-            // Late replies still widen the observed value set (matching
-            // the trusting path), but never reopen a completed op.
-            for &v in &values {
-                if !rec.values_seen.contains(&v) {
-                    rec.values_seen.push(v);
-                }
-            }
-            if rec.replied {
-                return;
-            }
-        }
-        let tally = self.byz_votes.entry(op).or_default();
+        };
         for &v in &values {
-            tally.add(v, responder);
+            if !rec.values_seen.contains(&v) {
+                rec.values_seen.push(v);
+            }
         }
-        if let Some((winner, votes)) = tally.winner(self.cfg.byz.threshold()) {
-            let suspected = tally.dissent(winner);
-            self.byz_votes.remove(&op);
-            self.counters.byz_suspected_replies += suspected;
-            self.trace_push(
-                now,
-                TraceEvent::LookupVerified {
-                    op,
-                    votes: votes as u32,
-                },
-            );
-            self.complete_lookup_values(net, op, vec![winner]);
+        let Some(verdict) = open.vote(responder, &values, &self.cfg.byz) else {
+            return;
+        };
+        if self.masking() {
+            self.counters.byz_suspected_replies += verdict.dissent;
+            let votes = verdict.votes as u32;
+            self.trace_push(net.now(), TraceEvent::LookupVerified { op, votes });
         }
+        self.close_lookup(net, op, verdict.value);
     }
 
     /// Graceful degradation: close an unverified masking lookup with its
-    /// highest-voted value (first-arrived wins ties — deterministic)
-    /// instead of hanging or failing outright. Returns whether the op
-    /// was completed this way.
+    /// highest-voted value instead of hanging or failing outright.
+    /// Returns whether the op was completed this way.
     fn degrade_unverified(&mut self, net: &mut QuorumNet, op: OpId) -> bool {
-        let Some(tally) = self.byz_votes.remove(&op) else {
+        let Some(verdict) = self.open.get_mut(&op).and_then(OpenOp::degrade) else {
             return false;
         };
-        let Some(winner) = tally.best() else {
-            return false;
-        };
-        if self.ops.get(&op).is_none_or(|r| r.replied) {
-            return false;
-        }
-        let now = net.now();
-        let suspected = tally.dissent(winner);
         self.counters.lookup_unverified += 1;
-        self.counters.byz_suspected_replies += suspected;
+        self.counters.byz_suspected_replies += verdict.dissent;
         self.mark_degraded(op);
-        self.trace_push(now, TraceEvent::LookupUnverified { op });
-        self.complete_lookup_values(net, op, vec![winner]);
+        self.trace_push(net.now(), TraceEvent::LookupUnverified { op });
+        self.close_lookup(net, op, verdict.value);
         true
     }
 
@@ -1528,9 +1352,8 @@ impl QuorumStack {
         if !self.masking() {
             return;
         }
-        let mut pending: Vec<OpId> = self.byz_votes.keys().copied().collect();
-        pending.sort_unstable();
-        for op in pending {
+        let ops: Vec<OpId> = self.open.keys().copied().collect();
+        for op in ops {
             self.degrade_unverified(net, op);
         }
     }
@@ -1592,19 +1415,14 @@ impl QuorumStack {
             return;
         }
         self.start_flood(net, origin, op, QuorumAction::Lookup { key }, ttl);
-        let max_ttl = self.lookup_spec_for(op).size as u8;
-        if ttl < max_ttl {
-            let token = self.token();
-            self.timer_ctx.insert(
-                token,
-                TimerCtx::ExpandRing {
-                    op,
-                    origin,
-                    key,
-                    ttl: ttl + 1,
-                },
-            );
-            net.set_timer(origin, self.cfg.expanding_ring_timeout, token);
+        if self.quorum_of(op).is_some_and(|q| ttl < q.size as u8) {
+            let ctx = TimerCtx::ExpandRing {
+                op,
+                origin,
+                key,
+                ttl: ttl + 1,
+            };
+            self.arm_timer(net, origin, self.cfg.expanding_ring_timeout, ctx);
         }
     }
 
@@ -1800,6 +1618,12 @@ impl QuorumStack {
         }
     }
 
+    /// Whether `op`'s frames take the §4.5 relay tap.
+    fn is_random_opt(&self, op: OpId) -> bool {
+        self.quorum_of(op)
+            .is_some_and(|q| q.strategy == AccessStrategy::RandomOpt)
+    }
+
     fn on_transit(
         &mut self,
         net: &mut QuorumNet,
@@ -1811,9 +1635,7 @@ impl QuorumStack {
             // RANDOM-OPT advertise: relays join the advertise quorum
             // (§4.5). Only when the advertise side is RANDOM-OPT — plain
             // RANDOM keeps its uniform quorum.
-            AppMsg::Store { op, key, value }
-                if self.advertise_spec_for(*op).strategy == AccessStrategy::RandomOpt =>
-            {
+            AppMsg::Store { op, key, value } if self.is_random_opt(*op) => {
                 self.stores[node.index()].insert(*key, *value, Role::Owner);
                 self.note_store_placed(net.now(), *op);
                 let events = self.router.forward_transit(net, handle);
@@ -1821,9 +1643,7 @@ impl QuorumStack {
             }
             // RANDOM-OPT lookup: relays answer from their own store and
             // stop the probe (§4.5).
-            AppMsg::LookupReq { op, key, origin }
-                if self.lookup_spec_for(*op).strategy == AccessStrategy::RandomOpt =>
-            {
+            AppMsg::LookupReq { op, key, origin } if self.is_random_opt(*op) => {
                 let honest = self.stores[node.index()].lookup_all(*key);
                 if !honest.is_empty() {
                     if let Some(rec) = self.ops.get_mut(op) {
@@ -2054,10 +1874,13 @@ impl QuorumStack {
         if node.index() < self.initial_n {
             self.original_failed.insert(node);
         }
-        // A dead originator cannot receive replies; abandon its retries.
+        // A dead originator cannot receive replies; abandon its retries
+        // (the armed timer would otherwise fire if the node rejoins).
         let ops = &self.ops;
-        self.retry
-            .retain(|op, _| ops.get(op).is_some_and(|r| r.origin != node));
+        self.timer_ctx.retain(|_, ctx| match ctx {
+            TimerCtx::RetryCheck { op } | TimerCtx::RetryFire { op } => ops[op].origin != node,
+            _ => true,
+        });
     }
 
     fn on_node_joined(&mut self, net: &mut QuorumNet, node: NodeId) {

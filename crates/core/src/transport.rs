@@ -183,8 +183,11 @@ pub trait Transport {
 }
 
 /// A buffering [`Transport`]: sends and timers accumulate in vectors the
-/// host flushes after the engine callback returns. Used by every host
-/// (sim, loopback, UDP) so engine callbacks never borrow the substrate.
+/// host flushes after the engine callback returns. Used by the hosts
+/// that cannot lend the engine a borrow of themselves mid-callback
+/// ([`crate::simhost::SimHost`], [`crate::loopback::LoopbackNet`]) and
+/// by unit tests; `pqs-serve`'s node loop does not buffer — its
+/// transport writes each send straight onto the UDP socket.
 #[derive(Debug, Default)]
 pub struct QueuedTransport {
     /// The time reported to the engine.

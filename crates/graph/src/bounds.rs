@@ -66,13 +66,6 @@ pub fn random_sampling_cost(q: usize, n: usize) -> f64 {
     q as f64 * md_mixing_steps(n) as f64
 }
 
-/// Full cover time of an RGG: `O(n log n)` (Avin–Ercal 2007, cited §4.2).
-/// Returns `n ln n` as the reference scale.
-pub fn cover_time_scale(n: usize) -> f64 {
-    let n = n as f64;
-    n * n.max(2.0).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

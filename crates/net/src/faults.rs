@@ -233,19 +233,6 @@ impl FaultPlan {
         })
     }
 
-    /// Drops frames with probability `prob` on links touching a disc.
-    pub fn drop_frames_in_region(self, prob: f64, center: Point, radius_m: f64) -> Self {
-        self.with_rule(FrameFaultRule {
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-            scope: FaultScope::Region { center, radius_m },
-            drop_prob: prob,
-            delay_prob: 0.0,
-            max_delay: SimDuration::ZERO,
-            duplicate_prob: 0.0,
-        })
-    }
-
     /// Defers data deliveries with probability `prob` by up to
     /// `max_delay`.
     pub fn delay_data_frames(self, prob: f64, max_delay: SimDuration) -> Self {
@@ -362,12 +349,6 @@ impl FaultPlan {
     pub fn behavior_rules(&self) -> &[BehaviorRule] {
         &self.behavior_rules
     }
-
-    /// `true` if the plan can never affect a frame (no rules and no
-    /// partitions; node events may still be scheduled).
-    pub fn is_frame_transparent(&self) -> bool {
-        self.frame_rules.is_empty() && self.partitions.is_empty()
-    }
 }
 
 /// Per-receiver fate of a frame that the PHY decoded successfully.
@@ -410,11 +391,6 @@ impl FaultInjector {
             rng: rng::stream(master_seed, streams::FAULTS),
             behaviors,
         }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// The Byzantine behavior assigned to `node`, if any.

@@ -54,11 +54,6 @@ impl MobilityModel {
             pause: SimDuration::from_secs(30),
         }
     }
-
-    /// Returns `true` for [`MobilityModel::Static`].
-    pub fn is_static(&self) -> bool {
-        matches!(self, MobilityModel::Static)
-    }
 }
 
 /// One leg of movement: linear travel followed by a pause.

@@ -527,11 +527,6 @@ impl<P: Clone> Network<P> {
         self.faults = Some(FaultInjector::new(plan, self.config.seed, node_count));
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|inj| inj.plan())
-    }
-
     /// The Byzantine behavior assigned to `node` by the installed fault
     /// plan, if any. The upper layer consults this at its
     /// reply-generation boundary; the substrate itself never acts on it.
@@ -556,11 +551,6 @@ impl<P: Clone> Network<P> {
                 )
             })
             .count() as u64
-    }
-
-    /// Deliveries deferred by fault injection that have not fired yet.
-    pub fn pending_delayed_frames(&self) -> usize {
-        self.delayed.len()
     }
 
     /// Link-level statistics.

@@ -69,17 +69,6 @@ pub fn received_power_dbm(phy: &PhyConfig, d: f64) -> f64 {
     (phy.rx_threshold_dbm - extra_loss_db).min(phy.tx_power_dbm)
 }
 
-/// Received power in milliwatts at distance `d` metres.
-///
-/// Computed through [`received_power_mw_d2`] — a rational function of
-/// the squared distance — not by exponentiating [`received_power_dbm`].
-/// Both follow the same calibrated path-loss model; they differ only in
-/// floating-point rounding (the dBm detour takes a `log10` and a
-/// `powf`, the rational form divides by `d²`/`d⁴` directly).
-pub fn received_power_mw(phy: &PhyConfig, d: f64) -> f64 {
-    received_power_mw_d2(phy, d * d)
-}
-
 /// Received power in milliwatts at *squared* distance `d2` (m²) — the
 /// PHY hot-path form: no `log10`, `powf` or `sqrt`. See `PowerCurve`.
 pub fn received_power_mw_d2(phy: &PhyConfig, d2: f64) -> f64 {

@@ -23,7 +23,7 @@
 //! configuration; every held tick is counted and traced with its
 //! reason, so silent holds are visible in `RunMetrics`.
 
-use crate::optimizer::{Optimizer, OptimizerConfig, WeightedPlan};
+use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::planner::{Planner, PlannerConfig, QuorumPlan};
 use pqs_core::obs::HoldReason;
 use pqs_core::runner::{run_scenario_hooked, RunMetrics, ScenarioConfig};
@@ -94,7 +94,6 @@ pub struct AdaptiveController {
     optimizer: Option<Optimizer>,
     last_apply: Option<SimTime>,
     last_plan: Option<QuorumPlan>,
-    last_weighted: Option<WeightedPlan>,
     /// EWMA-smoothed population estimate across ticks.
     n_smooth: Option<f64>,
 }
@@ -120,7 +119,6 @@ impl AdaptiveController {
             cfg,
             last_apply: None,
             last_plan: None,
-            last_weighted: None,
             n_smooth: None,
         }
     }
@@ -128,11 +126,6 @@ impl AdaptiveController {
     /// The most recently applied plan, if any tick has applied one.
     pub fn last_plan(&self) -> Option<&QuorumPlan> {
         self.last_plan.as_ref()
-    }
-
-    /// The most recently applied weighted plan (weighted mode only).
-    pub fn last_weighted_plan(&self) -> Option<&WeightedPlan> {
-        self.last_weighted.as_ref()
     }
 
     /// One controller evaluation against the live network and stack.
@@ -244,9 +237,7 @@ impl AdaptiveController {
         }
         match weighted_plan {
             Some(wp) => match stack.reconfigure_weighted(now, plan.spec, Some(wp.spec)) {
-                Ok(_) => {
-                    self.last_weighted = Some(wp);
-                }
+                Ok(_) => {}
                 Err(ReconfigureError::NeedsTransitTap) => {
                     // A mixture candidate needs the relay tap the router
                     // was built without: keep the live strategies and

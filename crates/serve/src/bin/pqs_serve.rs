@@ -6,7 +6,9 @@
 //! lookup mixture of `ServeConfig::sized_weighted`), `PQS_SERVE_RUN_SECS`
 //! (if set, auto-drain after this many seconds; otherwise the process
 //! waits for an external `DrainReq` on every node socket, e.g. from
-//! `serve_load --drain`). Malformed knob values exit with code 2.
+//! `serve_load --drain`). All `PQS_SERVE_*` variables are parsed at the
+//! top of `main` ([`Knobs::from_env`]); a malformed one exits with
+//! code 2 before any socket is bound.
 //!
 //! The bound addresses are printed one per line to stdout (and, when
 //! `PQS_SERVE_PORTS_FILE` is set, written to that path atomically via a
@@ -15,7 +17,8 @@
 //! `PQS_SERVE_METRICS` names a path, the same dump is written there as
 //! JSON.
 
-use pqs_serve::{drain_targets, knobs, Cluster, NodeReport, ServeConfig};
+use pqs_serve::knobs::Knobs;
+use pqs_serve::{drain_targets, Cluster, NodeReport};
 use pqs_sim::json::JsonValue;
 use std::io::Write;
 use std::time::Duration;
@@ -45,14 +48,12 @@ fn report_json(reports: &[NodeReport]) -> JsonValue {
 }
 
 fn main() -> std::io::Result<()> {
-    let nodes = knobs::nodes();
-    let seed = knobs::seed();
-    let weighted = knobs::weighted();
-    let cfg = if weighted {
-        ServeConfig::sized_weighted(nodes, seed, 0.1)
-    } else {
-        ServeConfig::sized(nodes, seed, 0.1)
-    };
+    let knobs = Knobs::from_env().unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
+    let (nodes, seed) = (knobs.nodes, knobs.seed);
+    let cfg = knobs.serve_config(0.1);
     let (qa, ql) = (cfg.endpoint.qa, cfg.endpoint.ql);
     let mix = cfg.endpoint.weighted;
     let cluster = Cluster::spawn(cfg)?;
@@ -70,14 +71,15 @@ fn main() -> std::io::Result<()> {
         writeln!(stdout, "{addr}")?;
     }
     stdout.flush()?;
-    if let Ok(path) = std::env::var("PQS_SERVE_PORTS_FILE") {
-        let tmp = format!("{path}.tmp");
+    if let Some(path) = &knobs.ports_file {
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
         let body: String = addrs.iter().map(|a| format!("{a}\n")).collect();
         std::fs::write(&tmp, body)?;
-        std::fs::rename(&tmp, &path)?;
+        std::fs::rename(&tmp, path)?;
     }
 
-    let reports = match knobs::run_secs() {
+    let reports = match knobs.run_secs {
         Some(secs) => {
             std::thread::sleep(Duration::from_secs(secs));
             eprintln!("pqs_serve: run window elapsed, draining");
@@ -89,8 +91,8 @@ fn main() -> std::io::Result<()> {
     };
 
     let json = report_json(&reports);
-    if let Ok(path) = std::env::var("PQS_SERVE_METRICS") {
-        std::fs::write(&path, json.render())?;
+    if let Some(path) = &knobs.metrics {
+        std::fs::write(path, json.render())?;
     }
     for r in &reports {
         let c = &r.counters;

@@ -11,7 +11,9 @@
 //! `PQS_SERVE_SEED` (default 1), `PQS_SERVE_WEIGHTED` (when 1, the
 //! self-hosted cluster sizes with the fractional lookup mixture).
 //! The export directory is the figure harness's `PQS_BENCH_DIR`, read
-//! through [`pqs_bench::Env`]. Malformed values exit with code 2.
+//! through [`pqs_bench::Env`]. Both environments are parsed at the top
+//! of `main`; a malformed value exits with code 2 before any socket is
+//! bound.
 //!
 //! Outcome counters (hit ratio, completion split) land in
 //! `bench_results/serve_throughput.json`; everything wall-clock
@@ -21,8 +23,9 @@
 //! byte-reproducible — check.sh excludes it from the determinism diff.
 
 use pqs_bench::{Env, Report};
+use pqs_serve::knobs::Knobs;
 use pqs_serve::load::{self, LoadConfig};
-use pqs_serve::{drain_targets, knobs, ping_targets, Cluster, ServeConfig};
+use pqs_serve::{drain_targets, ping_targets, Cluster};
 use pqs_sim::json::JsonValue;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -40,6 +43,15 @@ fn parse_targets(raw: &str) -> Vec<SocketAddr> {
 }
 
 fn main() -> std::io::Result<()> {
+    let exit_2 = |msg: String| -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    };
+    let env = Env::from_env().unwrap_or_else(|msg| exit_2(msg));
+    let knobs = Knobs::from_env().unwrap_or_else(|msg| exit_2(msg));
+    let (ops, clients, seed) = (knobs.ops, knobs.clients, knobs.seed);
+    let epsilon = 0.1;
+
     let mut args = std::env::args().skip(1);
     let mut targets: Option<Vec<SocketAddr>> = None;
     let mut drain_external = false;
@@ -60,16 +72,6 @@ fn main() -> std::io::Result<()> {
         }
     }
 
-    let env = Env::from_env().unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    });
-    let ops = knobs::ops();
-    let nodes = knobs::nodes();
-    let clients = knobs::clients();
-    let seed = knobs::seed();
-    let epsilon = 0.1;
-
     let mut weighted_mix = None;
     let (cluster, addrs, qa, ql) = match targets {
         Some(addrs) => {
@@ -80,11 +82,7 @@ fn main() -> std::io::Result<()> {
             (None, addrs, 0usize, 0usize)
         }
         None => {
-            let cfg = if knobs::weighted() {
-                ServeConfig::sized_weighted(nodes, seed, epsilon)
-            } else {
-                ServeConfig::sized(nodes, seed, epsilon)
-            };
+            let cfg = knobs.serve_config(epsilon);
             let (qa, ql) = (cfg.endpoint.qa, cfg.endpoint.ql);
             weighted_mix = cfg.endpoint.weighted;
             let cluster = Cluster::spawn(cfg)?;

@@ -1,9 +1,94 @@
 //! Environment knobs for the serve binaries, following the workspace
-//! convention: unset means default, malformed values exit with code 2
-//! instead of silently running a default configuration.
+//! convention: parsed and validated once, at the top of `main`; unset
+//! means default, and a malformed value is an error the binary reports
+//! and exits 2 on — before any socket is bound — instead of silently
+//! running a default configuration.
+
+use crate::ServeConfig;
+use std::path::PathBuf;
+
+/// The eight `PQS_SERVE_*` variables. [`Knobs::from_env`] is the only
+/// place they are read; each binary uses the fields it needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Knobs {
+    /// `PQS_SERVE_OPS`: total client operations the load generator
+    /// drives (default 100 000).
+    pub ops: u64,
+    /// `PQS_SERVE_NODES`: cluster size (default 5, minimum 2).
+    pub nodes: usize,
+    /// `PQS_SERVE_CLIENTS`: concurrent load-generator clients
+    /// (default 4).
+    pub clients: usize,
+    /// `PQS_SERVE_SEED`: master seed for quorum sampling and the
+    /// workload (default 1).
+    pub seed: u64,
+    /// `PQS_SERVE_WEIGHTED`: when `1`, size the cluster with the
+    /// fractional lookup mixture of [`ServeConfig::sized_weighted`]
+    /// instead of uniform quorum sizes (default 0).
+    pub weighted: bool,
+    /// `PQS_SERVE_RUN_SECS`: if set, `pqs_serve` auto-drains after this
+    /// many seconds instead of waiting for an external `DrainReq`.
+    pub run_secs: Option<u64>,
+    /// `PQS_SERVE_PORTS_FILE`: if set, `pqs_serve` also writes its bound
+    /// addresses to this path.
+    pub ports_file: Option<PathBuf>,
+    /// `PQS_SERVE_METRICS`: if set, `pqs_serve` also writes its final
+    /// per-node counters to this path as JSON.
+    pub metrics: Option<PathBuf>,
+}
+
+impl Knobs {
+    /// Reads and validates every `PQS_SERVE_*` variable. The caller
+    /// reports the message and exits 2.
+    pub fn from_env() -> Result<Knobs, String> {
+        Knobs::parse(|name| std::env::var(name).ok())
+    }
+
+    /// [`Knobs::from_env`] over a lookup function (`None` = unset).
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
+        let count = |name: &str| var(name).map(|raw| parse_count(name, &raw)).transpose();
+        let nodes = count("PQS_SERVE_NODES")?.unwrap_or(5);
+        if nodes < 2 {
+            return Err(format!(
+                "PQS_SERVE_NODES={nodes}: a cluster needs at least 2 nodes"
+            ));
+        }
+        Ok(Knobs {
+            ops: count("PQS_SERVE_OPS")?.unwrap_or(100_000),
+            nodes: nodes as usize,
+            clients: count("PQS_SERVE_CLIENTS")?.unwrap_or(4) as usize,
+            seed: match var("PQS_SERVE_SEED") {
+                None => 1,
+                Some(raw) => raw
+                    .trim()
+                    .parse()
+                    .map_err(|e| format!("PQS_SERVE_SEED={raw}: not a seed ({e})"))?,
+            },
+            weighted: match var("PQS_SERVE_WEIGHTED").as_deref().map(str::trim) {
+                None | Some("0") => false,
+                Some("1") => true,
+                Some(raw) => return Err(format!("PQS_SERVE_WEIGHTED={raw}: expected 0 or 1")),
+            },
+            run_secs: count("PQS_SERVE_RUN_SECS")?,
+            ports_file: var("PQS_SERVE_PORTS_FILE").map(PathBuf::from),
+            metrics: var("PQS_SERVE_METRICS").map(PathBuf::from),
+        })
+    }
+
+    /// The cluster these knobs ask for, sized for intersection failure
+    /// budget `epsilon`: the fractional lookup mixture when `weighted`,
+    /// uniform quorum sizes otherwise.
+    pub fn serve_config(&self, epsilon: f64) -> ServeConfig {
+        if self.weighted {
+            ServeConfig::sized_weighted(self.nodes, self.seed, epsilon)
+        } else {
+            ServeConfig::sized(self.nodes, self.seed, epsilon)
+        }
+    }
+}
 
 /// Parses a positive integer knob value.
-pub fn parse_count(name: &str, raw: &str) -> Result<u64, String> {
+fn parse_count(name: &str, raw: &str) -> Result<u64, String> {
     match raw.trim().parse::<u64>() {
         Ok(0) => Err(format!("{name}={raw}: must be at least 1")),
         Ok(n) => Ok(n),
@@ -11,98 +96,57 @@ pub fn parse_count(name: &str, raw: &str) -> Result<u64, String> {
     }
 }
 
-/// Parses a seed knob value (any u64).
-pub fn parse_seed(name: &str, raw: &str) -> Result<u64, String> {
-    raw.trim()
-        .parse::<u64>()
-        .map_err(|e| format!("{name}={raw}: not a seed ({e})"))
-}
-
-fn fail_knob(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-fn count_knob(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => parse_count(name, &raw).unwrap_or_else(|msg| fail_knob(&msg)),
-    }
-}
-
-/// `PQS_SERVE_OPS`: total client operations the load generator drives
-/// (default 100 000).
-pub fn ops() -> u64 {
-    count_knob("PQS_SERVE_OPS", 100_000)
-}
-
-/// `PQS_SERVE_NODES`: cluster size (default 5, minimum 2).
-pub fn nodes() -> usize {
-    let n = count_knob("PQS_SERVE_NODES", 5);
-    if n < 2 {
-        fail_knob(&format!(
-            "PQS_SERVE_NODES={n}: a cluster needs at least 2 nodes"
-        ));
-    }
-    n as usize
-}
-
-/// `PQS_SERVE_CLIENTS`: concurrent load-generator clients (default 4).
-pub fn clients() -> usize {
-    count_knob("PQS_SERVE_CLIENTS", 4) as usize
-}
-
-/// `PQS_SERVE_SEED`: master seed for quorum sampling and the workload
-/// (default 1).
-pub fn seed() -> u64 {
-    match std::env::var("PQS_SERVE_SEED") {
-        Err(_) => 1,
-        Ok(raw) => parse_seed("PQS_SERVE_SEED", &raw).unwrap_or_else(|msg| fail_knob(&msg)),
-    }
-}
-
-/// `PQS_SERVE_WEIGHTED`: when `1`, size the cluster with the fractional
-/// lookup mixture of `ServeConfig::sized_weighted` instead of uniform
-/// quorum sizes (default 0).
-pub fn weighted() -> bool {
-    match std::env::var("PQS_SERVE_WEIGHTED") {
-        Err(_) => false,
-        Ok(raw) => match raw.trim() {
-            "0" => false,
-            "1" => true,
-            _ => fail_knob(&format!("PQS_SERVE_WEIGHTED={raw}: expected 0 or 1")),
-        },
-    }
-}
-
-/// `PQS_SERVE_RUN_SECS`: if set, `pqs_serve` auto-drains after this many
-/// seconds instead of waiting for an external `DrainReq`.
-pub fn run_secs() -> Option<u64> {
-    match std::env::var("PQS_SERVE_RUN_SECS") {
-        Err(_) => None,
-        Ok(raw) => {
-            Some(parse_count("PQS_SERVE_RUN_SECS", &raw).unwrap_or_else(|msg| fail_knob(&msg)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counts_parse_strictly() {
-        assert_eq!(parse_count("K", "120000"), Ok(120_000));
-        assert_eq!(parse_count("K", " 7 "), Ok(7));
-        assert!(parse_count("K", "0").is_err());
-        assert!(parse_count("K", "-3").is_err());
-        assert!(parse_count("K", "12k").is_err());
-        assert!(parse_count("K", "").is_err());
+    fn knobs(set: &[(&str, &str)]) -> Result<Knobs, String> {
+        Knobs::parse(|name| {
+            let hit = set.iter().find(|(k, _)| *k == name);
+            hit.map(|(_, v)| v.to_string())
+        })
     }
 
     #[test]
-    fn seeds_parse_strictly() {
-        assert_eq!(parse_seed("S", "0"), Ok(0));
-        assert!(parse_seed("S", "abc").is_err());
+    fn unset_means_default() {
+        let k = knobs(&[]).expect("defaults are valid");
+        assert_eq!((k.ops, k.nodes, k.clients, k.seed), (100_000, 5, 4, 1));
+        assert!(!k.weighted);
+        assert!(k.serve_config(0.1).endpoint.weighted.is_none());
+        assert_eq!((k.run_secs, k.ports_file, k.metrics), (None, None, None));
+    }
+
+    #[test]
+    fn counts_parse_strictly() {
+        let ops = |raw| knobs(&[("PQS_SERVE_OPS", raw)]).map(|k| k.ops);
+        assert_eq!(ops("120000"), Ok(120_000));
+        assert_eq!(ops(" 7 "), Ok(7));
+        for bad in ["0", "-3", "12k", ""] {
+            assert!(ops(bad).is_err(), "{bad:?}");
+        }
+        assert!(knobs(&[("PQS_SERVE_CLIENTS", "0")]).is_err());
+        assert!(knobs(&[("PQS_SERVE_RUN_SECS", "soon")]).is_err());
+        assert_eq!(
+            knobs(&[("PQS_SERVE_RUN_SECS", "3")]).map(|k| k.run_secs),
+            Ok(Some(3))
+        );
+        assert!(knobs(&[("PQS_SERVE_NODES", "1")]).is_err(), "below 2");
+    }
+
+    #[test]
+    fn seeds_and_switches_parse_strictly() {
+        assert_eq!(knobs(&[("PQS_SERVE_SEED", "0")]).map(|k| k.seed), Ok(0));
+        assert!(knobs(&[("PQS_SERVE_SEED", "abc")]).is_err());
+        assert!(knobs(&[("PQS_SERVE_WEIGHTED", "yes")]).is_err());
+        // One bad variable fails the whole environment, whichever
+        // binary reads it.
+        assert!(knobs(&[("PQS_SERVE_NODES", "9"), ("PQS_SERVE_OPS", "lots")]).is_err());
+        let k = knobs(&[("PQS_SERVE_WEIGHTED", "1"), ("PQS_SERVE_NODES", "9")]).expect("valid");
+        let cfg = k.serve_config(0.1);
+        assert_eq!(cfg.nodes, 9);
+        assert_eq!(
+            cfg.endpoint.weighted,
+            ServeConfig::sized_weighted(9, 1, 0.1).endpoint.weighted
+        );
     }
 }

@@ -12,7 +12,7 @@
 //! - [`rng`]: seedable, stream-split random number generators so that every
 //!   component of a simulation draws from an independent, reproducible
 //!   stream,
-//! - [`metrics`]: deterministic counters, gauges and fixed-bucket
+//! - [`metrics`]: deterministic counters and fixed-bucket
 //!   latency histograms,
 //! - [`pool`]: a bounded work-queue executor with submission-ordered
 //!   result collection (the `PQS_JOBS` fan-out cap),

@@ -1,4 +1,4 @@
-//! Deterministic simulation metrics: counters, gauges and fixed-bucket
+//! Deterministic simulation metrics: counters and fixed-bucket
 //! latency histograms.
 //!
 //! Everything in this module is plain integer state updated by plain
@@ -51,47 +51,6 @@ impl Counter {
     /// The current count.
     pub const fn get(self) -> u64 {
         self.0
-    }
-}
-
-/// An instantaneous level (queue depths, map sizes, in-flight counts).
-///
-/// Tracks the current value together with the high-water mark, which is
-/// usually the interesting number in a post-run report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Gauge {
-    value: i64,
-    high_water: i64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        Gauge {
-            value: 0,
-            high_water: 0,
-        }
-    }
-
-    /// Sets the level.
-    pub fn set(&mut self, value: i64) {
-        self.value = value;
-        self.high_water = self.high_water.max(value);
-    }
-
-    /// Adjusts the level by `delta`.
-    pub fn adjust(&mut self, delta: i64) {
-        self.set(self.value + delta);
-    }
-
-    /// The current level.
-    pub const fn get(self) -> i64 {
-        self.value
-    }
-
-    /// The highest level ever set.
-    pub const fn high_water(self) -> i64 {
-        self.high_water
     }
 }
 
@@ -262,17 +221,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge() {
+    fn counter_counts() {
         let mut c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-
-        let mut g = Gauge::new();
-        g.set(7);
-        g.adjust(-3);
-        assert_eq!(g.get(), 4);
-        assert_eq!(g.high_water(), 7);
     }
 
     #[test]

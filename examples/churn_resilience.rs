@@ -89,6 +89,6 @@ fn main() {
 
     println!();
     println!("the retry layer re-issues missed operations against fresh access");
-    println!("sets until the deadline; see bench_results/fault_resilience.txt for");
+    println!("sets until the deadline; see bench_results/fault_resilience.json for");
     println!("the full recovery table across drop rates.");
 }
