@@ -52,9 +52,8 @@ mod tests {
 
     /// The registry and the committed `bench_results/` name the same
     /// figures: no figure without an export, each export carries its
-    /// registry name, and the directory holds nothing but each figure's
-    /// export and sidecar plus the `serve_throughput` pair (measured
-    /// over real sockets by `serve_load`).
+    /// registry name, and the directory holds exactly one export per
+    /// registered figure.
     #[test]
     fn registry_matches_committed_exports() {
         let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
@@ -70,12 +69,7 @@ mod tests {
             let doc = JsonValue::parse(&text).expect("committed export is valid JSON");
             assert_eq!(doc.get("name").and_then(|v| v.as_str()), Some(*name));
         }
-        let mut expected: Vec<String> = names
-            .iter()
-            .chain(&["serve_throughput"])
-            .flat_map(|stem| [format!("{stem}.json"), format!("{stem}.perf.json")])
-            .collect();
-        expected.sort();
+        let expected: Vec<String> = names.iter().map(|name| format!("{name}.json")).collect();
         let mut committed: Vec<String> = std::fs::read_dir(&dir)
             .expect("bench_results/ is committed")
             .map(|e| {

@@ -32,7 +32,6 @@
 use pqs_core::runner::{aggregate, Aggregate, RunMetrics, ScenarioConfig, SweepCell};
 use pqs_sim::json::JsonValue;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// The most runs per data point a figure may ask [`Bench::seeds`] for by
 /// default. With `PQS_SEEDS` unset the base seed must leave this much
@@ -122,24 +121,40 @@ fn parse_sizes(raw: &str) -> Result<Vec<usize>, String> {
 }
 
 /// What a figure is handed: the parsed [`Env`] to size its grid from,
-/// the bounded pool to run it on, and the [`Report`] its tables land in.
+/// the bounded pool to run it on, and the report its tables land in.
 ///
 /// Sweeps submit each `(scenario × seed)` cell as one job to the shared
 /// bounded pool ([`pqs_sim::pool`], `PQS_JOBS` wide) and collect the
 /// results **in submission order** — so every table cell, and therefore
 /// every exported `bench_results/*.json`, is byte-identical to the
 /// sequential (`PQS_JOBS=1`) run.
+///
+/// Every header and row is captured beside the human-readable table
+/// output; structured metrics (aggregates, histograms) can be attached
+/// with [`Bench::add_value`]. All content is insertion-ordered, so a
+/// deterministic figure renders a byte-identical `<name>.json`. Nothing
+/// host-dependent is written: wall-clock is measured by the
+/// repository's `BENCHMARK.json` workloads, not here.
 pub struct Bench {
     env: Env,
-    report: Report,
+    sections: Vec<Section>,
+    values: Vec<(String, JsonValue)>,
+}
+
+struct Section {
+    title: String,
+    columns: Vec<String>,
+    rows: Vec<Vec<String>>,
 }
 
 impl Bench {
-    /// A fresh report over `env`; the measured wall-clock window starts
-    /// here.
+    /// An empty report over `env`.
     pub fn new(env: Env) -> Bench {
-        let report = Report::new(&env);
-        Bench { env, report }
+        Bench {
+            env,
+            sections: Vec::new(),
+            values: Vec::new(),
+        }
     }
 
     /// The seed list for experiments: `PQS_SEEDS` seeds starting at
@@ -170,12 +185,12 @@ impl Bench {
         *sizes.iter().max().expect("size lists are non-empty")
     }
 
-    /// The node counts swept by the `fig_scale` throughput figure. These
+    /// The node counts swept by the `fig_scale` substrate figure. These
     /// are deliberately far beyond the paper's sizes — the point is
     /// scheduler and node-state scaling, not protocol fidelity — so they
     /// get their own default instead of [`Bench::network_sizes`];
-    /// `PQS_SIZES` still overrides (the check-script smoke runs at
-    /// `PQS_SIZES=2000`).
+    /// `PQS_SIZES` still overrides (the check-script smoke runs every
+    /// figure at `PQS_SIZES=50`).
     pub fn scale_sizes(&self) -> Vec<usize> {
         self.sizes_or(&[1_000, 10_000, 100_000])
     }
@@ -183,57 +198,62 @@ impl Bench {
     /// Prints a title and a column header line, and opens a new section
     /// in the report.
     pub fn header(&mut self, title: &str, columns: &[&str]) {
-        self.report.header(title, columns);
+        self.sections.push(Section {
+            title: title.to_string(),
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows: Vec::new(),
+        });
+        println!("\n=== {title} ===");
+        let line: Vec<String> = columns.iter().map(|c| format!("{c:>14}")).collect();
+        println!("{}", line.join(" "));
     }
 
     /// Prints one row of formatted cells and records it in the report.
     pub fn row(&mut self, cells: &[String]) {
-        self.report.row(cells);
+        if self.sections.is_empty() {
+            self.sections.push(Section {
+                title: String::new(),
+                columns: Vec::new(),
+                rows: Vec::new(),
+            });
+        }
+        let section = self.sections.last_mut().expect("section exists");
+        section.rows.push(cells.to_vec());
+        let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
+        println!("{}", line.join(" "));
     }
 
-    /// See [`Report::add_value`].
+    /// Attaches a structured value (aggregate, histogram, …) to the
+    /// report under `key`. Repeated keys are kept in call order.
     pub fn add_value(&mut self, key: &str, value: JsonValue) {
-        self.report.add_value(key, value);
+        self.values.push((key.to_string(), value));
     }
 
-    /// See [`Report::add_perf_value`].
-    pub fn add_perf_value(&mut self, key: &str, value: JsonValue) {
-        self.report.add_perf_value(key, value);
-    }
-
-    /// Runs arbitrary jobs on the bounded pool, returns their results in
-    /// submission order, and records the sweep in the report. Use for
-    /// non-scenario fan-out (graph-walk profiles etc.); scenario grids
-    /// should go through [`Bench::runs`] or [`Bench::aggregates`].
-    pub fn run_jobs<T, F>(&mut self, jobs: Vec<F>) -> Vec<T>
+    /// Runs arbitrary jobs on the bounded pool and returns their results
+    /// in submission order. Use for non-scenario fan-out (graph-walk
+    /// profiles etc.); scenario grids should go through [`Bench::runs`]
+    /// or [`Bench::aggregates`].
+    pub fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let count = jobs.len();
-        let start = Instant::now();
-        let out = pqs_sim::pool::run_ordered(self.env.jobs, jobs);
-        self.report.on_sweep(count, start.elapsed());
-        out
+        pqs_sim::pool::run_ordered(self.env.jobs, jobs)
     }
 
     /// Runs explicit `(scenario, seed)` cells through the prefix-
     /// sharing tree ([`pqs_core::runner::run_cells`]) on the bounded
-    /// pool, returns the metrics in cell order, and records the sweep in
-    /// the report. Results are byte-identical to running each cell
-    /// alone, at any pool width.
-    pub fn run_cells(&mut self, cells: Vec<SweepCell>) -> Vec<RunMetrics> {
-        let start = Instant::now();
-        let out = pqs_core::runner::run_cells(&cells, self.env.jobs);
-        self.report.on_sweep(cells.len(), start.elapsed());
-        out
+    /// pool and returns the metrics in cell order. Results are
+    /// byte-identical to running each cell alone, at any pool width.
+    pub fn run_cells(&self, cells: Vec<SweepCell>) -> Vec<RunMetrics> {
+        pqs_core::runner::run_cells(&cells, self.env.jobs)
     }
 
     /// Runs every `(scenario × seed)` cell on the bounded pool and
     /// returns the per-seed metrics grouped per scenario, in input
     /// order. Cells sharing a warmed topology or advertise-phase prefix
     /// execute as forks of one template simulation.
-    pub fn runs(&mut self, cfgs: &[ScenarioConfig], seeds: &[u64]) -> Vec<Vec<RunMetrics>> {
+    pub fn runs(&self, cfgs: &[ScenarioConfig], seeds: &[u64]) -> Vec<Vec<RunMetrics>> {
         let cells: Vec<SweepCell> = cfgs
             .iter()
             .flat_map(|cfg| seeds.iter().map(|&seed| (cfg.clone(), seed)))
@@ -251,111 +271,11 @@ impl Bench {
     }
 
     /// [`Bench::runs`] reduced to one [`Aggregate`] per scenario.
-    pub fn aggregates(&mut self, cfgs: &[ScenarioConfig], seeds: &[u64]) -> Vec<Aggregate> {
+    pub fn aggregates(&self, cfgs: &[ScenarioConfig], seeds: &[u64]) -> Vec<Aggregate> {
         self.runs(cfgs, seeds)
             .iter()
             .map(|r| aggregate(r))
             .collect()
-    }
-
-    /// Writes the report under `name`; see [`Report::write`].
-    pub fn finish(&self, name: &str) -> std::io::Result<PathBuf> {
-        self.report.write(name)
-    }
-}
-
-struct Section {
-    title: String,
-    columns: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-/// One figure's machine-readable report.
-///
-/// Every header and row is captured beside the human-readable table
-/// output; structured metrics (aggregates, histograms) can be attached
-/// with [`Report::add_value`]. All content is insertion-ordered, so a
-/// deterministic figure renders a byte-identical `<name>.json`.
-///
-/// Every report also gets a `<name>.perf.json` sidecar: total wall-clock
-/// plus — when sweeps ran — job count, pool width and sweep-only
-/// wall-clock. The sidecar is separate so the main export stays
-/// byte-identical across pool widths and hosts; `pqs-bench summary`
-/// folds the sidecars into `BENCH_SUMMARY.json` as advisory numbers
-/// (the perf gate is the repository's `BENCHMARK.json`).
-pub struct Report {
-    out_dir: PathBuf,
-    pool_width: usize,
-    started: Instant,
-    sections: Vec<Section>,
-    values: Vec<(String, JsonValue)>,
-    perf_values: Vec<(String, JsonValue)>,
-    sweeps: usize,
-    jobs: usize,
-    sweep_wall: Duration,
-}
-
-impl Report {
-    /// An empty report that will be written to `env`'s output directory;
-    /// the measured wall-clock window starts here.
-    pub fn new(env: &Env) -> Report {
-        Report {
-            out_dir: env.out_dir.clone(),
-            pool_width: env.jobs,
-            started: Instant::now(),
-            sections: Vec::new(),
-            values: Vec::new(),
-            perf_values: Vec::new(),
-            sweeps: 0,
-            jobs: 0,
-            sweep_wall: Duration::ZERO,
-        }
-    }
-
-    fn header(&mut self, title: &str, columns: &[&str]) {
-        self.sections.push(Section {
-            title: title.to_string(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-            rows: Vec::new(),
-        });
-        println!("\n=== {title} ===");
-        let line: Vec<String> = columns.iter().map(|c| format!("{c:>14}")).collect();
-        println!("{}", line.join(" "));
-    }
-
-    fn row(&mut self, cells: &[String]) {
-        if self.sections.is_empty() {
-            self.sections.push(Section {
-                title: String::new(),
-                columns: Vec::new(),
-                rows: Vec::new(),
-            });
-        }
-        let section = self.sections.last_mut().expect("section exists");
-        section.rows.push(cells.to_vec());
-        let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
-        println!("{}", line.join(" "));
-    }
-
-    fn on_sweep(&mut self, jobs: usize, wall: Duration) {
-        self.sweeps += 1;
-        self.jobs += jobs;
-        self.sweep_wall += wall;
-    }
-
-    /// Attaches a structured value (aggregate, histogram, …) to the
-    /// report under `key`. Repeated keys are kept in call order.
-    pub fn add_value(&mut self, key: &str, value: JsonValue) {
-        self.values.push((key.to_string(), value));
-    }
-
-    /// Attaches a measured value (throughput, memory, …) to the
-    /// `<name>.perf.json` sidecar instead of the main export. Use this
-    /// for anything host-dependent: the main export must stay
-    /// byte-identical across machines, pool widths and scheduler
-    /// implementations, and the sidecar is where nondeterminism lives.
-    pub fn add_perf_value(&mut self, key: &str, value: JsonValue) {
-        self.perf_values.push((key.to_string(), value));
     }
 
     /// The report captured so far, as a JSON tree.
@@ -383,60 +303,14 @@ impl Report {
         out
     }
 
-    /// The performance sidecar: total wall-clock plus pool width, job
-    /// count and sweep-only wall-clock. This is the only place
-    /// wall-clock appears — it never enters the deterministic main
-    /// export.
-    fn perf_to_json(&self, name: &str) -> JsonValue {
-        let mut out = JsonValue::object([
-            ("name", JsonValue::from(name)),
-            ("pool_width", JsonValue::from(self.pool_width)),
-            ("sweeps", JsonValue::from(self.sweeps)),
-            ("jobs", JsonValue::from(self.jobs)),
-            (
-                "wall_ms",
-                JsonValue::from(self.started.elapsed().as_millis() as u64),
-            ),
-            (
-                "sweep_wall_ms",
-                JsonValue::from(self.sweep_wall.as_millis() as u64),
-            ),
-        ]);
-        for (key, value) in &self.perf_values {
-            out.insert(key.as_str(), value.clone());
-        }
-        out
-    }
-
-    /// Writes the captured report to `<out_dir>/<name>.json` and the
-    /// wall-clock sidecar to `<name>.perf.json`, returning the main
-    /// path.
-    pub fn write(&self, name: &str) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.out_dir)?;
-        let path = self.out_dir.join(format!("{name}.json"));
+    /// Writes the captured report to `<out_dir>/<name>.json`, returning
+    /// the path.
+    pub fn finish(&self, name: &str) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(&self.env.out_dir)?;
+        let path = self.env.out_dir.join(format!("{name}.json"));
         std::fs::write(&path, self.to_json(name).render())?;
-        std::fs::write(
-            self.out_dir.join(format!("{name}.perf.json")),
-            self.perf_to_json(name).render(),
-        )?;
         Ok(path)
     }
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`), or `None` where procfs is unavailable.
-/// No external crates: the field is a plain `VmHWM:  1234 kB` line.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line
-        .trim_start_matches("VmHWM:")
-        .trim()
-        .trim_end_matches("kB")
-        .trim()
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
 }
 
 /// Formats a float cell.

@@ -45,9 +45,13 @@ fn main() -> ExitCode {
         },
     };
     for (name, run) in selected {
+        let started = std::time::Instant::now();
         let mut bench = Bench::new(env.clone());
         run(&mut bench);
         bench.finish(name).expect("write bench json");
+        // For the human at the terminal only: nothing wall-clock is
+        // written to disk (`BENCHMARK.json` is where time is measured).
+        eprintln!("{name}: {:.1} s", started.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
 }

@@ -2,11 +2,7 @@
 //! exports into a single repo-level `BENCH_SUMMARY.json`: an index of
 //! every report (section titles, row counts, attached metric keys) plus
 //! the headline measured aggregates, sorted by report name so the output
-//! is byte-stable across regenerations. Sweep-performance sidecars
-//! (`*.perf.json` — pool width, job counts, wall-clock) are folded into
-//! a separate `perf` section with a total wall-clock. Those numbers are
-//! advisory — the only record of the suite's wall-clock budget; perf
-//! regressions are gated by the repository's `BENCHMARK.json`.
+//! is byte-stable across regenerations.
 //!
 //! Missing, unreadable or truncated export files are reported and
 //! skipped — one bad file never aborts the whole summary.
@@ -33,8 +29,6 @@ pub fn run(dir: &Path, out: &Path) -> ExitCode {
     paths.sort();
 
     let mut reports = Vec::new();
-    let mut perf_entries = Vec::new();
-    let mut total_wall_ms = 0u64;
     let mut skipped = Vec::new();
     for path in &paths {
         let text = match std::fs::read_to_string(path) {
@@ -50,12 +44,7 @@ pub fn run(dir: &Path, out: &Path) -> ExitCode {
             skipped.push(file_name(path));
             continue;
         };
-        if is_perf_sidecar(path) {
-            total_wall_ms += doc.get("wall_ms").and_then(|v| v.as_u64()).unwrap_or(0);
-            perf_entries.push(doc);
-        } else {
-            reports.push(summarize(path, &doc));
-        }
+        reports.push(summarize(path, &doc));
     }
 
     let count = reports.len();
@@ -65,24 +54,6 @@ pub fn run(dir: &Path, out: &Path) -> ExitCode {
         ("report_count", JsonValue::from(count)),
         ("reports", JsonValue::array(reports)),
     ]);
-    if !perf_entries.is_empty() {
-        // The serve-throughput headline (real-socket KV service): folded
-        // out of its sidecar so ops/sec and latency percentiles are
-        // visible at the summary level. Absent when serve_load has not
-        // run.
-        let serve = perf_entries
-            .iter()
-            .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("serve_throughput"))
-            .map(fold_serve);
-        let mut perf = JsonValue::object([
-            ("total_wall_ms", JsonValue::from(total_wall_ms)),
-            ("sweeps", JsonValue::array(perf_entries)),
-        ]);
-        if let Some(serve) = serve {
-            perf.insert("serve", serve);
-        }
-        summary.insert("perf", perf);
-    }
     if !skipped.is_empty() {
         summary.insert(
             "skipped",
@@ -101,36 +72,10 @@ pub fn run(dir: &Path, out: &Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The headline serve-throughput numbers from its `.perf.json` sidecar:
-/// ops/sec and put/get latency percentiles, whichever are present.
-fn fold_serve(sidecar: &JsonValue) -> JsonValue {
-    let mut out = JsonValue::object(Vec::<(String, JsonValue)>::new());
-    for key in [
-        "ops_per_sec",
-        "put_p50_us",
-        "put_p99_us",
-        "get_p50_us",
-        "get_p99_us",
-        "wall_ms",
-    ] {
-        if let Some(v) = sidecar.get(key) {
-            out.insert(key, v.clone());
-        }
-    }
-    out
-}
-
 fn file_name(path: &Path) -> String {
     path.file_name()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string())
-}
-
-/// `<name>.perf.json` sidecars carry wall-clock sweep stats, not report
-/// content.
-fn is_perf_sidecar(path: &Path) -> bool {
-    path.file_stem()
-        .is_some_and(|s| s.to_string_lossy().ends_with(".perf"))
 }
 
 /// One index entry: name, section titles with row counts, and any
@@ -170,33 +115,4 @@ fn summarize(path: &Path, doc: &JsonValue) -> JsonValue {
         entry.insert("metrics", metrics.clone());
     }
     entry
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serve_fold_takes_known_keys_and_tolerates_missing_ones() {
-        let mut sc = JsonValue::object([
-            ("name", JsonValue::from("serve_throughput")),
-            ("wall_ms", JsonValue::from(1_500u64)),
-        ]);
-        sc.insert("ops_per_sec", JsonValue::from(54_000.5));
-        sc.insert("get_p50_us", JsonValue::from(440u64));
-        sc.insert("get_p99_us", JsonValue::from(544u64));
-        sc.insert("pool_width", JsonValue::from(8u64)); // not a headline
-        let folded = fold_serve(&sc);
-        assert_eq!(
-            folded.get("ops_per_sec").and_then(|v| v.as_f64()),
-            Some(54_000.5)
-        );
-        assert_eq!(folded.get("get_p99_us").and_then(|v| v.as_u64()), Some(544));
-        assert_eq!(folded.get("wall_ms").and_then(|v| v.as_u64()), Some(1_500));
-        assert!(
-            folded.get("put_p50_us").is_none(),
-            "absent keys stay absent"
-        );
-        assert!(folded.get("pool_width").is_none());
-    }
 }

@@ -1,16 +1,15 @@
 //! The sweep engine's headline guarantee: the exported
 //! `bench_results/<name>.json` is byte-identical whether the sweep ran
 //! sequentially (`PQS_JOBS=1`) or on a wide pool (`PQS_JOBS=4`), for a
-//! figure and a table. Wall-clock goes to the `<name>.perf.json`
-//! sidecar only, which is allowed to differ.
+//! figure and a table. (That `PQS_JOBS` sets the pool width at all is
+//! held by `pqs_sim::pool`'s own tests and `pqs-core`'s `pool_bound`.)
 
 use pqs_sim::json::JsonValue;
-use std::path::PathBuf;
 use std::process::Command;
 
 /// Runs `pqs-bench <name>` with the given pool width into a fresh bench
-/// dir, returning (main export bytes, perf sidecar bytes).
-fn run_figure(name: &str, jobs: &str) -> (String, String) {
+/// dir, returning the export's bytes.
+fn run_figure(name: &str, jobs: &str) -> String {
     let dir = std::env::temp_dir().join(format!(
         "pqs_parallel_determinism_{}_{name}_{jobs}",
         std::process::id()
@@ -28,33 +27,21 @@ fn run_figure(name: &str, jobs: &str) -> (String, String) {
         .status()
         .expect("spawn pqs-bench");
     assert!(status.success(), "{name} failed under PQS_JOBS={jobs}");
-    let read = |p: PathBuf| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| {
-            panic!("missing export {}: {e}", p.display());
-        })
-    };
-    let main = read(dir.join(format!("{name}.json")));
-    let perf = read(dir.join(format!("{name}.perf.json")));
+    let path = dir.join(format!("{name}.json"));
+    let export = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing export {}: {e}", path.display()));
     let _ = std::fs::remove_dir_all(&dir);
-    (main, perf)
+    export
 }
 
 fn assert_parallel_export_identical(name: &str) {
-    let (seq, seq_perf) = run_figure(name, "1");
-    let (par, par_perf) = run_figure(name, "4");
+    let seq = run_figure(name, "1");
+    let par = run_figure(name, "4");
     assert_eq!(
         seq, par,
         "{name}: export differs between PQS_JOBS=1 and PQS_JOBS=4"
     );
     JsonValue::parse(&seq).expect("export is valid JSON");
-    // The sidecar carries the pool width it actually ran at — that is
-    // exactly the part that must stay out of the main export.
-    let perf = JsonValue::parse(&par_perf).expect("perf sidecar is valid JSON");
-    assert_eq!(perf.get("pool_width").and_then(|v| v.as_u64()), Some(4));
-    assert!(perf.get("wall_ms").is_some());
-    assert!(perf.get("jobs").and_then(|v| v.as_u64()).unwrap_or(0) > 0);
-    let seq_perf = JsonValue::parse(&seq_perf).expect("perf sidecar is valid JSON");
-    assert_eq!(seq_perf.get("pool_width").and_then(|v| v.as_u64()), Some(1));
 }
 
 #[test]

@@ -2,14 +2,13 @@
 //! sizing (Lemma 5.6), and the asymptotic cost model behind Figs. 3 & 6.
 
 use crate::spec::AccessStrategy;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
 // Degradation rate (§6.1, Fig. 7)
 // ---------------------------------------------------------------------
 
 /// A churn regime for the degradation-rate analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChurnRegime {
     /// Nodes only crash; `f` is the crashed fraction. With a *constant*
     /// lookup quorum size the miss probability does not change at all
@@ -153,7 +152,7 @@ pub fn asymptotic_access_cost(strategy: AccessStrategy, q: u32, n: usize) -> f64
 
 /// A row of the Fig. 6 comparison: costs of one advertise + one lookup
 /// access for a strategy combination at `|Q| = Θ(√n)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinationCost {
     /// Advertise-side strategy.
     pub advertise: AccessStrategy,

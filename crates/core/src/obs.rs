@@ -13,14 +13,13 @@ use crate::service::{OpKind, QuorumCounters};
 use pqs_net::NodeId;
 use pqs_sim::json::{JsonValue, ToJson};
 use pqs_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One structured event in the quorum stack's sim-time trace.
 ///
 /// Events are plain enum values: recording one costs a move into the
 /// ring buffer, with no formatting until (and unless) the trace is
 /// dumped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// An advertise or lookup access was issued.
     OpIssued {
@@ -91,7 +90,7 @@ pub enum TraceEvent {
 
 /// Why an adaptive-controller tick kept the current plan instead of
 /// reconfiguring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HoldReason {
     /// No population estimate was available (zero collisions in the §6.3
     /// sample, or the estimator disabled) — acting on a fabricated n̂
@@ -192,7 +191,7 @@ pub fn trace_to_json(entries: &[(SimTime, TraceEvent)]) -> JsonValue {
 /// each node's upper layer) — the GeoQuorum-style balance view: quorum
 /// strategies that hammer a few central nodes show a high
 /// [`LoadSummary::imbalance`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoadSummary {
     /// Number of nodes sampled.
     pub nodes: usize,

@@ -15,13 +15,12 @@ use pqs_sim::metrics::Histogram;
 use pqs_sim::rng::{self, streams};
 use pqs_sim::{SimDuration, SimTime};
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Churn applied between the advertise and lookup phases, mirroring the
 /// §8.7 experiment ("after all advertisements finished, we fail every
 /// node with a given probability or/and add new nodes").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnPlan {
     /// Fraction of alive nodes crashed.
     pub fail_fraction: f64,
@@ -32,7 +31,7 @@ pub struct ChurnPlan {
 }
 
 /// A complete experiment scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Substrate configuration (node count, density, mobility, PHY/MAC).
     pub net: NetConfig,
@@ -69,7 +68,7 @@ impl ScenarioConfig {
 }
 
 /// Cumulative message counts at a snapshot instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Routed data hop transmissions (stores, probes, routed replies,
     /// repair segments) — the paper's "number of messages" for routed
@@ -102,7 +101,7 @@ impl PhaseStats {
 }
 
 /// Everything measured in one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// The seed of this run.
     pub seed: u64,
@@ -792,7 +791,7 @@ pub fn run_seeds_bounded(cfg: &ScenarioConfig, seeds: &[u64], width: usize) -> V
 }
 
 /// Mean metrics over several runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Aggregate {
     /// Number of runs aggregated.
     pub runs: usize,

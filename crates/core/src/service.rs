@@ -5,12 +5,11 @@ use crate::store::{Key, Value};
 use pqs_net::NodeId;
 use pqs_sim::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How RANDOM / RANDOM-OPT lookup probes are issued (§8.2: parallel
 /// probing forgoes early halting; serial probing halves the expected
 /// accessed nodes at the cost of latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fanout {
     /// Probe quorum members one at a time, stopping on the first hit.
     Serial,
@@ -19,7 +18,7 @@ pub enum Fanout {
 }
 
 /// Reply-path repair policy for walk replies under mobility (§6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairMode {
     /// Drop the reply when a reverse-path hop breaks.
     None,
@@ -44,7 +43,7 @@ pub enum RepairMode {
 /// those keep a single access alive through individual link losses, while
 /// the retry layer re-runs the whole access when it still comes up empty
 /// (e.g. under frame-drop faults or heavy churn).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total issue attempts per operation, including the first (≥ 1).
     pub max_attempts: u32,
@@ -110,7 +109,7 @@ impl RetryPolicy {
 
 /// Whether lookup replies are vote-verified (Malkhi–Reiter–Wool
 /// masking) or trusted as in the paper's honest model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ByzMode {
     /// The paper's model: every reply is honest, first reply wins.
     Trusting,
@@ -121,7 +120,7 @@ pub enum ByzMode {
 
 /// The Byzantine read policy: the assumed adversary budget `b` and
 /// whether reads are vote-verified against it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ByzPolicy {
     /// Upper bound on the number of Byzantine nodes the reader must
     /// mask. Ignored in [`ByzMode::Trusting`].
@@ -155,7 +154,7 @@ impl ByzPolicy {
 }
 
 /// Configuration of the quorum-backed location service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// The biquorum: strategies and sizes for both sides.
     pub spec: BiquorumSpec,
@@ -265,7 +264,7 @@ impl ServiceConfig {
 }
 
 /// What an operation was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// An advertise (publish) access.
     Advertise,
@@ -274,7 +273,7 @@ pub enum OpKind {
 }
 
 /// The life of one operation, as recorded by the service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpRecord {
     /// Advertise or lookup.
     pub kind: OpKind,
@@ -341,7 +340,7 @@ impl OpRecord {
 /// Message counters for the strategies' link-local traffic. Routed
 /// traffic (RANDOM probes, stores, repair segments) is counted by the
 /// router's [`pqs_routing::RoutingStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuorumCounters {
     /// Random-walk step transmissions (including salvage re-sends).
     pub walk_tx: u64,

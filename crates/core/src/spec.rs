@@ -9,10 +9,8 @@
 //! - Corollary 5.3: the sizing rule `|Q_a|·|Q_ℓ| ≥ n·ln(1/ε)` for a
 //!   `1−ε` intersection guarantee.
 
-use serde::{Deserialize, Serialize};
-
 /// How the members of a quorum are reached (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessStrategy {
     /// Uniformly random members from a membership view, reached through
     /// multi-hop routing (§4.1). The only strategy that *guarantees* the
@@ -70,7 +68,7 @@ impl std::fmt::Display for AccessStrategy {
 /// control knob for flooding scope, §4.4) and
 /// [`AccessStrategy::RandomOpt`] where it is the number of routed probes
 /// (the accessed quorum is larger, ≈ `probes·√(n/ln n)`, §4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuorumSpec {
     /// Access strategy.
     pub strategy: AccessStrategy,
@@ -110,7 +108,7 @@ impl std::fmt::Display for QuorumSpec {
 /// );
 /// assert!(bq.intersection_lower_bound(800).unwrap() >= 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BiquorumSpec {
     /// The advertise (write/update) side.
     pub advertise: QuorumSpec,
@@ -384,7 +382,7 @@ pub const MAX_WEIGHTED_CANDIDATES: usize = 4;
 /// selection weights. Each operation samples one candidate
 /// independently from this distribution (a *probabilistic quorum
 /// strategy* in Malkhi–Reiter–Wool terms).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedSide {
     specs: [QuorumSpec; MAX_WEIGHTED_CANDIDATES],
     weights: [f64; MAX_WEIGHTED_CANDIDATES],
@@ -474,7 +472,7 @@ impl WeightedSide {
 /// A weighted biquorum: advertise- and lookup-side candidate mixtures.
 /// The mixture generalises [`BiquorumSpec`] — a pair of
 /// [`WeightedSide::single`]s behaves identically to the plain spec.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedBiquorumSpec {
     /// The advertise (write/update) side mixture.
     pub advertise: WeightedSide,

@@ -92,7 +92,7 @@ pub enum WireMsg {
     /// Request a counters snapshot.
     MetricsReq,
     /// Counters snapshot (the deterministic subset; latency percentiles
-    /// and throughput are wall-clock and stay in perf sidecars).
+    /// and throughput are wall-clock and are the benchmark's to measure).
     MetricsResp {
         /// Operations issued by this node as coordinator.
         issued: u64,

@@ -1,6 +1,6 @@
 //! Canonical versioned wire codec for [`crate::transport::WireMsg`].
 //!
-//! Hand-rolled, like `pqs_sim::json` (the vendored serde is a stub):
+//! Hand-rolled, like `pqs_sim::json` (the offline build has no serde):
 //! every field is little-endian fixed-width, framed as
 //!
 //! ```text

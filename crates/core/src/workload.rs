@@ -9,10 +9,9 @@ use pqs_net::NodeId;
 use pqs_sim::{SimDuration, SimTime};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of advertisements (paper: 100).
     pub advertisements: usize,

@@ -8,13 +8,12 @@
 
 use crate::graph::Graph;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The paper's ideal reception range in metres (Fig. 2).
 pub const DEFAULT_RANGE_M: f64 = 200.0;
 
 /// Boundary handling for the square region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Topology {
     /// A flat square with edges — what the simulations use.
     #[default]
@@ -35,7 +34,7 @@ pub enum Topology {
 /// let cfg = RggConfig::with_avg_degree(400, 10.0);
 /// assert!((cfg.expected_avg_degree() - 10.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RggConfig {
     /// Number of nodes.
     pub n: usize,

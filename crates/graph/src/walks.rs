@@ -13,10 +13,9 @@
 use crate::graph::Graph;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The walk variants studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WalkKind {
     /// Simple random walk: uniform choice among neighbours (PATH).
     Simple,

@@ -9,7 +9,6 @@
 
 use crate::mobility::MobilityModel;
 use pqs_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Converts dBm to milliwatts.
 pub fn dbm_to_mw(dbm: f64) -> f64 {
@@ -27,7 +26,7 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
 }
 
 /// Signal propagation (path-loss) models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PathLoss {
     /// Free-space (Friis): power decays as `d⁻²`.
     FreeSpace,
@@ -52,7 +51,7 @@ impl Default for PathLoss {
 }
 
 /// How a receiver decides whether a transmission is successfully received.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReceptionModel {
     /// The *protocol model* (§2.3): reception iff the receiver is within
     /// `range_m` of the transmitter and no other simultaneous transmitter
@@ -80,7 +79,7 @@ impl Default for ReceptionModel {
 }
 
 /// Physical-layer parameters (Fig. 2, "PHY").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyConfig {
     /// Transmit power in dBm (paper: 15 dBm = 31.62 mW).
     pub tx_power_dbm: f64,
@@ -158,7 +157,7 @@ impl PhyConfig {
 }
 
 /// MAC-layer parameters (Fig. 2, "MAC": DSSS 802.11b with long preamble).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MacConfig {
     /// Slot time (paper: 20 µs).
     pub slot: SimDuration,
@@ -224,7 +223,7 @@ impl MacConfig {
 }
 
 /// Top-level network configuration (Fig. 2, "Simulation Scenarios").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Number of nodes (paper: 50, 100, 200, 400, 800).
     pub n: usize,
@@ -334,22 +333,6 @@ mod tests {
             ..NetConfig::paper(800)
         };
         assert!(dense.area_side_m() < cfg.area_side_m());
-    }
-
-    #[test]
-    fn config_serde_round_trip() {
-        // Configs are data: they must survive serialisation for experiment
-        // records.
-        let cfg = NetConfig::paper(200);
-        let json = serde_json_like(&cfg);
-        assert!(json.contains("200"));
-    }
-
-    // serde_json is not among the allowed dependencies; a smoke test via
-    // the serde derive + a trivial hand-rolled serializer is overkill, so
-    // check Debug formatting instead (always available for diagnostics).
-    fn serde_json_like(cfg: &NetConfig) -> String {
-        format!("{cfg:?}")
     }
 
     #[test]

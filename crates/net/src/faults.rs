@@ -30,10 +30,9 @@ use pqs_sim::rng::{self, streams};
 use pqs_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which frames a [`FrameFaultRule`] applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultScope {
     /// Every frame on the air.
     All,
@@ -67,7 +66,7 @@ impl FaultScope {
 /// Drop applies to every frame kind (data, hello, ACK); delay and
 /// duplication apply to *data deliveries* only — hellos and ACKs have no
 /// meaningful deferred-delivery semantics at this abstraction level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameFaultRule {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -92,7 +91,7 @@ impl FrameFaultRule {
 }
 
 /// A scheduled node- or region-level fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeFaultEvent {
     /// Crash one node at `at`.
     Crash {
@@ -133,7 +132,7 @@ pub enum NodeFaultEvent {
 /// A Byzantine per-node behavior, applied at the *reply-generation*
 /// boundary in `pqs-core` — the PHY/MAC below stay byte-identical, so a
 /// behavior plan never perturbs frame-level randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeBehavior {
     /// Receives and forwards, but never answers a lookup (fail-silent).
     Silent,
@@ -147,7 +146,7 @@ pub enum NodeBehavior {
 }
 
 /// How Byzantine behaviors are assigned to nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BehaviorRule {
     /// Pin one node to a behavior (overrides earlier rules).
     Node {
@@ -168,7 +167,7 @@ pub enum BehaviorRule {
 
 /// A network partition: during the window, frames crossing the vertical
 /// line `x = fraction · side` are dropped deterministically (no RNG).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionWindow {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -194,7 +193,7 @@ impl PartitionWindow {
 /// [`crate::Network::install_faults`]. An empty plan injects nothing and
 /// draws nothing from the fault RNG stream, so installing it leaves a
 /// simulation bit-identical to one without a plan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     frame_rules: Vec<FrameFaultRule>,
     node_events: Vec<NodeFaultEvent>,

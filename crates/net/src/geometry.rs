@@ -1,6 +1,5 @@
 //! Planar geometry for node positions (metres).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -14,7 +13,7 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Point::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// X coordinate in metres.
     pub x: f64,

@@ -70,16 +70,13 @@ pub use network::{Network, Stack, Upcall};
 pub use payload::Payload;
 pub use stats::NetStats;
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a network node.
 ///
 /// Node ids index a dense array `0..n`; churn marks nodes dead rather than
 /// removing them, so ids stay stable for the lifetime of a simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

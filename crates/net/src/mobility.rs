@@ -8,10 +8,9 @@
 use crate::geometry::Point;
 use pqs_sim::{SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The mobility models used in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MobilityModel {
     /// Nodes never move.
     Static,

@@ -1,7 +1,6 @@
 //! Link-level counters.
 
 use pqs_sim::json::{JsonValue, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Counters maintained by the network substrate.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// metric (network-layer messages) is counted by the layers above — each
 /// call to [`crate::Network::send`] is one network-layer hop — while MAC
 /// retransmissions, ACKs and hellos are protocol overhead visible here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Frames put on the air (every PHY transmission, including retries).
     pub phy_tx: u64,

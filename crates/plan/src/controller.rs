@@ -31,11 +31,10 @@ use pqs_core::spec::{self, BiquorumSpec, WeightedBiquorumSpec, WeightedSide};
 use pqs_core::stack::{QuorumNet, QuorumStack, ReconfigureError};
 use pqs_sim::control::TickSchedule;
 use pqs_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Controller configuration: the planner inputs plus the tick cadence
 /// and hysteresis knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// The analytic planner's inputs.
     pub planner: PlannerConfig,

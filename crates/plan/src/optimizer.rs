@@ -41,13 +41,12 @@ use crate::planner::{PlanError, Planner, PlannerConfig, QuorumPlan};
 use pqs_core::spec::{
     AccessStrategy, QuorumSpec, WeightedBiquorumSpec, WeightedSide, MAX_WEIGHTED_CANDIDATES,
 };
-use serde::{Deserialize, Serialize};
 
 /// The coarse per-strategy load model: concentration factors and work
 /// units. These are *predictions* used only to rank mixtures — the ε
 /// gate never depends on them — so miscalibration costs optimality,
 /// not safety.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadModel {
     /// Peak/mean concentration of routed RANDOM(-OPT) work: relays on
     /// shortest-path trees are shared, so per-node load peaks at the
@@ -99,7 +98,7 @@ impl LoadModel {
 /// Inputs of the weighted optimizer: the analytic planner's inputs
 /// plus the resilience target, the lookup strategy palette and the
 /// load model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// The planner inputs (ε, τ prior, costs, strategies, churn). The
     /// uniform baseline plan is sized from these; the optimizer keeps
@@ -141,7 +140,7 @@ impl OptimizerConfig {
 
 /// A weighted plan: the mixture, the uniform single-pair baseline it
 /// is measured against, and both plans' analytic load figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedPlan {
     /// The optimised mixture.
     pub spec: WeightedBiquorumSpec,
@@ -168,7 +167,7 @@ pub struct WeightedPlan {
 }
 
 /// The weighted-strategy optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Optimizer {
     cfg: OptimizerConfig,
 }

@@ -23,11 +23,10 @@
 use pqs_core::analysis::{self, ChurnRegime};
 use pqs_core::spec::{self, AccessStrategy, BiquorumSpec, QuorumSpec};
 use pqs_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Static planning inputs: the target, the cost model, and the expected
 /// churn environment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Target miss probability ε (plans guarantee `Pr(miss) ≤ ε`).
     pub epsilon: f64,
@@ -76,7 +75,7 @@ impl PlannerConfig {
 }
 
 /// A sized, checked quorum configuration plus its guarantees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuorumPlan {
     /// Strategies and integer sizes for both sides.
     pub spec: BiquorumSpec,
@@ -112,7 +111,7 @@ impl QuorumPlan {
 /// be able to hold its last good plan instead of aborting the process,
 /// so every validation is a typed error; panics are reserved for
 /// planner-internal invariant violations (an emitted undersized plan).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlanError {
     /// ε outside (0,1) (or not finite).
     BadEpsilon {
@@ -211,7 +210,7 @@ impl std::fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// The analytic planner: validated configuration plus the sizing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Planner {
     cfg: PlannerConfig,
 }

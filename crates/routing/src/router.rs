@@ -3,7 +3,6 @@
 use crate::table::RouteTable;
 use pqs_net::{MacDst, Network, NodeId, Payload, Upcall};
 use pqs_sim::{EventId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Tokens with this bit set belong to the router; the application layer
@@ -83,7 +82,7 @@ pub enum RoutePacket<P> {
 /// is off: quorum targets are uniformly random (typically far away), so
 /// small rings almost never succeed and only add flood traffic and
 /// latency. Set `ttl_start` low to re-enable the classic ring search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterConfig {
     /// Initial expanding-ring TTL.
     pub ttl_start: u8,
@@ -136,7 +135,7 @@ impl Default for RouterConfig {
 /// `data_tx` is the "number of messages" (network-layer hops of
 /// application data), the control counters are the "additional routing
 /// overhead" (§8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoutingStats {
     /// RREQ transmissions (every hop of every flood).
     pub rreq_tx: u64,

@@ -7,20 +7,14 @@
 use crate::ServeConfig;
 use std::path::PathBuf;
 
-/// The eight `PQS_SERVE_*` variables. [`Knobs::from_env`] is the only
+/// The six `PQS_SERVE_*` variables. [`Knobs::from_env`] is the only
 /// place they are read; each binary uses the fields it needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Knobs {
-    /// `PQS_SERVE_OPS`: total client operations the load generator
-    /// drives (default 100 000).
-    pub ops: u64,
     /// `PQS_SERVE_NODES`: cluster size (default 5, minimum 2).
     pub nodes: usize,
-    /// `PQS_SERVE_CLIENTS`: concurrent load-generator clients
-    /// (default 4).
-    pub clients: usize,
-    /// `PQS_SERVE_SEED`: master seed for quorum sampling and the
-    /// workload (default 1).
+    /// `PQS_SERVE_SEED`: master seed for quorum sampling (`pqs_serve`)
+    /// and the workload (`serve_load`) (default 1).
     pub seed: u64,
     /// `PQS_SERVE_WEIGHTED`: when `1`, size the cluster with the
     /// fractional lookup mixture of [`ServeConfig::sized_weighted`]
@@ -54,9 +48,7 @@ impl Knobs {
             ));
         }
         Ok(Knobs {
-            ops: count("PQS_SERVE_OPS")?.unwrap_or(100_000),
             nodes: nodes as usize,
-            clients: count("PQS_SERVE_CLIENTS")?.unwrap_or(4) as usize,
             seed: match var("PQS_SERVE_SEED") {
                 None => 1,
                 Some(raw) => raw
@@ -110,7 +102,7 @@ mod tests {
     #[test]
     fn unset_means_default() {
         let k = knobs(&[]).expect("defaults are valid");
-        assert_eq!((k.ops, k.nodes, k.clients, k.seed), (100_000, 5, 4, 1));
+        assert_eq!((k.nodes, k.seed), (5, 1));
         assert!(!k.weighted);
         assert!(k.serve_config(0.1).endpoint.weighted.is_none());
         assert_eq!((k.run_secs, k.ports_file, k.metrics), (None, None, None));
@@ -118,13 +110,12 @@ mod tests {
 
     #[test]
     fn counts_parse_strictly() {
-        let ops = |raw| knobs(&[("PQS_SERVE_OPS", raw)]).map(|k| k.ops);
-        assert_eq!(ops("120000"), Ok(120_000));
-        assert_eq!(ops(" 7 "), Ok(7));
+        let nodes = |raw| knobs(&[("PQS_SERVE_NODES", raw)]).map(|k| k.nodes);
+        assert_eq!(nodes("12"), Ok(12));
+        assert_eq!(nodes(" 7 "), Ok(7));
         for bad in ["0", "-3", "12k", ""] {
-            assert!(ops(bad).is_err(), "{bad:?}");
+            assert!(nodes(bad).is_err(), "{bad:?}");
         }
-        assert!(knobs(&[("PQS_SERVE_CLIENTS", "0")]).is_err());
         assert!(knobs(&[("PQS_SERVE_RUN_SECS", "soon")]).is_err());
         assert_eq!(
             knobs(&[("PQS_SERVE_RUN_SECS", "3")]).map(|k| k.run_secs),
@@ -140,7 +131,7 @@ mod tests {
         assert!(knobs(&[("PQS_SERVE_WEIGHTED", "yes")]).is_err());
         // One bad variable fails the whole environment, whichever
         // binary reads it.
-        assert!(knobs(&[("PQS_SERVE_NODES", "9"), ("PQS_SERVE_OPS", "lots")]).is_err());
+        assert!(knobs(&[("PQS_SERVE_NODES", "9"), ("PQS_SERVE_RUN_SECS", "lots")]).is_err());
         let k = knobs(&[("PQS_SERVE_WEIGHTED", "1"), ("PQS_SERVE_NODES", "9")]).expect("valid");
         let cfg = k.serve_config(0.1);
         assert_eq!(cfg.nodes, 9);

@@ -1,19 +1,20 @@
-//! The load generator: windowed client traffic against a serve cluster.
+//! The verifying client: windowed traffic against a serve cluster, every
+//! answer checked. It asserts outcomes — it does not measure; throughput
+//! and latency over the same sockets are the `serve-*` workloads of
+//! `BENCHMARK.json`.
 //!
 //! Each client thread owns one UDP socket and a private keyspace. It
 //! first seeds its keyspace with puts, then drives a mixed read-heavy
-//! phase (default 80 % gets), keeping up to `window` requests in flight
-//! with per-request timeout and retransmission (operations are
-//! idempotent: a put re-sends the same value, a get is read-only, and
-//! the coordinator dedups retransmits of in-flight requests). Values are
-//! derived from keys, so every successful get is also verified for
-//! integrity, not just presence.
+//! phase (80 % gets), keeping up to [`WINDOW`] requests in flight with
+//! per-request timeout and retransmission (operations are idempotent: a
+//! put re-sends the same value, a get is read-only, and the coordinator
+//! dedups retransmits). Values are derived from keys, so every
+//! successful get is also verified for integrity, not just presence.
 
 use crate::CLIENT_NODE_ID;
 use pqs_core::store::{Key, Value};
 use pqs_core::transport::{Datagram, OpStatus, WireMsg};
 use pqs_core::wire;
-use pqs_sim::metrics::Histogram;
 use pqs_sim::rng::{entity_stream, streams};
 use rand::Rng;
 use std::collections::HashMap;
@@ -21,40 +22,14 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-/// Load-run parameters.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Total client operations across all clients.
-    pub ops: u64,
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Maximum in-flight requests per client.
-    pub window: usize,
-    /// Per-request retransmission timeout.
-    pub req_timeout: Duration,
-    /// Retransmissions before a request is abandoned.
-    pub max_attempts: u32,
-    /// Fraction of mixed-phase operations that are gets.
-    pub get_fraction: f64,
-}
-
-impl LoadConfig {
-    /// Defaults: `ops` operations, `clients` threads, window 64, 250 ms
-    /// request timeout, 8 attempts, 80 % reads.
-    pub fn new(ops: u64, clients: usize, seed: u64) -> Self {
-        LoadConfig {
-            ops,
-            clients: clients.max(1),
-            seed,
-            window: 64,
-            req_timeout: Duration::from_millis(250),
-            max_attempts: 8,
-            get_fraction: 0.8,
-        }
-    }
-}
+/// Maximum in-flight requests per client.
+const WINDOW: usize = 64;
+/// Per-request retransmission timeout.
+const REQ_TIMEOUT: Duration = Duration::from_millis(250);
+/// Transmissions before a request is abandoned.
+const MAX_ATTEMPTS: u32 = 8;
+/// Fraction of mixed-phase operations that are gets.
+const GET_FRACTION: f64 = 0.8;
 
 /// Aggregated outcome of a load run.
 #[derive(Debug, Clone, Default)]
@@ -76,30 +51,15 @@ pub struct LoadStats {
     /// Successful gets whose value did not match the key derivation —
     /// must be zero.
     pub value_mismatches: u64,
-    /// Put round-trip latency, microseconds.
-    pub put_latency: Histogram,
-    /// Get round-trip latency, microseconds.
-    pub get_latency: Histogram,
-    /// Wall-clock of the whole run.
-    pub wall: Duration,
 }
 
 impl LoadStats {
-    /// Fraction of completed gets that found the value.
+    /// Fraction of issued gets that found the value.
     pub fn hit_ratio(&self) -> f64 {
         if self.gets == 0 {
             return 1.0;
         }
         self.hits as f64 / self.gets as f64
-    }
-
-    /// Completed operations per wall-clock second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        (self.puts + self.gets) as f64 / secs
     }
 
     fn merge(&mut self, other: &LoadStats) {
@@ -111,34 +71,30 @@ impl LoadStats {
         self.refused += other.refused;
         self.timeouts += other.timeouts;
         self.value_mismatches += other.value_mismatches;
-        self.put_latency.merge(&other.put_latency);
-        self.get_latency.merge(&other.get_latency);
     }
 }
 
 /// The value every put writes under `key`, and every verified get
 /// expects back.
-pub fn value_for(key: Key) -> Value {
+fn value_for(key: Key) -> Value {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
 }
 
-/// Runs the configured load against `targets`, spreading operations
-/// round-robin over the target nodes as coordinators.
-pub fn run(targets: &[SocketAddr], cfg: &LoadConfig) -> io::Result<LoadStats> {
+/// Drives `ops` operations from `clients` threads against `targets`,
+/// spreading them round-robin over the target nodes as coordinators.
+pub fn run(targets: &[SocketAddr], ops: u64, clients: usize, seed: u64) -> io::Result<LoadStats> {
     assert!(!targets.is_empty(), "need at least one target");
-    let started = Instant::now();
-    let clients = cfg.clients.min(cfg.ops.max(1) as usize).max(1);
-    let per_client = cfg.ops / clients as u64;
-    let remainder = cfg.ops % clients as u64;
+    let clients = clients.min(ops.max(1) as usize).max(1);
+    let per_client = ops / clients as u64;
+    let remainder = ops % clients as u64;
     let mut handles = Vec::with_capacity(clients);
     for c in 0..clients {
         let ops = per_client + u64::from((c as u64) < remainder);
         let targets = targets.to_vec();
-        let cfg = cfg.clone();
         handles.push(
             std::thread::Builder::new()
                 .name(format!("serve-load-{c}"))
-                .spawn(move || client_loop(&targets, &cfg, c as u64, ops))?,
+                .spawn(move || client_loop(&targets, seed, c as u64, ops))?,
         );
     }
     let mut total = LoadStats::default();
@@ -148,7 +104,6 @@ pub fn run(targets: &[SocketAddr], cfg: &LoadConfig) -> io::Result<LoadStats> {
             .map_err(|_| io::Error::other("load client panicked"))??;
         total.merge(&stats);
     }
-    total.wall = started.elapsed();
     Ok(total)
 }
 
@@ -156,21 +111,14 @@ struct Pending {
     key: Key,
     get: bool,
     target: SocketAddr,
-    first_sent: Instant,
     last_sent: Instant,
     attempts: u32,
 }
 
-#[allow(clippy::too_many_lines)]
-fn client_loop(
-    targets: &[SocketAddr],
-    cfg: &LoadConfig,
-    client: u64,
-    ops: u64,
-) -> io::Result<LoadStats> {
+fn client_loop(targets: &[SocketAddr], seed: u64, client: u64, ops: u64) -> io::Result<LoadStats> {
     let sock = UdpSocket::bind("127.0.0.1:0")?;
     sock.set_read_timeout(Some(Duration::from_millis(1)))?;
-    let mut rng = entity_stream(cfg.seed, streams::WORKLOAD, client);
+    let mut rng = entity_stream(seed, streams::WORKLOAD, client);
     let mut stats = LoadStats::default();
     // Private keyspace: no cross-client races on a key, so a miss can
     // only come from quorum non-intersection or loss — the quantity the
@@ -186,14 +134,14 @@ fn client_loop(
     while completed < ops {
         // Fill the window. The mixed phase waits for the seeding phase
         // to fully complete so gets never race their seeding put.
-        while pending.len() < cfg.window
+        while pending.len() < WINDOW
             && issued < ops
             && !(issued >= seed_puts && completed < seed_puts.min(ops))
         {
             let req = issued + 1;
             let (key, get) = if issued < seed_puts {
                 (key_of(issued), false)
-            } else if rng.gen_bool(cfg.get_fraction) {
+            } else if rng.gen_bool(GET_FRACTION) {
                 (key_of(rng.gen_range(0..seed_puts)), true)
             } else {
                 (key_of(rng.gen_range(0..seed_puts)), false)
@@ -205,13 +153,11 @@ fn client_loop(
                 stats.puts += 1;
             }
             let target = targets[((issued + client) as usize) % targets.len()];
-            let now = Instant::now();
             let p = Pending {
                 key,
                 get,
                 target,
-                first_sent: now,
-                last_sent: now,
+                last_sent: Instant::now(),
                 attempts: 1,
             };
             send_req(&sock, &p, req)?;
@@ -238,10 +184,10 @@ fn client_loop(
         let now = Instant::now();
         let mut expired: Vec<u64> = Vec::new();
         for (&req, p) in pending.iter_mut() {
-            if now.duration_since(p.last_sent) < cfg.req_timeout {
+            if now.duration_since(p.last_sent) < REQ_TIMEOUT {
                 continue;
             }
-            if p.attempts >= cfg.max_attempts {
+            if p.attempts >= MAX_ATTEMPTS {
                 expired.push(req);
                 continue;
             }
@@ -285,12 +231,6 @@ fn handle_reply(pending: &mut HashMap<u64, Pending>, stats: &mut LoadStats, dg: 
     let Some(p) = pending.remove(&req) else {
         return; // duplicate answer after a retransmission
     };
-    let latency = p.first_sent.elapsed().as_micros() as u64;
-    if p.get {
-        stats.get_latency.record(latency.max(1));
-    } else {
-        stats.put_latency.record(latency.max(1));
-    }
     match status {
         OpStatus::Ok => {
             stats.ok += 1;

@@ -5,16 +5,17 @@
 //! once a drain has been requested and the engine reports quiescence —
 //! acknowledges and exits, closing the socket.
 
+use crate::sessions::{answer, Admission, ClientSessions};
 use crate::{WallClock, CLIENT_NODE_ID};
 use pqs_core::endpoint::{EndpointCounters, QuorumEndpoint};
-use pqs_core::messages::OpId;
+use pqs_core::service::OpKind;
+use pqs_core::store::{Key, Value};
 use pqs_core::transport::{Datagram, OpStatus, Transport, WireMsg};
 use pqs_core::wire;
 use pqs_net::NodeId;
 use pqs_sim::metrics::Histogram;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io;
+use std::collections::BinaryHeap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,29 +43,35 @@ pub struct NodeReport {
 
 /// The [`Transport`] a node loop hands its engine: sends encode through
 /// the wire codec straight onto the socket, timers go to the loop's
-/// local heap.
-struct UdpCtx<'a> {
-    sock: &'a UdpSocket,
+/// local heap. The loop sets `now` before each call into the engine.
+struct UdpCtx {
+    sock: UdpSocket,
     me: NodeId,
-    book: &'a [SocketAddr],
-    timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
+    book: Arc<[SocketAddr]>,
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
     now: u64,
-    send_errors: &'a mut u64,
+    send_errors: u64,
 }
 
-impl Transport for UdpCtx<'_> {
+impl UdpCtx {
+    /// Sends `msg` to a socket address (a client, an admin or a peer).
+    fn send_to(&mut self, to: SocketAddr, msg: WireMsg) {
+        let frame = wire::encode_frame(&Datagram { from: self.me, msg });
+        if self.sock.send_to(&frame, to).is_err() {
+            self.send_errors += 1;
+        }
+    }
+}
+
+impl Transport for UdpCtx {
     fn now_micros(&self) -> u64 {
         self.now
     }
 
     fn send(&mut self, to: NodeId, msg: WireMsg) {
-        let Some(addr) = self.book.get(to.0 as usize) else {
-            *self.send_errors += 1;
-            return;
-        };
-        let frame = wire::encode_frame(&Datagram { from: self.me, msg });
-        if self.sock.send_to(&frame, addr).is_err() {
-            *self.send_errors += 1;
+        match self.book.get(to.0 as usize) {
+            Some(&addr) => self.send_to(addr, msg),
+            None => self.send_errors += 1,
         }
     }
 
@@ -73,55 +80,33 @@ impl Transport for UdpCtx<'_> {
     }
 }
 
-/// A client operation the engine is running on behalf of a remote
-/// socket address.
-struct ClientReq {
-    addr: SocketAddr,
+/// Serves one `ClientPut` (`put` is its value) or `ClientGet`: starts
+/// the quorum operation unless the request is a retransmit, and answers
+/// `Refused` at once when the engine is draining.
+fn client_request(
+    ctx: &mut UdpCtx,
+    engine: &mut QuorumEndpoint,
+    sessions: &mut ClientSessions,
+    src: SocketAddr,
     req: u64,
-    get: bool,
-}
-
-/// Completed client answers retained for retransmit replay, bounded
-/// FIFO. `open_reqs` only dedups operations still *in flight*: a client
-/// retransmit that races the `ClientPutDone`/`ClientGetDone` datagram
-/// (or arrives after the answer was lost) used to start a brand-new
-/// quorum operation for a request the node had already answered —
-/// duplicate work, and for puts a second advertise round for the same
-/// write. Completed answers are cached here and replayed verbatim.
-struct ReplyCache {
-    answers: HashMap<(SocketAddr, u64), WireMsg>,
-    order: VecDeque<(SocketAddr, u64)>,
-    cap: usize,
-}
-
-impl ReplyCache {
-    fn new(cap: usize) -> Self {
-        ReplyCache {
-            answers: HashMap::with_capacity(cap),
-            order: VecDeque::with_capacity(cap),
-            cap,
-        }
-    }
-
-    fn insert(&mut self, key: (SocketAddr, u64), msg: WireMsg) {
-        if self.answers.insert(key, msg).is_none() {
-            self.order.push_back(key);
-            if self.order.len() > self.cap {
-                if let Some(old) = self.order.pop_front() {
-                    self.answers.remove(&old);
-                }
+    key: Key,
+    put: Option<Value>,
+) {
+    match sessions.admit(src, req) {
+        Admission::InFlight => {}
+        Admission::Replay(cached) => ctx.send_to(src, cached.clone()),
+        Admission::Fresh => {
+            let (kind, op) = match put {
+                Some(value) => (OpKind::Advertise, engine.advertise(ctx, key, value)),
+                None => (OpKind::Lookup, engine.lookup(ctx, key)),
+            };
+            match op {
+                Some(op) => sessions.opened(src, req, op),
+                None => ctx.send_to(src, answer(req, kind, OpStatus::Refused, 0)),
             }
         }
     }
-
-    fn get(&self, key: &(SocketAddr, u64)) -> Option<&WireMsg> {
-        self.answers.get(key)
-    }
 }
-
-/// Completed answers kept per node for duplicate-request replay. At the
-/// load generator's ~64-byte frames this bounds the cache near 100 KiB.
-const REPLY_CACHE_CAP: usize = 1024;
 
 /// Runs one node until it is drained. See the module docs for the loop
 /// structure.
@@ -131,18 +116,20 @@ pub fn node_loop(
     mut engine: QuorumEndpoint,
     clock: WallClock,
 ) -> NodeReport {
-    let me = engine.id();
     sock.set_read_timeout(Some(Duration::from_millis(1)))
         .expect("set_read_timeout on a bound socket");
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let mut ctx = UdpCtx {
+        sock,
+        me: engine.id(),
+        book,
+        timers: BinaryHeap::new(),
+        now: 0,
+        send_errors: 0,
+    };
     let mut buf = vec![0u8; wire::MAX_FRAME + 8];
     let mut malformed = 0u64;
-    let mut send_errors = 0u64;
     let mut client_completed = 0u64;
-    // op → waiting client; (addr, req) → op for retransmit dedup.
-    let mut client_ops: HashMap<OpId, ClientReq> = HashMap::new();
-    let mut open_reqs: HashMap<(SocketAddr, u64), OpId> = HashMap::new();
-    let mut done_reqs = ReplyCache::new(REPLY_CACHE_CAP);
+    let mut sessions = ClientSessions::default();
     let mut drain_waiters: Vec<SocketAddr> = Vec::new();
     let mut draining = false;
 
@@ -151,15 +138,9 @@ pub fn node_loop(
         //    completions are serviced under sustained load).
         let mut received = 0u32;
         while received < 128 {
-            let (n, src) = match sock.recv_from(&mut buf) {
-                Ok(x) => x,
-                Err(ref e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break
-                }
-                Err(_) => break,
+            // A read timeout or a socket error: either way the burst is over.
+            let Ok((n, src)) = ctx.sock.recv_from(&mut buf) else {
+                break;
             };
             received += 1;
             let dg = match wire::decode_frame(&buf[..n]) {
@@ -169,40 +150,25 @@ pub fn node_loop(
                     continue;
                 }
             };
-            let now = clock.now_micros();
+            ctx.now = clock.now_micros();
             match dg.msg {
                 msg @ (WireMsg::Store { .. }
                 | WireMsg::StoreAck { .. }
                 | WireMsg::LookupReq { .. }
-                | WireMsg::LookupReply { .. }) => {
-                    let mut ctx = UdpCtx {
-                        sock: &sock,
-                        me,
-                        book: &book,
-                        timers: &mut timers,
-                        now,
-                        send_errors: &mut send_errors,
-                    };
-                    engine.on_message(&mut ctx, dg.from, msg);
-                }
-                WireMsg::Ping { nonce } => {
-                    send_raw(&sock, me, src, WireMsg::Pong { nonce }, &mut send_errors);
-                }
+                | WireMsg::LookupReply { .. }) => engine.on_message(&mut ctx, dg.from, msg),
+                WireMsg::Ping { nonce } => ctx.send_to(src, WireMsg::Pong { nonce }),
                 WireMsg::MetricsReq => {
                     let c = engine.counters();
-                    send_raw(
-                        &sock,
-                        me,
+                    ctx.send_to(
                         src,
                         WireMsg::MetricsResp {
                             issued: c.advertises_issued + c.lookups_issued,
-                            completed: c.completed_ok + c.completed_failed,
+                            completed: c.completed_ok,
                             failed: c.completed_failed,
                             refused: c.refused,
                             served_stores: c.stores_served,
                             served_lookups: c.lookups_served,
                         },
-                        &mut send_errors,
                     );
                 }
                 WireMsg::DrainReq => {
@@ -212,88 +178,17 @@ pub fn node_loop(
                         drain_waiters.push(src);
                     }
                 }
-                WireMsg::ClientPut { req, key, value } => {
-                    if open_reqs.contains_key(&(src, req)) {
-                        continue; // retransmit of an op still in flight
-                    }
-                    if let Some(answer) = done_reqs.get(&(src, req)) {
-                        // Already answered: replay the cached answer
-                        // instead of re-running the quorum operation.
-                        send_raw(&sock, me, src, answer.clone(), &mut send_errors);
-                        continue;
-                    }
-                    let mut ctx = UdpCtx {
-                        sock: &sock,
-                        me,
-                        book: &book,
-                        timers: &mut timers,
-                        now,
-                        send_errors: &mut send_errors,
-                    };
-                    match engine.advertise(&mut ctx, key, value) {
-                        Some(op) => {
-                            client_ops.insert(
-                                op,
-                                ClientReq {
-                                    addr: src,
-                                    req,
-                                    get: false,
-                                },
-                            );
-                            open_reqs.insert((src, req), op);
-                        }
-                        None => send_raw(
-                            &sock,
-                            me,
-                            src,
-                            WireMsg::ClientPutDone {
-                                req,
-                                status: OpStatus::Refused,
-                            },
-                            &mut send_errors,
-                        ),
-                    }
-                }
+                WireMsg::ClientPut { req, key, value } => client_request(
+                    &mut ctx,
+                    &mut engine,
+                    &mut sessions,
+                    src,
+                    req,
+                    key,
+                    Some(value),
+                ),
                 WireMsg::ClientGet { req, key } => {
-                    if open_reqs.contains_key(&(src, req)) {
-                        continue;
-                    }
-                    if let Some(answer) = done_reqs.get(&(src, req)) {
-                        send_raw(&sock, me, src, answer.clone(), &mut send_errors);
-                        continue;
-                    }
-                    let mut ctx = UdpCtx {
-                        sock: &sock,
-                        me,
-                        book: &book,
-                        timers: &mut timers,
-                        now,
-                        send_errors: &mut send_errors,
-                    };
-                    match engine.lookup(&mut ctx, key) {
-                        Some(op) => {
-                            client_ops.insert(
-                                op,
-                                ClientReq {
-                                    addr: src,
-                                    req,
-                                    get: true,
-                                },
-                            );
-                            open_reqs.insert((src, req), op);
-                        }
-                        None => send_raw(
-                            &sock,
-                            me,
-                            src,
-                            WireMsg::ClientGetDone {
-                                req,
-                                status: OpStatus::Refused,
-                                value: 0,
-                            },
-                            &mut send_errors,
-                        ),
-                    }
+                    client_request(&mut ctx, &mut engine, &mut sessions, src, req, key, None)
                 }
                 // Answers and acks are for clients/admins, not servers.
                 WireMsg::Pong { .. }
@@ -305,58 +200,35 @@ pub fn node_loop(
         }
 
         // 2. Fire due engine timers.
-        let now = clock.now_micros();
-        while timers.peek().is_some_and(|Reverse((due, _))| *due <= now) {
-            let Reverse((_, token)) = timers.pop().expect("peeked entry exists");
-            let mut ctx = UdpCtx {
-                sock: &sock,
-                me,
-                book: &book,
-                timers: &mut timers,
-                now,
-                send_errors: &mut send_errors,
-            };
+        ctx.now = clock.now_micros();
+        while ctx
+            .timers
+            .peek()
+            .is_some_and(|Reverse((due, _))| *due <= ctx.now)
+        {
+            let Reverse((_, token)) = ctx.timers.pop().expect("peeked entry exists");
             engine.on_timer(&mut ctx, token);
         }
 
         // 3. Answer clients whose quorum operations completed.
         for c in engine.take_completions() {
-            let Some(cr) = client_ops.remove(&c.op) else {
-                continue;
-            };
-            open_reqs.remove(&(cr.addr, cr.req));
-            client_completed += 1;
-            let status = if c.ok { OpStatus::Ok } else { OpStatus::Failed };
-            let msg = if cr.get {
-                WireMsg::ClientGetDone {
-                    req: cr.req,
-                    status,
-                    value: c.value.unwrap_or(0),
-                }
-            } else {
-                WireMsg::ClientPutDone {
-                    req: cr.req,
-                    status,
-                }
-            };
-            done_reqs.insert((cr.addr, cr.req), msg.clone());
-            send_raw(&sock, me, cr.addr, msg, &mut send_errors);
+            if let Some((addr, msg)) = sessions.complete(&c) {
+                client_completed += 1;
+                ctx.send_to(addr, msg);
+            }
         }
 
         // 4. Drained: acknowledge and exit (the socket closes on drop —
         //    nothing leaks).
         if draining && engine.drained() {
-            let c = engine.counters();
-            for w in &drain_waiters {
-                send_raw(
-                    &sock,
-                    me,
-                    *w,
+            let refused = engine.counters().refused;
+            for &w in &drain_waiters {
+                ctx.send_to(
+                    w,
                     WireMsg::DrainAck {
                         completed: client_completed,
-                        refused: c.refused,
+                        refused,
                     },
-                    &mut send_errors,
                 );
             }
             break;
@@ -365,20 +237,13 @@ pub fn node_loop(
 
     let (adv, look) = engine.latency();
     NodeReport {
-        node: me,
+        node: ctx.me,
         counters: engine.counters(),
         malformed_datagrams: malformed,
-        send_errors,
+        send_errors: ctx.send_errors,
         client_completed,
         advertise_latency: adv.clone(),
         lookup_latency: look.clone(),
-    }
-}
-
-fn send_raw(sock: &UdpSocket, from: NodeId, to: SocketAddr, msg: WireMsg, send_errors: &mut u64) {
-    let frame = wire::encode_frame(&Datagram { from, msg });
-    if sock.send_to(&frame, to).is_err() {
-        *send_errors += 1;
     }
 }
 

@@ -1,11 +1,11 @@
 //! End-to-end tests of the real-socket datapath: a small cluster on
-//! ephemeral localhost ports, driven by the load generator and by raw
-//! client frames. Kept small — the 100k-op sustained run lives in
+//! ephemeral localhost ports, driven by the verifying client and by raw
+//! client frames. Kept small — the 120k-op sustained run lives in
 //! check.sh's e2e smoke, not in the unit test suite.
 
 use pqs_core::transport::{Datagram, OpStatus, WireMsg};
 use pqs_core::wire;
-use pqs_serve::load::{self, LoadConfig};
+use pqs_serve::load;
 use pqs_serve::{ping_targets, Cluster, ServeConfig, CLIENT_NODE_ID};
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -43,17 +43,53 @@ fn load_roundtrip_health_and_drain() {
     let addrs = cluster.addrs().to_vec();
     ping_targets(&addrs, Duration::from_secs(5)).expect("all nodes answer pings");
 
-    let stats = load::run(&addrs, &LoadConfig::new(300, 2, 7)).expect("load run");
+    let stats = load::run(&addrs, 300, 2, 7).expect("load run");
     assert_eq!(stats.puts + stats.gets, 300);
     assert_eq!(stats.ok, 300, "clean localhost: every op completes ok");
     assert_eq!(stats.timeouts, 0);
     assert_eq!(stats.value_mismatches, 0);
     assert_eq!(stats.hit_ratio(), 1.0);
 
+    // A get of a key nobody wrote fails, so the metrics below have a
+    // failure to tell apart from the successes.
+    let miss = request(
+        &client_socket(),
+        addrs[0],
+        &WireMsg::ClientGet { req: 1, key: 404 },
+    );
+    assert_eq!(
+        miss,
+        WireMsg::ClientGetDone {
+            req: 1,
+            status: OpStatus::Failed,
+            value: 0
+        }
+    );
+
+    // The metrics snapshot keeps its wire contract: successes and
+    // failures are counted apart and add up to what was issued.
+    let sock = client_socket();
+    let (mut issued_sum, mut completed_sum) = (0, 0);
+    for &addr in &addrs {
+        let WireMsg::MetricsResp {
+            issued,
+            completed,
+            failed,
+            ..
+        } = request(&sock, addr, &WireMsg::MetricsReq)
+        else {
+            panic!("{addr} answered a MetricsReq with something else");
+        };
+        assert_eq!(issued, completed + failed);
+        issued_sum += issued;
+        completed_sum += completed;
+    }
+    assert_eq!((issued_sum, completed_sum), (301, 300));
+
     let reports = cluster.drain().expect("graceful drain");
     assert_eq!(reports.len(), 4);
     let completed: u64 = reports.iter().map(|r| r.client_completed).sum();
-    assert_eq!(completed, 300);
+    assert_eq!(completed, 301);
     for r in &reports {
         let c = &r.counters;
         // Admission conservation at every node, drained state included.

@@ -1,8 +1,8 @@
 //! A minimal, deterministic JSON tree: build, pretty-print, parse.
 //!
-//! The workspace is built offline against vendored no-op `serde` stubs,
-//! so metric export cannot go through `serde_json`. This module provides
-//! the small JSON surface the observability layer needs instead:
+//! The workspace is built offline with no registry access, so metric
+//! export cannot go through `serde_json`. This module provides the small
+//! JSON surface the observability layer needs instead:
 //!
 //! - [`JsonValue`]: an ordered JSON tree. Objects keep *insertion order*
 //!   (a `Vec` of pairs, not a map), so the printed bytes depend only on

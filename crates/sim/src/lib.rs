@@ -20,7 +20,7 @@
 //!   controllers (the adaptive quorum planner's clock),
 //! - [`trace`]: a bounded, typed sim-time trace ring,
 //! - [`json`]: a minimal deterministic JSON tree for byte-stable metric
-//!   exports (the vendored `serde` is a no-op stub).
+//!   exports (hand-rolled: the offline build has no `serde_json`).
 //!
 //! Determinism is a hard requirement: two runs with the same seed must
 //! produce bit-identical traces. The queue therefore breaks timestamp ties

@@ -23,13 +23,11 @@
 //! assert!(h.percentile(50.0) <= 300);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
 ///
 /// A thin wrapper over `u64` that documents intent (a metric, not a loop
 /// variable) and keeps the export path uniform.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -73,7 +71,7 @@ const BUCKETS: usize = (SUB as usize) * (64 - SUB_BITS as usize + 1);
 ///
 /// Percentile queries return the *lower bound* of the bucket containing
 /// the requested rank: a deterministic, slightly conservative estimate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     count: u64,

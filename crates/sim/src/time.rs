@@ -4,7 +4,6 @@
 //! resolves 802.11 slot times (20 µs) and DIFS (50 µs) while keeping
 //! arithmetic exact (no floating-point drift in the event queue).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -22,9 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_micros(), 1_500_000);
 /// assert_eq!(t - SimTime::from_secs(1), SimDuration::from_millis(500));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, measured in microseconds.
@@ -35,9 +32,7 @@ pub struct SimTime(u64);
 /// use pqs_sim::SimDuration;
 /// assert_eq!(SimDuration::from_millis(2) * 3, SimDuration::from_micros(6_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

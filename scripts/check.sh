@@ -8,6 +8,23 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# Everything temporary lives under one directory, and the one background
+# process is recorded here, so that any exit — a passing run, a failed
+# check or a `set -e` abort — leaves nothing behind.
+tmp="$(mktemp -d)"
+serve_pid=""
+cleanup() {
+    if [[ -n "$serve_pid" ]]; then kill "$serve_pid" 2>/dev/null || true; fi
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+echo "==> knob table: README.md names exactly the PQS_* variables the parsers read"
+diff <(grep -ohE 'PQS_[A-Z_]+' README.md | sort -u) \
+    <(grep -ohE '"PQS_[A-Z_]+"' crates/bench/src/lib.rs crates/sim/src/pool.rs \
+        crates/serve/src/knobs.rs | tr -d '"' | sort -u) \
+    || { echo "README.md and the knob parsers disagree on the PQS_* names"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -24,88 +41,47 @@ echo "==> tier-1: cargo test -q (root package + every deterministic crate)"
 cargo test -q
 
 echo "==> sweep engine: every figure at PQS_JOBS=2, diff vs sequential"
-seq_dir="$(mktemp -d)"
-par_dir="$(mktemp -d)"
-trap 'rm -rf "$seq_dir" "$par_dir"' EXIT
-PQS_BENCH_DIR="$seq_dir" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
+PQS_BENCH_DIR="$tmp/seq" PQS_JOBS=1 PQS_SEEDS=1 PQS_SIZES=50 \
     cargo run --release -q -p pqs-bench -- all >/dev/null
-PQS_BENCH_DIR="$par_dir" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
+PQS_BENCH_DIR="$tmp/par" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
     cargo run --release -q -p pqs-bench -- all >/dev/null
-for export in "$seq_dir"/*.json; do
-    base="$(basename "$export")"
-    [[ "$base" == *.perf.json ]] && continue
-    diff "$export" "$par_dir/$base" \
-        || { echo "$base differs between PQS_JOBS=1 and 2"; exit 1; }
-done
+diff -r "$tmp/seq" "$tmp/par" \
+    || { echo "exports differ between PQS_JOBS=1 and 2"; exit 1; }
 
-echo "==> scale sweep: fig_scale smoke, sidecar carries throughput + peak RSS"
-scale_dir="$(mktemp -d)"
-PQS_BENCH_DIR="$scale_dir" PQS_SIZES=2000 \
-    cargo run --release -q -p pqs-bench -- fig_scale >/dev/null
-grep -q '"events_per_sec":' "$scale_dir/fig_scale.perf.json" \
-    || { echo "fig_scale.perf.json: missing events_per_sec"; rm -rf "$scale_dir"; exit 1; }
-grep -q '"peak_rss_bytes":' "$scale_dir/fig_scale.perf.json" \
-    || { echo "fig_scale.perf.json: missing peak_rss_bytes"; rm -rf "$scale_dir"; exit 1; }
-rm -rf "$scale_dir"
-
-echo "==> serve e2e: pqs_serve + serve_load over localhost UDP (120k ops)"
-serve_dir="$(mktemp -d)"
-ports="$serve_dir/ports.txt"
+echo "==> serve e2e: pqs_serve + serve_load over localhost UDP (120k verified ops)"
+mkdir "$tmp/serve"
+ports="$tmp/serve/ports.txt"
 cargo build --release -q -p pqs-serve
 PQS_SERVE_PORTS_FILE="$ports" PQS_SERVE_NODES=5 \
-    ./target/release/pqs_serve >"$serve_dir/serve.out" 2>&1 &
+    ./target/release/pqs_serve >"$tmp/serve/serve.out" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 100); do [[ -s "$ports" ]] && break; sleep 0.1; done
-[[ -s "$ports" ]] \
-    || { echo "pqs_serve did not publish its ports"; kill "$serve_pid" 2>/dev/null; exit 1; }
-targets="$(paste -sd, "$ports")"
-PQS_BENCH_DIR="$serve_dir" PQS_SERVE_OPS=120000 \
-    timeout 180 ./target/release/serve_load --targets "$targets" --drain >/dev/null \
-    || { echo "serve_load burst failed"; kill "$serve_pid" 2>/dev/null; rm -rf "$serve_dir"; exit 1; }
+[[ -s "$ports" ]] || { echo "pqs_serve did not publish its ports"; exit 1; }
+# serve_load's exit status is the verdict: ping, verified ops, hit ratio,
+# zero mismatches, drain.
+timeout 180 ./target/release/serve_load --targets "$(paste -sd, "$ports")" --drain \
+    || { echo "serve_load: the cluster failed the smoke"; exit 1; }
 # Clean shutdown: the drained server must exit on its own, promptly.
 for _ in $(seq 1 100); do kill -0 "$serve_pid" 2>/dev/null || break; sleep 0.1; done
 if kill -0 "$serve_pid" 2>/dev/null; then
     echo "pqs_serve did not shut down after the drain"
-    kill -9 "$serve_pid"; rm -rf "$serve_dir"; exit 1
+    exit 1
 fi
-wait "$serve_pid" || { echo "pqs_serve exited non-zero"; rm -rf "$serve_dir"; exit 1; }
-ratio="$(grep -o '"hit_ratio": *[0-9.e+-]*' "$serve_dir/serve_throughput.json" | awk '{print $2}')"
-awk -v r="$ratio" 'BEGIN { exit !(r >= 0.9) }' \
-    || { echo "serve hit ratio $ratio below 0.9"; rm -rf "$serve_dir"; exit 1; }
-grep -q '"value_mismatches": 0' "$serve_dir/serve_throughput.json" \
-    || { echo "serve_load observed corrupted values"; rm -rf "$serve_dir"; exit 1; }
-for field in ops_per_sec put_p50_us put_p99_us get_p50_us get_p99_us; do
-    grep -q "\"$field\":" "$serve_dir/serve_throughput.perf.json" \
-        || { echo "serve_throughput.perf.json: missing $field"; rm -rf "$serve_dir"; exit 1; }
-done
-rm -rf "$serve_dir"
+wait "$serve_pid" || { echo "pqs_serve exited non-zero"; exit 1; }
+serve_pid=""
 
 echo "==> benchmark package: builds against the crates' public API, set --quick passes"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    set --quick --out "$seq_dir/quick.json"
+    set --quick --out "$tmp/quick.json"
 
 if [[ $quick -eq 0 ]]; then
     echo "==> cargo test --workspace -q"
     cargo test --workspace -q
 
     echo "==> full-suite export diff: every figure vs committed bench_results"
-    full_dir="$(mktemp -d)"
-    PQS_BENCH_DIR="$full_dir" cargo run --release -q -p pqs-bench -- all >/dev/null
-    for export in bench_results/*.json; do
-        base="$(basename "$export")"
-        [[ "$base" == *.perf.json ]] && continue
-        # Measured over real sockets, not a deterministic sim export.
-        [[ "$base" == "serve_throughput.json" ]] && continue
-        diff "$export" "$full_dir/$base" \
-            || { echo "$base differs from the committed export"; rm -rf "$full_dir"; exit 1; }
-    done
-    # Advisory, never failing: the suite's wall-clock budget next to the
-    # committed one (which also counts serve_load's sidecar).
-    cargo run --release -q -p pqs-bench -- summary "$full_dir" "$full_dir/summary.json" >/dev/null
-    wall_ms() { grep -m1 -o '"total_wall_ms": *[0-9]*' "$1" | grep -o '[0-9]*$'; }
-    echo "suite total_wall_ms: $(wall_ms "$full_dir/summary.json") fresh," \
-        "$(wall_ms BENCH_SUMMARY.json) committed"
-    rm -rf "$full_dir"
+    PQS_BENCH_DIR="$tmp/full" cargo run --release -q -p pqs-bench -- all >/dev/null
+    diff -r bench_results "$tmp/full" \
+        || { echo "regenerated exports differ from the committed bench_results/"; exit 1; }
 fi
 
 echo "==> all checks passed"
