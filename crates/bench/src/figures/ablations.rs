@@ -5,7 +5,6 @@
 
 use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
-use pqs_core::RepairMode;
 use pqs_net::{MobilityModel, PhyConfig};
 
 fn base(n: usize) -> ScenarioConfig {
@@ -38,7 +37,7 @@ pub fn run(b: &mut Bench) {
         }),
         ("no reply repair", {
             let mut c = base(n);
-            c.service.repair = RepairMode::None;
+            c.service.reply_repair = false;
             c
         }),
         ("no path reduction", {

@@ -4,7 +4,6 @@
 
 use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
-use pqs_core::RepairMode;
 use pqs_net::MobilityModel;
 
 pub fn run(b: &mut Bench) {
@@ -17,7 +16,7 @@ pub fn run(b: &mut Bench) {
         .map(|&speed| {
             let mut cfg = ScenarioConfig::paper(n);
             cfg.net.mobility = MobilityModel::fast(speed);
-            cfg.service.repair = RepairMode::None;
+            cfg.service.reply_repair = false;
             cfg.workload = bench_workload(30, 150, n);
             cfg
         })

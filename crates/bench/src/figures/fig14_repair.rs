@@ -6,7 +6,6 @@
 use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::ScenarioConfig;
 use pqs_core::spec::{AccessStrategy, QuorumSpec};
-use pqs_core::RepairMode;
 use pqs_net::MobilityModel;
 
 pub fn run(b: &mut Bench) {
@@ -19,10 +18,6 @@ pub fn run(b: &mut Bench) {
         .map(|&speed| {
             let mut cfg = ScenarioConfig::paper(n);
             cfg.net.mobility = MobilityModel::fast(speed);
-            cfg.service.repair = RepairMode::Local {
-                ttl: 3,
-                global_fallback: true,
-            };
             cfg.workload = bench_workload(30, 150, n);
             cfg
         })
@@ -68,10 +63,6 @@ pub fn run(b: &mut Bench) {
             cfg.net.mobility = MobilityModel::fast(20.0);
             cfg.service.spec.advertise = QuorumSpec::new(AccessStrategy::Random, qa);
             cfg.service.membership_view_factor = factor.max(2.0);
-            cfg.service.repair = RepairMode::Local {
-                ttl: 3,
-                global_fallback: true,
-            };
             cfg.workload = bench_workload(30, 150, n);
             // A larger advertise quorum sends proportionally more routed
             // stores: widen the advertise window so the comparison is not

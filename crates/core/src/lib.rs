@@ -14,10 +14,11 @@
 //! - [`op`]: the open-operation core both engines run on — per
 //!   operation, the pinned quorum sample, the placement count, the
 //!   `b + 1` vote and the retry verdicts, defined once,
-//! - [`stack`]: the simulator engine: dissemination for all access
-//!   strategies — RANDOM, RANDOM-OPT, PATH, UNIQUE-PATH, FLOODING — plus
-//!   RW salvation, reply-path reduction, reply-path local repair, early
-//!   halting, caching and promiscuous replies,
+//! - [`stack`]: the simulator engine, one child module per access
+//!   strategy — RANDOM, RANDOM-OPT, PATH / UNIQUE-PATH, FLOODING — plus
+//!   the reverse-path reply with its reduction and local repair, the
+//!   outcome verdicts (Byzantine boundary, votes, caching), the retry
+//!   layer and the controller feed,
 //! - [`transport`] / [`wire`] / [`endpoint`]: the transport seam — the
 //!   RANDOM-strategy engine that runs the same operations over the
 //!   simulated MAC ([`simhost`]), deterministic in-process links
@@ -66,8 +67,6 @@ pub mod membership;
 pub mod messages;
 pub mod obs;
 pub mod op;
-pub mod pubsub;
-pub mod register;
 pub mod runner;
 pub mod service;
 pub mod simhost;
@@ -87,9 +86,7 @@ pub use runner::{
     run_cells, run_scenario, run_scenario_hooked, run_seeds, Aggregate, ControllerHook, RunMetrics,
     ScenarioConfig, SweepCell,
 };
-pub use service::{
-    Fanout, OpKind, OpRecord, QuorumCounters, RepairMode, RetryPolicy, ServiceConfig,
-};
+pub use service::{Fanout, OpKind, OpRecord, QuorumCounters, RetryPolicy, ServiceConfig};
 pub use simhost::{SimHost, WireNet};
 pub use spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 pub use stack::{QuorumNet, QuorumStack, ReconfigureError};

@@ -7,14 +7,16 @@
 //! amortized over all advertise accesses", §8.1); we therefore model a
 //! *converged* membership service: each node holds `2√n` uniform samples
 //! drawn at initialisation, refreshed only on explicit request.
-//!
-//! For the sampling-based variant (no membership service), see
-//! [`crate::stack`]'s use of Maximum-Degree random walks.
 
-use pqs_graph::walks;
 use pqs_net::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+/// The view size for a population of `alive` nodes: `factor·√alive`,
+/// rounded, at least 1 (the paper's `2√n` at `factor = 2`).
+pub(crate) fn view_size(factor: f64, alive: usize) -> usize {
+    ((factor * (alive as f64).sqrt()).round() as usize).max(1)
+}
 
 /// Per-node random membership views.
 #[derive(Debug, Clone)]
@@ -36,55 +38,13 @@ impl Membership {
         rng: &mut R,
     ) -> Self {
         assert!(!population.is_empty(), "population must be non-empty");
-        let mut views = vec![Vec::new(); n_slots];
-        for (i, view) in views.iter_mut().enumerate() {
-            let me = NodeId(i as u32);
-            let mut pool: Vec<NodeId> = population.iter().copied().filter(|&p| p != me).collect();
-            pool.shuffle(rng);
-            pool.truncate(view_size);
-            *view = pool;
+        let mut m = Membership {
+            views: vec![Vec::new(); n_slots],
+        };
+        for i in 0..n_slots {
+            m.refresh_view(NodeId(i as u32), population, view_size, rng);
         }
-        Membership { views }
-    }
-
-    /// Builds views the way RaWMS actually does (Bar-Yossef et al.
-    /// 2008): each view entry is the endpoint of a Maximum-Degree random
-    /// walk of (at least) the mixing time over the connectivity graph —
-    /// approximately uniform samples with the residual bias of a
-    /// finite-length walk, rather than the idealised shuffle of
-    /// [`Membership::converged`].
-    ///
-    /// `graph` must be indexed by node id; isolated or dead nodes simply
-    /// receive whatever their walks can reach.
-    pub fn rawms_converged<R: Rng + ?Sized>(
-        graph: &pqs_graph::Graph,
-        view_size: usize,
-        rng: &mut R,
-    ) -> Self {
-        let n = graph.node_count();
-        let steps = 2 * pqs_graph::bounds::md_mixing_steps(n);
-        let mut views = vec![Vec::new(); n];
-        for (i, view) in views.iter_mut().enumerate() {
-            if graph.degree(i) == 0 {
-                continue;
-            }
-            let mut at = i;
-            let mut guard = 0;
-            while view.len() < view_size && guard < view_size * 4 {
-                guard += 1;
-                at = walks::uniform_sample_md(graph, at, steps, rng);
-                let id = NodeId(at as u32);
-                if at != i && !view.contains(&id) {
-                    view.push(id);
-                }
-            }
-        }
-        Membership { views }
-    }
-
-    /// The paper's default view size `2√n`.
-    pub fn paper_view_size(n: usize) -> usize {
-        (2.0 * (n as f64).sqrt()).round() as usize
+        m
     }
 
     /// The node's current view.
@@ -178,35 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn paper_view_size_formula() {
-        assert_eq!(Membership::paper_view_size(800), 57);
-        assert_eq!(Membership::paper_view_size(100), 20);
-    }
-
-    #[test]
-    fn rawms_views_are_roughly_uniform_and_self_free() {
-        use pqs_graph::rgg::RggConfig;
-        let mut r = rng::stream(5, 0);
-        let net = RggConfig::with_avg_degree(120, 12.0).generate(&mut r);
-        let m = Membership::rawms_converged(net.graph(), 10, &mut r);
-        let mut counts = vec![0u32; 120];
-        let mut total = 0;
-        for i in 0..120 {
-            let view = m.view(NodeId(i));
-            assert!(!view.contains(&NodeId(i)), "view contains self");
-            let mut dedup = view.to_vec();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), view.len(), "duplicates in view");
-            for nbr in view {
-                counts[nbr.index()] += 1;
-                total += 1;
-            }
-        }
-        assert!(total > 1000, "views mostly filled: {total}");
-        // Rough uniformity: no node hoards the samples.
-        let max = *counts.iter().max().unwrap();
-        assert!(max < 40, "view entries too concentrated: {max}");
+    fn view_size_formula() {
+        assert_eq!(view_size(2.0, 800), 57);
+        assert_eq!(view_size(2.0, 100), 20);
+        assert_eq!(view_size(2.0, 0), 1, "never an empty view");
     }
 
     #[test]

@@ -528,10 +528,8 @@ fn advertise_profile(s: &ServiceConfig) -> ServiceConfig {
     p.spec.lookup = QuorumSpec::new(lookup_strategy, 1);
     p.lookup_fanout = Fanout::Serial;
     p.early_halting = false;
-    p.probe_timeout = SimDuration::from_secs(3);
     p.probe_spacing = SimDuration::ZERO;
     p.expanding_ring = false;
-    p.expanding_ring_timeout = SimDuration::from_millis(500);
     p
 }
 

@@ -17,23 +17,6 @@ pub enum Fanout {
     Parallel,
 }
 
-/// Reply-path repair policy for walk replies under mobility (§6.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairMode {
-    /// Drop the reply when a reverse-path hop breaks.
-    None,
-    /// Try subsequent reverse-path nodes through TTL-scoped routing; if
-    /// every scoped segment fails and `global_fallback` is set, route the
-    /// reply to the originator with an unrestricted search as the last
-    /// resort (§6.2 recommends TTL 3 and describes both options).
-    Local {
-        /// Scope of each repair search (paper: 3).
-        ttl: u8,
-        /// Fall back to a network-wide route to the originator.
-        global_fallback: bool,
-    },
-}
-
 /// Operation-level retry policy: failed or timed-out quorum accesses are
 /// re-issued with a fresh access set, bounded attempts, and jittered
 /// exponential backoff, under a per-operation deadline.
@@ -166,8 +149,10 @@ pub struct ServiceConfig {
     /// Skip ahead on the reverse reply path when a later node is already
     /// a neighbour (§7.2).
     pub reply_path_reduction: bool,
-    /// Reverse-path repair policy (§6.2).
-    pub repair: RepairMode,
+    /// Repair a broken reverse-path hop (§6.2): TTL-3 scoped routing to
+    /// each subsequent reverse-path node, then an unrestricted route to
+    /// the originator as the last resort. Off drops the reply.
+    pub reply_repair: bool,
     /// Re-send a walk step to another neighbour when the MAC reports a
     /// failure (RW salvation, §6.2).
     pub rw_salvation: bool,
@@ -177,12 +162,6 @@ pub struct ServiceConfig {
     /// (promiscuous optimisation, §7.2 — "left for future work" in the
     /// paper).
     pub promiscuous_replies: bool,
-    /// How long a serial prober waits for a reply before moving on.
-    pub probe_timeout: SimDuration,
-    /// Spacing between the routed store sends of one advertise access.
-    /// Bursting |Qa| route discoveries at once melts the medium; pacing
-    /// them keeps contention (and thus MAC losses) low.
-    pub store_spacing: SimDuration,
     /// Spacing between the routed probes of one *parallel* lookup
     /// access. Zero (the paper default) keeps the single burst; masking
     /// reads with inflated |Qℓ| set it to survive their own fan-out.
@@ -192,12 +171,10 @@ pub struct ServiceConfig {
     /// 3√n experiment).
     pub membership_view_factor: f64,
     /// Expanding-ring flooding (§4.4): lookup floods start at TTL 1 and
-    /// re-flood with TTL+1 after `expanding_ring_timeout` until the reply
+    /// re-flood with TTL+1 after a 500 ms stage timeout until the reply
     /// arrives or the spec's TTL is reached. Robust to unknown densities
     /// at an increased message cost.
     pub expanding_ring: bool,
-    /// How long each expanding-ring stage waits before growing the TTL.
-    pub expanding_ring_timeout: SimDuration,
     /// Operation-level retry/deadline/backoff policy. `None` (the paper's
     /// setup — it has no such layer) issues every access exactly once.
     pub retry: Option<RetryPolicy>,
@@ -241,19 +218,13 @@ impl ServiceConfig {
             lookup_fanout: Fanout::Serial,
             early_halting: true,
             reply_path_reduction: true,
-            repair: RepairMode::Local {
-                ttl: 3,
-                global_fallback: true,
-            },
+            reply_repair: true,
             rw_salvation: true,
             caching: false,
             promiscuous_replies: false,
-            probe_timeout: SimDuration::from_secs(3),
-            store_spacing: SimDuration::from_millis(150),
             probe_spacing: SimDuration::ZERO,
             membership_view_factor: 2.0,
             expanding_ring: false,
-            expanding_ring_timeout: SimDuration::from_millis(500),
             retry: None,
             trace_capacity: 0,
             estimator_sample_factor: 2.0,

@@ -4,7 +4,7 @@
 use pqs_core::runner::{run_scenario, ScenarioConfig};
 use pqs_core::spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 use pqs_core::workload::WorkloadConfig;
-use pqs_core::{Fanout, RepairMode};
+use pqs_core::Fanout;
 use pqs_net::MobilityModel;
 
 fn scenario(n: usize, adv: AccessStrategy, lkp: AccessStrategy) -> ScenarioConfig {
@@ -160,7 +160,7 @@ fn fast_mobility_without_repair_drops_replies_not_intersections() {
     // to salvation), the reverse reply path is what breaks.
     let mut cfg = scenario(100, AccessStrategy::Random, AccessStrategy::UniquePath);
     cfg.net.mobility = MobilityModel::fast(20.0);
-    cfg.service.repair = RepairMode::None;
+    cfg.service.reply_repair = false;
     let m = run_scenario(&cfg, 10);
     assert!(
         m.intersection_ratio() >= m.hit_ratio(),
@@ -168,10 +168,7 @@ fn fast_mobility_without_repair_drops_replies_not_intersections() {
     );
     // With repair on, the gap closes (Fig. 14).
     let mut repaired = cfg.clone();
-    repaired.service.repair = RepairMode::Local {
-        ttl: 3,
-        global_fallback: true,
-    };
+    repaired.service.reply_repair = true;
     let m2 = run_scenario(&repaired, 10);
     assert!(
         m2.hit_ratio() >= m.hit_ratio(),
@@ -261,4 +258,19 @@ fn expanding_ring_flooding_stops_early_on_hits() {
         m_ring.counters.flood_tx,
         m_fixed.counters.flood_tx
     );
+}
+
+#[test]
+fn flooding_size_above_255_saturates_the_ttl() {
+    // A member-count FLOODING size (the planner sizes that side by n) can
+    // exceed the largest TTL a frame carries: it must saturate at 255,
+    // not wrap around to a tiny flood.
+    let covered = |size| {
+        let mut cfg = ScenarioConfig::paper(50);
+        cfg.workload = WorkloadConfig::small(5, 10);
+        cfg.service.spec.lookup = QuorumSpec::new(AccessStrategy::Flooding, size);
+        run_scenario(&cfg, 14).counters.flood_covered
+    };
+    let (at_255, at_256) = (covered(255), covered(256));
+    assert!(at_256 >= at_255, "TTL 256 covered {at_256} < {at_255}");
 }

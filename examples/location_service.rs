@@ -10,21 +10,13 @@
 
 use pqs::core::runner::{run_scenario, ScenarioConfig};
 use pqs::core::workload::WorkloadConfig;
-use pqs::core::RepairMode;
 use pqs::net::MobilityModel;
 
 fn scenario(speed: f64, repair: bool) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::paper(100);
     cfg.net.mobility = MobilityModel::fast(speed);
     cfg.workload = WorkloadConfig::small(15, 80);
-    cfg.service.repair = if repair {
-        RepairMode::Local {
-            ttl: 3,
-            global_fallback: true,
-        }
-    } else {
-        RepairMode::None
-    };
+    cfg.service.reply_repair = repair;
     cfg
 }
 

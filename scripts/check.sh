@@ -25,6 +25,18 @@ diff <(grep -ohE 'PQS_[A-Z_]+' README.md | sort -u) \
         crates/serve/src/knobs.rs | tr -d '"' | sort -u) \
     || { echo "README.md and the knob parsers disagree on the PQS_* names"; exit 1; }
 
+echo "==> module names: DESIGN.md and README.md cite only modules that exist"
+core_names="$(perl -0ne 'print "$1\n" while /^pub (?:mod|use) ([^;]*);/mg' crates/core/src/lib.rs \
+    | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)"
+for name in $(grep -ohE 'pqs[-_]core::[A-Za-z_][A-Za-z0-9_]*' DESIGN.md README.md | sed 's/.*:://' | sort -u); do
+    grep -qx "$name" <<<"$core_names" \
+        || { echo "docs cite pqs-core::$name, which crates/core/src/lib.rs does not export"; exit 1; }
+done
+for name in $(grep -ohE '\bstack::[a-z_][a-z0-9_]*' DESIGN.md README.md | sed 's/.*:://' | sort -u); do
+    [[ -f "crates/core/src/stack/$name.rs" ]] \
+        || { echo "docs cite stack::$name, but crates/core/src/stack/$name.rs does not exist"; exit 1; }
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
