@@ -1,10 +1,10 @@
 //! `QuorumEndpoint`: the per-node probabilistic-quorum protocol engine
-//! that runs over any [`Transport`] — simulated MAC, deterministic
-//! loopback, or real UDP. The per-operation rules (quorum pin, placement
-//! count, votes, retry verdicts) are [`crate::op::OpenOp`]'s, shared
-//! with the simulator-coupled [`crate::stack::QuorumStack`]; this module
-//! adds what is the endpoint's own: uniform peer sampling, `StoreAck`
-//! confirmation, drain, counters and completions.
+//! that runs over any [`Transport`] — deterministic loopback or real
+//! UDP. The per-operation rules (placement count, votes, retry
+//! verdicts) are [`crate::op::OpenOp`]'s, shared with the simulator's
+//! [`crate::stack::QuorumStack`]; this module adds what is the
+//! endpoint's own: uniform peer sampling, `StoreAck` confirmation,
+//! drain, counters and completions.
 //!
 //! The engine implements the RANDOM access strategy of the paper over a
 //! flat membership view: an advertise places `key → value` at `qa`
@@ -21,10 +21,10 @@
 //! The engine is callback-driven and owns no I/O: hosts feed it
 //! [`QuorumEndpoint::on_message`] / [`QuorumEndpoint::on_timer`] and
 //! flush whatever it queued on the [`Transport`]. Identical inputs in
-//! identical order produce identical outputs on every substrate — the
-//! property `tests/transport_equivalence.rs` pins down by hosting this
-//! engine on [`crate::simhost::SimHost`] and on
-//! [`crate::loopback::LoopbackNet`].
+//! identical order produce identical outputs on every substrate;
+//! `tests/transport_equivalence.rs` checks that one script reaches the
+//! same outcomes on [`crate::loopback::LoopbackNet`] under two delivery
+//! schedules.
 
 use crate::messages::OpId;
 use crate::op::{Judgement, OpenOp};
@@ -50,15 +50,6 @@ pub struct EndpointConfig {
     pub retry: RetryPolicy,
     /// Byzantine tolerance policy (trusting or masking votes).
     pub byz: ByzPolicy,
-    /// Optional weighted size mixture: each operation samples its
-    /// quorum size from its side's candidates (one draw from the
-    /// endpoint's op RNG stream). Candidates should be RANDOM: every
-    /// access here is a uniform peer sample whatever the candidate's
-    /// strategy, so only the size parameter applies (a FLOODING
-    /// candidate's size is a TTL and makes no sense over sockets).
-    /// `None` keeps the fixed `qa`/`ql` behaviour with no extra RNG
-    /// draws.
-    pub weighted: Option<crate::spec::WeightedBiquorumSpec>,
 }
 
 impl EndpointConfig {
@@ -71,7 +62,6 @@ impl EndpointConfig {
             ql,
             retry: RetryPolicy::default_policy(),
             byz: ByzPolicy::trusting(),
-            weighted: None,
         }
     }
 }
@@ -144,7 +134,7 @@ pub struct QuorumEndpoint {
     id: NodeId,
     peers: Vec<NodeId>,
     cfg: EndpointConfig,
-    /// `cfg.qa`/`cfg.ql` as the uniform spec unpinned operations follow.
+    /// `cfg.qa`/`cfg.ql` as the spec every operation accesses.
     uniform: BiquorumSpec,
     store: Store,
     rng: StdRng,
@@ -152,7 +142,7 @@ pub struct QuorumEndpoint {
     timers: HashMap<u64, TimerCtx>,
     completions: Vec<Completion>,
     /// Per-kind completion latency in microseconds of the transport
-    /// clock (deterministic on sim/loopback, wall-clock on UDP).
+    /// clock (deterministic on the loopback, wall-clock on UDP).
     advertise_latency: Histogram,
     lookup_latency: Histogram,
     counters: EndpointCounters,
@@ -264,10 +254,8 @@ impl QuorumEndpoint {
         Some(op)
     }
 
-    /// Admits one client operation: a fresh [`OpenOp`] with its quorum
-    /// pinned (one draw from the op RNG stream) when a weighted mixture
-    /// is configured. `None` if refused because the endpoint is
-    /// draining.
+    /// Admits one client operation as a fresh [`OpenOp`]. `None` if
+    /// refused because the endpoint is draining.
     fn open<T: Transport>(
         &mut self,
         t: &mut T,
@@ -282,11 +270,8 @@ impl QuorumEndpoint {
         }
         let op = self.next_op;
         self.next_op += 1;
-        let mut open = OpenOp::new(kind, key, value, SimTime::from_micros(t.now_micros()));
-        if let Some(mix) = &self.cfg.weighted {
-            open.pin(mix, &mut self.rng);
-        }
-        self.ops.insert(op, open);
+        let now = SimTime::from_micros(t.now_micros());
+        self.ops.insert(op, OpenOp::new(kind, key, value, now));
         Some(op)
     }
 

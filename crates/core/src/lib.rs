@@ -20,9 +20,9 @@
 //!   outcome verdicts (Byzantine boundary, votes, caching), the retry
 //!   layer and the controller feed,
 //! - [`transport`] / [`wire`] / [`endpoint`]: the transport seam — the
-//!   RANDOM-strategy engine that runs the same operations over the
-//!   simulated MAC ([`simhost`]), deterministic in-process links
-//!   ([`loopback`]), or real UDP sockets (`pqs-serve`),
+//!   RANDOM-strategy engine that runs the same operations over
+//!   deterministic in-process links ([`loopback`]) or real UDP sockets
+//!   (`pqs-serve`),
 //! - [`estimator`]: network-size estimation from walk collisions (§6.3),
 //! - [`workload`] / [`runner`]: the paper's simulation scenarios and the
 //!   multi-seed experiment runner.
@@ -69,7 +69,6 @@ pub mod obs;
 pub mod op;
 pub mod runner;
 pub mod service;
-pub mod simhost;
 pub mod spec;
 pub mod stack;
 pub mod store;
@@ -87,7 +86,6 @@ pub use runner::{
     ScenarioConfig, SweepCell,
 };
 pub use service::{Fanout, OpKind, OpRecord, QuorumCounters, RetryPolicy, ServiceConfig};
-pub use simhost::{SimHost, WireNet};
 pub use spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 pub use stack::{QuorumNet, QuorumStack, ReconfigureError};
 pub use store::{Key, Role, Store, Value};

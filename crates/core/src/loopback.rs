@@ -9,8 +9,9 @@
 //! on delivery, so the codec is exercised on every hop of every
 //! loopback test. Delivery order is the scheduler's deterministic
 //! same-instant FIFO; faults come from the dedicated FAULTS rng stream.
-//! Same seed ⇒ identical execution, which is what makes the
-//! sim-vs-loopback equivalence test meaningful.
+//! Same seed ⇒ identical execution; `tests/transport_equivalence.rs`
+//! runs one script under two link schedules and checks the engine
+//! reaches the same outcomes on both.
 
 use crate::endpoint::{Completion, EndpointConfig, QuorumEndpoint};
 use crate::messages::OpId;

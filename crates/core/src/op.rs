@@ -171,6 +171,17 @@ impl OpenOp {
         self.attempts
     }
 
+    /// Confirmed placements so far.
+    pub(crate) fn placements(&self) -> u32 {
+        self.placed
+    }
+
+    /// Whether a lookup has its answer (a vote verdict or a degraded
+    /// one).
+    pub(crate) fn answered(&self) -> bool {
+        self.answered
+    }
+
     /// Quorum members still to place: what a member-count strategy
     /// re-sends on a retry.
     pub fn shortfall(&self, uniform: &BiquorumSpec) -> usize {

@@ -362,7 +362,7 @@ fn measure_phase(
     };
     let mut latency_sum = 0.0;
     for (_, rec) in stack.ops() {
-        match rec.kind {
+        match rec.kind() {
             OpKind::Advertise => {
                 metrics.advertises += 1;
                 // `completed` is only stamped on advertises that placed
@@ -372,21 +372,21 @@ fn measure_phase(
                     if !rec.retries_exhausted && !rec.deadline_expired {
                         metrics
                             .advertise_latency
-                            .record((done - rec.started).as_micros());
+                            .record((done - rec.started()).as_micros());
                     }
                 }
             }
             OpKind::Lookup => {
                 metrics.lookups += 1;
-                if rec.replied {
+                if rec.replied() {
                     metrics.hits += 1;
                     if let Some(done) = rec.completed {
-                        latency_sum += (done - rec.started).as_secs_f64();
+                        latency_sum += (done - rec.started()).as_secs_f64();
                         metrics
                             .lookup_latency
-                            .record((done - rec.started).as_micros());
+                            .record((done - rec.started()).as_micros());
                     }
-                    if rec.value.is_some() && rec.value != truth.get(&rec.key).copied() {
+                    if rec.value.is_some() && rec.value != truth.get(&rec.key()).copied() {
                         metrics.wrong_reads += 1;
                     }
                 }

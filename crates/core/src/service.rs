@@ -1,5 +1,6 @@
 //! Service-level configuration, per-operation records and counters.
 
+use crate::op::OpenOp;
 use crate::spec::BiquorumSpec;
 use crate::store::{Key, Value};
 use pqs_net::NodeId;
@@ -243,38 +244,27 @@ pub enum OpKind {
     Lookup,
 }
 
-/// The life of one operation, as recorded by the service.
-#[derive(Debug, Clone, PartialEq)]
+/// The life of one operation, as recorded by the service: the
+/// operation's [`OpenOp`] (kind, key, issue time, attempts, placements,
+/// votes) plus what only the simulator observes of it.
+#[derive(Debug, Clone)]
 pub struct OpRecord {
-    /// Advertise or lookup.
-    pub kind: OpKind,
-    /// The key.
-    pub key: Key,
     /// The issuing node.
     pub origin: NodeId,
-    /// When the operation was issued.
-    pub started: SimTime,
     /// Lookup only: some accessed node held the key — the quorums
     /// intersected (Fig. 13(b)'s "intersection probability", which
     /// ignores reply losses).
     pub intersected: bool,
-    /// Lookup only: the originator received the value (the paper's hit
-    /// ratio).
-    pub replied: bool,
     /// When the reply arrived (lookups) or the access completed.
     pub completed: Option<SimTime>,
     /// The value returned to the originator.
     pub value: Option<Value>,
     /// At least one reply for this operation was dropped en route.
     pub reply_dropped: bool,
-    /// Advertise only: number of nodes that stored the mapping.
-    pub stores_placed: u32,
     /// Every value that reached the originator (parallel probes and
     /// floods produce several). Quorum-based register implementations
     /// take the maximum-version element (§10).
     pub values_seen: Vec<Value>,
-    /// Issue attempts so far (1 = first issue, no retries).
-    pub attempts: u32,
     /// The retry budget ran out before the operation succeeded (distinct
     /// from a plain single-shot miss and from deadline expiry).
     pub retries_exhausted: bool,
@@ -283,28 +273,59 @@ pub struct OpRecord {
     /// A retry had to shrink the access below the Corollary 5.3 sizing
     /// rule because the estimated live population could not support it.
     pub degraded: bool,
+    /// The engine-side state: retry clock, pinned quorum sample,
+    /// placements, votes. Never closed — frames still in flight consult
+    /// the pin, and late stores and votes land, after the retry layer
+    /// has given its verdict.
+    pub(crate) open: OpenOp,
 }
 
 impl OpRecord {
-    /// Creates a fresh record.
-    pub fn new(kind: OpKind, key: Key, origin: NodeId, started: SimTime) -> Self {
+    /// A fresh record of `open`, issued at `origin`.
+    pub(crate) fn new(origin: NodeId, open: OpenOp) -> Self {
         OpRecord {
-            kind,
-            key,
             origin,
-            started,
             intersected: false,
-            replied: false,
             completed: None,
             value: None,
             reply_dropped: false,
-            stores_placed: 0,
             values_seen: Vec::new(),
-            attempts: 1,
             retries_exhausted: false,
             deadline_expired: false,
             degraded: false,
+            open,
         }
+    }
+
+    /// Advertise or lookup.
+    pub fn kind(&self) -> OpKind {
+        self.open.kind
+    }
+
+    /// The key.
+    pub fn key(&self) -> Key {
+        self.open.key
+    }
+
+    /// When the operation was issued.
+    pub fn started(&self) -> SimTime {
+        self.open.started
+    }
+
+    /// Issue attempts so far (1 = first issue, no retries).
+    pub fn attempts(&self) -> u32 {
+        self.open.attempts()
+    }
+
+    /// Advertise only: number of nodes that stored the mapping.
+    pub fn stores_placed(&self) -> u32 {
+        self.open.placements()
+    }
+
+    /// Lookup only: the originator received the value (the paper's hit
+    /// ratio).
+    pub fn replied(&self) -> bool {
+        self.open.answered()
     }
 }
 
@@ -418,10 +439,15 @@ mod tests {
 
     #[test]
     fn op_record_initial_state() {
-        let r = OpRecord::new(OpKind::Lookup, 5, NodeId(3), SimTime::from_secs(1));
-        assert!(!r.intersected && !r.replied && r.completed.is_none());
-        assert_eq!(r.stores_placed, 0);
-        assert_eq!(r.attempts, 1);
+        let open = OpenOp::new(OpKind::Lookup, 5, None, SimTime::from_secs(1));
+        let r = OpRecord::new(NodeId(3), open);
+        assert_eq!(
+            (r.kind(), r.key(), r.started()),
+            (OpKind::Lookup, 5, SimTime::from_secs(1))
+        );
+        assert!(!r.intersected && !r.replied() && r.completed.is_none());
+        assert_eq!(r.stores_placed(), 0);
+        assert_eq!(r.attempts(), 1);
         assert!(!r.retries_exhausted && !r.deadline_expired && !r.degraded);
     }
 

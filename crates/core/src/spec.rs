@@ -137,17 +137,6 @@ impl BiquorumSpec {
             .then(|| intersection_lower_bound(self.advertise.size, self.lookup.size, n))
     }
 
-    /// A symmetric RANDOM×RANDOM biquorum sized for `1−ε` intersection
-    /// (Malkhi et al.'s construction, §5.1): both sides get
-    /// `⌈√(n·ln(1/ε))⌉` members.
-    pub fn symmetric_random_for_epsilon(n: usize, epsilon: f64) -> Self {
-        let q = symmetric_quorum_size(n, epsilon);
-        BiquorumSpec {
-            advertise: QuorumSpec::new(AccessStrategy::Random, q),
-            lookup: QuorumSpec::new(AccessStrategy::Random, q),
-        }
-    }
-
     /// An asymmetric biquorum sized for `1−ε` intersection with the
     /// advertise side scaled as `advertise_factor·√n` and the lookup side
     /// sized to satisfy Corollary 5.3 (rounded up).
@@ -303,8 +292,10 @@ pub fn poisson_tail_lambda(b: u32, epsilon: f64) -> f64 {
 /// and is honest w.p. `1 − b/n`, so the honest-vote count is ≈
 /// `Poisson(|Qa|·|Qℓ|·(1 − b/n)/n)` (the same Poissonisation as
 /// Theorem 5.2). Requiring `Pr(X ≤ b) ≤ ε` gives
-/// `|Qa|·|Qℓ| ≥ n·λ*(b, ε)/(1 − b/n)`; `b = 0` recovers `n·ln(1/ε)`
-/// exactly.
+/// `|Qa|·|Qℓ| ≥ n·λ*(b, ε)/(1 − b/n)`. At `b = 0` this is
+/// [`min_quorum_product`] to the bit (the closed form `n·ln(1/ε)`, not
+/// the bisected `λ*`), so crash-only callers need no branch of their
+/// own.
 ///
 /// # Panics
 ///
@@ -314,6 +305,9 @@ pub fn byz_min_quorum_product(n: usize, epsilon: f64, b: u32) -> f64 {
         (b as usize) < n,
         "masking needs at least one honest node: b={b} n={n}"
     );
+    if b == 0 {
+        return min_quorum_product(n, epsilon);
+    }
     let honest = 1.0 - b as f64 / n as f64;
     n as f64 * poisson_tail_lambda(b, epsilon) / honest
 }
@@ -321,9 +315,18 @@ pub fn byz_min_quorum_product(n: usize, epsilon: f64, b: u32) -> f64 {
 /// The masking analogue of `1 − intersection_lower_bound`: an upper
 /// bound on the probability that a vote-verified read collects at most
 /// `b` honest concurring votes, `Pr(Poisson(qa·ql·(1 − b/n)/n) ≤ b)`.
-/// `b = 0` reduces to the Theorem 5.2 miss bound `e^{−qa·ql/n}`.
+/// It is `0` when the overlap is certain — `qa + ql > n + 2b`, so
+/// `|Qa ∩ Qℓ| ≥ 2b + 1` whatever the sample (the masking condition of
+/// Malkhi–Reiter–Wool) — and exactly `1 − intersection_lower_bound` at
+/// `b = 0`.
 pub fn byz_miss_upper_bound(qa: u32, ql: u32, n: usize, b: u32) -> f64 {
     assert!((b as usize) < n, "masking needs at least one honest node");
+    if qa as usize + ql as usize > n + 2 * b as usize {
+        return 0.0;
+    }
+    if b == 0 {
+        return 1.0 - intersection_lower_bound(qa, ql, n);
+    }
     let honest = 1.0 - b as f64 / n as f64;
     let lambda = f64::from(qa) * f64::from(ql) * honest / n as f64;
     poisson_cdf(b, lambda)
@@ -586,6 +589,9 @@ mod tests {
     fn oversized_quorums_always_intersect() {
         assert_eq!(intersection_lower_bound(60, 50, 100), 1.0);
         assert_eq!(intersection_lower_bound(100, 100, 100), 1.0);
+        // Masking: qa + ql > n + 2b leaves at least 2b + 1 common members.
+        assert_eq!(byz_miss_upper_bound(6, 5, 8, 1), 0.0);
+        assert!(byz_miss_upper_bound(5, 5, 8, 1) > 0.0);
     }
 
     #[test]
@@ -618,13 +624,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn symmetric_construction() {
-        let bq = BiquorumSpec::symmetric_random_for_epsilon(800, 0.1);
-        assert_eq!(bq.advertise.size, bq.lookup.size);
-        assert!(bq.intersection_lower_bound(800).unwrap() >= 0.9 - 1e-9);
     }
 
     #[test]
@@ -697,9 +696,16 @@ mod tests {
     #[test]
     fn byz_product_reduces_to_corollary_5_3_at_b_zero() {
         for &n in &[50usize, 150, 800] {
-            let honest = min_quorum_product(n, 0.1);
-            let byz = byz_min_quorum_product(n, 0.1, 0);
-            assert!((honest - byz).abs() < 1e-6, "{honest} vs {byz}");
+            for &eps in &[0.05, 0.1] {
+                let honest = min_quorum_product(n, eps);
+                let byz = byz_min_quorum_product(n, eps, 0);
+                assert_eq!(honest.to_bits(), byz.to_bits(), "{honest} vs {byz}");
+                for (qa, ql) in [(5, 9), (20, 20), (30, n as u32)] {
+                    let crash = 1.0 - intersection_lower_bound(qa, ql, n);
+                    let byz = byz_miss_upper_bound(qa, ql, n, 0);
+                    assert_eq!(crash.to_bits(), byz.to_bits(), "{crash} vs {byz}");
+                }
+            }
         }
     }
 

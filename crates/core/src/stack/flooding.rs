@@ -4,6 +4,7 @@
 use super::path::action_bytes;
 use super::{LinkCtx, QuorumNet, QuorumStack, TimerCtx};
 use crate::messages::{AppMsg, FloodMsg, FloodReplyMsg, OpId, QuorumAction};
+use crate::service::OpRecord;
 use pqs_net::{MacDst, NodeId};
 use pqs_sim::SimDuration;
 
@@ -48,7 +49,7 @@ impl QuorumStack {
     /// One stage of the §4.4 expanding-ring lookup: flood at `ttl`, then
     /// re-flood wider if the reply has not arrived by the stage timeout.
     pub(super) fn expanding_ring_stage(&mut self, net: &mut QuorumNet, op: OpId, ttl: u8) {
-        if self.ops.get(&op).is_some_and(|r| r.replied) {
+        if self.ops.get(&op).is_some_and(OpRecord::replied) {
             return;
         }
         let (origin, key) = self.origin_key(op);

@@ -125,12 +125,8 @@ pub struct QuorumStack {
     cfg: ServiceConfig,
     stores: Vec<Store>,
     membership: Membership,
+    /// Every operation ever issued; never closed (see [`OpRecord`]).
     ops: BTreeMap<OpId, OpRecord>,
-    /// The engine-side state of every operation in `ops`: retry clock,
-    /// pinned quorum sample, placements, votes. Never closed — frames
-    /// still in flight consult the pin, and late stores and votes land,
-    /// after the retry layer has given its verdict.
-    open: BTreeMap<OpId, OpenOp>,
     next_op: OpId,
     next_token: u64,
     link_ctx: HashMap<u64, LinkCtx>,
@@ -180,7 +176,6 @@ impl QuorumStack {
             stores: (0..n).map(|_| Store::new()).collect(),
             membership,
             ops: BTreeMap::new(),
-            open: BTreeMap::new(),
             next_op: 0,
             next_token: 0,
             link_ctx: HashMap::new(),
@@ -265,10 +260,9 @@ impl QuorumStack {
         self.open_op(net, OpKind::Lookup, node, key, None)
     }
 
-    /// Records a freshly issued operation and opens its engine state,
-    /// pinning its quorum (one draw from the op RNG stream) when a
-    /// weighted mixture is configured; a live origin then issues it and
-    /// arms the retry layer.
+    /// Records a freshly issued operation, pinning its quorum (one draw
+    /// from the op RNG stream) when a weighted mixture is configured; a
+    /// live origin then issues it and arms the retry layer.
     fn open_op(
         &mut self,
         net: &mut QuorumNet,
@@ -280,13 +274,12 @@ impl QuorumStack {
         let now = net.now();
         let op = self.next_op;
         self.next_op += 1;
-        self.ops.insert(op, OpRecord::new(kind, key, origin, now));
-        self.trace_push(now, TraceEvent::OpIssued { op, kind, origin });
         let mut open = OpenOp::new(kind, key, value, now);
         if let Some(mix) = &self.cfg.weighted {
             open.pin(mix, &mut self.rng);
         }
-        self.open.insert(op, open);
+        self.ops.insert(op, OpRecord::new(origin, open));
+        self.trace_push(now, TraceEvent::OpIssued { op, kind, origin });
         if net.is_alive(origin) {
             self.issue(net, origin, op, key, value);
             self.arm_retry(net, op);
@@ -297,13 +290,13 @@ impl QuorumStack {
     /// The `(strategy, size)` `op` accesses: its pinned weighted sample,
     /// or the live uniform spec.
     fn quorum_of(&self, op: OpId) -> Option<QuorumSpec> {
-        self.open.get(&op).map(|o| o.quorum(&self.cfg.spec))
+        self.ops.get(&op).map(|r| r.open.quorum(&self.cfg.spec))
     }
 
     /// The node that issued `op`, and its key.
     fn origin_key(&self, op: OpId) -> (NodeId, Key) {
         let rec = &self.ops[&op];
-        (rec.origin, rec.key)
+        (rec.origin, rec.key())
     }
 
     /// Arms `ctx` to fire at `node` after `delay`.
@@ -351,7 +344,7 @@ impl QuorumStack {
                 AccessStrategy::Random | AccessStrategy::RandomOpt,
                 QuorumAction::Advertise { .. },
             ) => {
-                let want = self.open[&op].shortfall(&self.cfg.spec);
+                let want = self.ops[&op].open.shortfall(&self.cfg.spec);
                 self.send_stores(net, node, op, want);
             }
             (AccessStrategy::Random | AccessStrategy::RandomOpt, QuorumAction::Lookup { .. }) => {

@@ -76,7 +76,7 @@ impl QuorumStack {
             // Walk complete: advertise done / lookup miss (no reply sent
             // on misses — the cost model of Fig. 16).
             if let Some(rec) = self.ops.get_mut(&msg.op) {
-                if rec.kind == OpKind::Advertise || !rec.intersected {
+                if rec.kind() == OpKind::Advertise || !rec.intersected {
                     rec.completed.get_or_insert(net.now());
                 }
             }

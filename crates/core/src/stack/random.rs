@@ -6,7 +6,7 @@
 use super::{QuorumNet, QuorumStack, RouteCtx, TimerCtx};
 use crate::membership;
 use crate::messages::{AppMsg, OpId};
-use crate::service::Fanout;
+use crate::service::{Fanout, OpRecord};
 use crate::store::{Key, Value};
 use pqs_net::NodeId;
 use pqs_sim::{EventId, SimDuration};
@@ -102,7 +102,8 @@ impl QuorumStack {
         attempts: u32,
     ) {
         let (origin, key) = self.origin_key(op);
-        let value = self.open[&op]
+        let value = self.ops[&op]
+            .open
             .value
             .expect("an advertise carries its value");
         let token = self.token();
@@ -131,7 +132,7 @@ impl QuorumStack {
     pub(super) fn deferred_probe(&mut self, net: &mut QuorumNet, op: OpId, target: NodeId) {
         // Skip probes for lookups that already completed — a verified
         // masking read cancels its remaining fan-out.
-        if self.ops.get(&op).is_some_and(|r| !r.replied) {
+        if self.ops.get(&op).is_some_and(|r| !r.replied()) {
             self.send_probe(net, op, target);
         }
     }
@@ -199,7 +200,7 @@ impl QuorumStack {
     /// Sends serial lookup `op`'s next probe, or ends it: answered, or
     /// its quorum exhausted (a miss).
     pub(super) fn serial_advance(&mut self, net: &mut QuorumNet, op: OpId) {
-        if self.ops.get(&op).is_some_and(|r| r.replied) {
+        if self.ops.get(&op).is_some_and(OpRecord::replied) {
             self.end_serial(net, op);
             return;
         }

@@ -17,10 +17,11 @@ impl QuorumStack {
         let Some(policy) = self.cfg.retry else {
             return;
         };
-        if self.open[&op].is_done(&self.cfg.spec) {
+        let rec = &self.ops[&op];
+        if rec.open.is_done(&self.cfg.spec) {
             return;
         }
-        let origin = self.ops[&op].origin;
+        let origin = rec.origin;
         self.arm_timer(
             net,
             origin,
@@ -36,8 +37,12 @@ impl QuorumStack {
         let Some(policy) = self.cfg.retry else {
             return;
         };
-        let origin = self.ops[&op].origin;
-        match self.open[&op].judge(&self.cfg.spec, &policy, net.now(), &mut self.rng) {
+        let rec = &self.ops[&op];
+        let origin = rec.origin;
+        let judgement = rec
+            .open
+            .judge(&self.cfg.spec, &policy, net.now(), &mut self.rng);
+        match judgement {
             Judgement::Done => {}
             Judgement::Backoff(jittered) => {
                 self.arm_timer(net, origin, jittered, TimerCtx::RetryFire { op });
@@ -52,22 +57,21 @@ impl QuorumStack {
         let Some(policy) = self.cfg.retry else {
             return;
         };
-        let (Some(rec), Some(open)) = (self.ops.get_mut(&op), self.open.get_mut(&op)) else {
+        let Some(rec) = self.ops.get_mut(&op) else {
             return;
         };
-        if open.is_done(&self.cfg.spec) {
+        if rec.open.is_done(&self.cfg.spec) {
             return;
         }
-        if !open.fire(&policy, net.now()) {
+        if !rec.open.fire(&policy, net.now()) {
             self.finish_failed(net, op, true);
             return;
         }
         self.counters.op_retries += 1;
-        let attempt = open.attempts();
-        rec.attempts = attempt;
+        let attempt = rec.attempts();
         // Reopen a record a previous attempt closed as a miss.
         rec.completed = None;
-        let (kind, origin, key, value) = (rec.kind, rec.origin, rec.key, open.value);
+        let (kind, origin, key, value) = (rec.kind(), rec.origin, rec.key(), rec.open.value);
         self.trace_push(net.now(), TraceEvent::OpRetried { op, attempt });
         if policy.adapt_quorum && kind == OpKind::Lookup {
             self.adapt_lookup_quorum(net, op, policy.epsilon);

@@ -7,8 +7,7 @@
 use super::{QuorumNet, QuorumStack};
 use crate::messages::{AppMsg, OpId};
 use crate::obs::TraceEvent;
-use crate::op::OpenOp;
-use crate::service::{ByzMode, Fanout, OpKind};
+use crate::service::{ByzMode, Fanout, OpKind, OpRecord};
 use crate::spec::{AccessStrategy, QuorumSpec};
 use crate::store::{Key, Role, Value};
 use pqs_net::{fabricated_value, NodeBehavior, NodeId};
@@ -30,13 +29,12 @@ impl QuorumStack {
         value: Value,
     ) {
         self.stores[at.index()].insert(key, value, Role::Owner);
-        let (Some(rec), Some(open)) = (self.ops.get_mut(&op), self.open.get_mut(&op)) else {
+        let Some(rec) = self.ops.get_mut(&op) else {
             return;
         };
-        rec.stores_placed += 1;
-        if open.placed(&self.cfg.spec) && rec.completed.is_none() {
+        if rec.open.placed(&self.cfg.spec) && rec.completed.is_none() {
             rec.completed = Some(now);
-            let latency = now - rec.started;
+            let latency = now - rec.started();
             let kind = OpKind::Advertise;
             self.trace_push(now, TraceEvent::OpCompleted { op, kind, latency });
         }
@@ -70,7 +68,7 @@ impl QuorumStack {
                 spec.strategy,
                 AccessStrategy::Random | AccessStrategy::RandomOpt
             );
-        let replied = self.ops.get(&op).is_none_or(|r| r.replied);
+        let replied = self.ops.get(&op).is_none_or(OpRecord::replied);
         replied && !keeps_probing
     }
 
@@ -124,7 +122,7 @@ impl QuorumStack {
         responder: NodeId,
         values: Vec<Value>,
     ) {
-        let (Some(rec), Some(open)) = (self.ops.get_mut(&op), self.open.get_mut(&op)) else {
+        let Some(rec) = self.ops.get_mut(&op) else {
             return;
         };
         for &v in &values {
@@ -132,7 +130,7 @@ impl QuorumStack {
                 rec.values_seen.push(v);
             }
         }
-        let Some(verdict) = open.vote(responder, &values, &self.cfg.byz) else {
+        let Some(verdict) = rec.open.vote(responder, &values, &self.cfg.byz) else {
             return;
         };
         if self.masking() {
@@ -147,7 +145,7 @@ impl QuorumStack {
     /// highest-voted value instead of hanging or failing outright.
     /// Returns whether the op was completed this way.
     pub(super) fn degrade_unverified(&mut self, net: &mut QuorumNet, op: OpId) -> bool {
-        let Some(verdict) = self.open.get_mut(&op).and_then(OpenOp::degrade) else {
+        let Some(verdict) = self.ops.get_mut(&op).and_then(|r| r.open.degrade()) else {
             return false;
         };
         self.counters.lookup_unverified += 1;
@@ -166,7 +164,7 @@ impl QuorumStack {
         if !self.masking() {
             return;
         }
-        let ops: Vec<OpId> = self.open.keys().copied().collect();
+        let ops: Vec<OpId> = self.ops.keys().copied().collect();
         for op in ops {
             self.degrade_unverified(net, op);
         }
@@ -177,13 +175,12 @@ impl QuorumStack {
     fn close_lookup(&mut self, net: &mut QuorumNet, op: OpId, value: Value) {
         let now = net.now();
         if let Some(rec) = self.ops.get_mut(&op) {
-            rec.replied = true;
             rec.intersected = true;
             rec.value = Some(value);
             rec.completed = Some(now);
-            let latency = now - rec.started;
+            let latency = now - rec.started();
             if self.cfg.caching {
-                self.stores[rec.origin.index()].insert(rec.key, value, Role::Bystander);
+                self.stores[rec.origin.index()].insert(rec.key(), value, Role::Bystander);
             }
             let kind = OpKind::Lookup;
             self.trace_push(now, TraceEvent::OpCompleted { op, kind, latency });

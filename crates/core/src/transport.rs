@@ -1,25 +1,18 @@
-//! The transport seam: the messaging substrate beneath the quorum
-//! protocol, abstracted so the same protocol engine runs over the
-//! simulated MANET MAC, an in-process loopback network, or real UDP
-//! sockets.
+//! The transport seam: the messaging substrate beneath the wire engine
+//! ([`crate::endpoint::QuorumEndpoint`]). On the simulated MANET the
+//! quorum service is [`crate::stack::QuorumStack`], coupled to
+//! [`pqs_net::Network`] through the [`pqs_net::Stack`] trait; over a
+//! wire, [`Transport`] is all the engine sees — a clock, message
+//! submission, and timers. Two hosts implement it:
 //!
-//! Historically the protocol logic lived inside [`crate::stack`], coupled
-//! to [`pqs_net::Network`] through the [`pqs_net::Stack`] trait: every
-//! send was a MAC frame and every timer a simulator event. [`Transport`]
-//! extracts the three capabilities the protocol actually needs — a
-//! clock, message submission, and timers — so the engine
-//! ([`crate::endpoint::QuorumEndpoint`]) is substrate-agnostic:
-//!
-//! - [`crate::simhost::SimHost`] hosts engines over the simulated
-//!   MAC + AODV substrate (the original datapath),
-//! - [`crate::loopback::LoopbackNet`] hosts them over deterministic
+//! - [`crate::loopback::LoopbackNet`] hosts engines over deterministic
 //!   in-process channel pairs with a seeded drop/delay shim,
 //! - `pqs-serve` hosts them over `std::net::UdpSocket` datagrams.
 //!
-//! Time is a plain microsecond count: simulated time on the first two,
-//! wall-clock-since-start on the last. The engine never interprets it
+//! Time is a plain microsecond count: virtual time on the loopback,
+//! wall-clock-since-start over UDP. The engine never interprets it
 //! beyond ordering and arithmetic, which is what keeps its behavior
-//! identical across substrates (the determinism boundary — see
+//! identical across delivery schedules (the determinism boundary — see
 //! DESIGN.md §17).
 
 use crate::messages::OpId;
@@ -156,8 +149,7 @@ pub enum OpStatus {
 
 /// A wire message with its sender: what the codec frames and the hosts
 /// route. Carrying `from` explicitly keeps vote attribution independent
-/// of the transport's own addressing (UDP source addresses, simulated
-/// route sources).
+/// of the transport's own addressing (UDP source addresses).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Datagram {
     /// The sending node.
@@ -183,11 +175,11 @@ pub trait Transport {
 }
 
 /// A buffering [`Transport`]: sends and timers accumulate in vectors the
-/// host flushes after the engine callback returns. Used by the hosts
-/// that cannot lend the engine a borrow of themselves mid-callback
-/// ([`crate::simhost::SimHost`], [`crate::loopback::LoopbackNet`]) and
-/// by unit tests; `pqs-serve`'s node loop does not buffer — its
-/// transport writes each send straight onto the UDP socket.
+/// host flushes after the engine callback returns. Used by
+/// [`crate::loopback::LoopbackNet`], which cannot lend the engine a
+/// borrow of itself mid-callback, and by unit tests; `pqs-serve`'s node
+/// loop does not buffer — its transport writes each send straight onto
+/// the UDP socket.
 #[derive(Debug, Default)]
 pub struct QueuedTransport {
     /// The time reported to the engine.

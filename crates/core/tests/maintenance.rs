@@ -78,7 +78,7 @@ fn caching_stores_bystander_copies_at_origins() {
     let op = stack.lookup(&mut net, looker, 555);
     net.run(&mut stack, SimTime::from_secs(60));
     let record = stack.op(op).expect("op recorded");
-    assert!(record.replied, "lookup should hit");
+    assert!(record.replied(), "lookup should hit");
     // The looker now caches the mapping as a bystander (unless it was an
     // owner already).
     let role = stack.store_of(looker).role_of(555).expect("cached");
@@ -86,7 +86,7 @@ fn caching_stores_bystander_copies_at_origins() {
     // A repeat lookup is free (answered locally).
     let walk_tx_before = stack.counters().walk_tx;
     let op2 = stack.lookup(&mut net, looker, 555);
-    assert!(stack.op(op2).unwrap().replied, "local cache answers");
+    assert!(stack.op(op2).unwrap().replied(), "local cache answers");
     assert_eq!(stack.counters().walk_tx, walk_tx_before, "no walk needed");
 }
 
@@ -99,11 +99,11 @@ fn advertise_places_the_requested_quorum() {
     net.run(&mut stack, SimTime::from_secs(60));
     let record = stack.op(op).expect("op recorded");
     assert!(
-        record.stores_placed >= qa * 9 / 10,
+        record.stores_placed() >= qa * 9 / 10,
         "stores placed {} of {qa}",
-        record.stores_placed
+        record.stores_placed()
     );
-    assert_eq!(record.kind, OpKind::Advertise);
+    assert_eq!(record.kind(), OpKind::Advertise);
     // Count actual holders in the stores.
     let holders = net
         .alive_nodes()
@@ -161,7 +161,7 @@ fn absent_key_serial_lookup_terminates_via_miss_replies() {
     let op = stack.lookup(&mut net, looker, 0xDEAD);
     net.run(&mut stack, SimTime::from_secs(120));
     let record = stack.op(op).expect("op recorded");
-    assert!(!record.replied);
+    assert!(!record.replied());
     assert!(
         record.completed.is_some(),
         "serial lookup must terminate after exhausting the quorum"

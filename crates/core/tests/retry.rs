@@ -40,8 +40,8 @@ fn retry_exhaustion_is_a_distinct_outcome() {
     let op = stack.lookup(&mut net, origin, 424_242);
     net.run(&mut stack, SimTime::from_secs(60));
     let rec = stack.op(op).expect("op recorded");
-    assert!(!rec.replied);
-    assert_eq!(rec.attempts, 2, "one retry before exhaustion");
+    assert!(!rec.replied());
+    assert_eq!(rec.attempts(), 2, "one retry before exhaustion");
     assert!(rec.retries_exhausted, "exhaustion must be flagged");
     assert!(!rec.deadline_expired, "deadline did not pass first");
     assert!(rec.completed.is_some(), "exhaustion closes the op");
@@ -72,10 +72,10 @@ fn deadline_expires_mid_recovery() {
     let op = stack.lookup(&mut net, origin, 99_999);
     net.run(&mut stack, SimTime::from_secs(30));
     let rec = stack.op(op).expect("op recorded");
-    assert!(!rec.replied);
+    assert!(!rec.replied());
     assert!(rec.deadline_expired, "deadline expiry must be flagged");
     assert!(!rec.retries_exhausted, "budget had attempts left");
-    assert!(rec.attempts < 10, "deadline cut the retry loop short");
+    assert!(rec.attempts() < 10, "deadline cut the retry loop short");
     assert!(rec.completed.is_some());
     assert_eq!(stack.counters().deadlines_expired, 1);
 }
@@ -90,8 +90,8 @@ fn successful_operations_never_retry() {
     let look = stack.lookup(&mut net, nodes[1], 7);
     net.run(&mut stack, SimTime::from_secs(80));
     let rec = stack.op(look).expect("op recorded");
-    assert!(rec.replied, "healthy network should answer");
-    assert_eq!(rec.attempts, 1, "no retry needed");
+    assert!(rec.replied(), "healthy network should answer");
+    assert_eq!(rec.attempts(), 1, "no retry needed");
     assert_eq!(stack.counters().op_retries, 0);
     assert_eq!(stack.counters().retries_exhausted, 0);
     assert_eq!(stack.counters().deadlines_expired, 0);
@@ -133,7 +133,7 @@ fn population_collapse_degrades_gracefully() {
     let op = stack.lookup(&mut net, survivor, 11);
     net.run(&mut stack, net.now() + SimDuration::from_secs(60));
     let rec = stack.op(op).expect("op recorded");
-    assert!(rec.attempts > 1, "the miss must have triggered retries");
+    assert!(rec.attempts() > 1, "the miss must have triggered retries");
     assert!(rec.degraded, "collapse must be flagged as degradation");
     assert!(stack.counters().degraded_ops >= 1);
 }
@@ -193,11 +193,11 @@ fn advertise_retry_tops_up_the_shortfall() {
     let rec = stack.op(op).expect("op recorded");
     let target = stack.config().spec.advertise.size;
     assert!(
-        rec.stores_placed >= target || rec.retries_exhausted || rec.deadline_expired,
+        rec.stores_placed() >= target || rec.retries_exhausted || rec.deadline_expired,
         "advertise neither completed nor closed: {} of {target} placed",
-        rec.stores_placed
+        rec.stores_placed()
     );
-    assert_eq!(rec.kind, OpKind::Advertise);
+    assert_eq!(rec.kind(), OpKind::Advertise);
 }
 
 #[test]
@@ -242,20 +242,20 @@ fn retry_carries_an_op_through_a_partition_window() {
     net.run(&mut stack, heal - SimDuration::from_secs(2));
     let mid = stack.op(op).expect("op recorded");
     assert!(
-        !mid.replied,
+        !mid.replied(),
         "partition did not bite: the sliver lookup found the value while split"
     );
     assert!(!mid.retries_exhausted && !mid.deadline_expired);
     // Run past the heal up to the deadline horizon.
     net.run(&mut stack, SimTime::from_secs(140));
     let rec = stack.op(op).expect("op recorded");
-    assert!(rec.replied, "lookup must complete after the heal");
+    assert!(rec.replied(), "lookup must complete after the heal");
     assert_eq!(rec.value, Some(7700), "healed lookup returns the value");
     assert!(
         !rec.deadline_expired,
         "heal happened well inside the deadline"
     );
-    assert!(rec.attempts > 1, "completion required the retry ladder");
+    assert!(rec.attempts() > 1, "completion required the retry ladder");
     let completed = rec.completed.expect("a replied lookup closes");
     assert!(completed > heal, "completion cannot precede the heal");
     assert!(stack.counters().op_retries > 0);

@@ -1,17 +1,14 @@
-//! Sim-vs-loopback transport equivalence: the same `QuorumEndpoint`
-//! engine, driven by the same seeds over the same op sequence, must
-//! produce the same protocol outcomes whether its messages travel the
-//! simulated MAC + AODV substrate or the deterministic in-process
-//! loopback links. Latencies and attempt counts may differ (the MAC has
-//! contention and multi-hop delay); the protocol-level outcome of every
-//! operation — kind, key, success, value — must not.
+//! Delivery-schedule equivalence: the same `QuorumEndpoint` engine,
+//! driven by the same seeds over the same op sequence, must produce the
+//! same protocol outcomes whether its messages cross fast uniform links
+//! or slow links on which half the messages are held up to 20 ms longer.
+//! Latencies may differ; the protocol-level outcome of every operation —
+//! kind, key, success, value — must not.
 
-use pqs_core::endpoint::EndpointConfig;
+use pqs_core::endpoint::{Completion, EndpointConfig};
 use pqs_core::loopback::{LinkFaults, LoopbackConfig, LoopbackNet};
-use pqs_core::service::{ByzPolicy, RetryPolicy};
-use pqs_core::simhost::{SimHost, WireNet};
 use pqs_core::store::{Key, Value};
-use pqs_net::{MobilityModel, NetConfig, Network, NodeId};
+use pqs_net::NodeId;
 use pqs_sim::{SimDuration, SimTime};
 
 const N: usize = 16;
@@ -35,28 +32,6 @@ fn script() -> Vec<ScriptOp> {
     ops
 }
 
-fn endpoint_cfg(qa: usize, ql: usize) -> EndpointConfig {
-    EndpointConfig {
-        qa,
-        ql,
-        weighted: None,
-        retry: RetryPolicy::default_policy(),
-        byz: ByzPolicy::trusting(),
-    }
-}
-
-/// A fully connected static network: tiny area relative to radio range,
-/// neighbour tables prepopulated, no mobility — the substrate differs
-/// from loopback in timing and framing, not reachability.
-fn sim_net() -> WireNet {
-    let mut cfg = NetConfig::paper(N);
-    cfg.avg_degree = 120.0;
-    cfg.mobility = MobilityModel::Static;
-    cfg.prepopulate_neighbors = true;
-    cfg.seed = SEED;
-    Network::new(cfg)
-}
-
 /// Outcome rows `(node, op, kind_is_lookup, key, ok, value)` sorted for
 /// comparison.
 type Outcome = (u32, u64, bool, Key, bool, Option<Value>);
@@ -65,29 +40,13 @@ fn op_time(i: usize) -> SimTime {
     SimTime::from_secs(2 * (i as u64 + 1))
 }
 
-fn run_sim(cfg: EndpointConfig) -> Vec<Outcome> {
-    let mut net = sim_net();
-    let mut host = SimHost::new(&net, cfg, SEED);
-    let ops = script();
-    for (i, &(node, key, value)) in ops.iter().enumerate() {
-        net.run(&mut host, op_time(i));
-        match value {
-            Some(v) => host.advertise(&mut net, NodeId(node), key, v),
-            None => host.lookup(&mut net, NodeId(node), key),
-        };
-    }
-    // Generous quiescence horizon: all retries and deadlines resolved.
-    net.run(&mut host, op_time(ops.len()) + SimDuration::from_secs(300));
-    collect(|n| host.take_completions(n))
-}
-
-fn run_loopback(cfg: EndpointConfig) -> Vec<Outcome> {
+fn run(endpoint: EndpointConfig, link_delay: SimDuration, faults: LinkFaults) -> Vec<Outcome> {
     let mut net = LoopbackNet::new(LoopbackConfig {
         nodes: N,
         seed: SEED,
-        endpoint: cfg,
-        link_delay: SimDuration::from_micros(300),
-        faults: LinkFaults::none(),
+        endpoint,
+        link_delay,
+        faults,
     });
     for (i, &(node, key, value)) in script().iter().enumerate() {
         net.run_until(op_time(i));
@@ -97,10 +56,26 @@ fn run_loopback(cfg: EndpointConfig) -> Vec<Outcome> {
         };
     }
     net.run_idle();
+    assert_eq!(net.stats().delayed > 0, faults.delay_prob > 0.0);
     collect(|n| net.take_completions(n))
 }
 
-fn collect(mut take: impl FnMut(NodeId) -> Vec<pqs_core::endpoint::Completion>) -> Vec<Outcome> {
+/// 300 µs links, every message on time.
+fn fast(endpoint: EndpointConfig) -> Vec<Outcome> {
+    run(endpoint, SimDuration::from_micros(300), LinkFaults::none())
+}
+
+/// 5 ms links, half the messages held up to 20 ms longer.
+fn slow_and_jittered(endpoint: EndpointConfig) -> Vec<Outcome> {
+    let faults = LinkFaults {
+        delay_prob: 0.5,
+        max_extra_delay: SimDuration::from_millis(20),
+        ..LinkFaults::none()
+    };
+    run(endpoint, SimDuration::from_millis(5), faults)
+}
+
+fn collect(mut take: impl FnMut(NodeId) -> Vec<Completion>) -> Vec<Outcome> {
     let mut rows: Vec<Outcome> = (0..N as u32)
         .flat_map(|n| {
             take(NodeId(n)).into_iter().map(move |c| {
@@ -120,29 +95,29 @@ fn collect(mut take: impl FnMut(NodeId) -> Vec<pqs_core::endpoint::Completion>) 
 }
 
 /// Certain-intersection sizing (`qa + qℓ > n`): every operation must
-/// succeed on both substrates with identical outcomes.
+/// succeed under both schedules with identical outcomes.
 #[test]
 fn equivalence_with_certain_intersection() {
-    let sim = run_sim(endpoint_cfg(9, 9));
-    let loopback = run_loopback(endpoint_cfg(9, 9));
-    assert_eq!(sim.len(), 2 * N, "every scripted op completed on sim");
-    assert_eq!(sim, loopback);
-    for &(_, _, is_lookup, _, ok, value) in &sim {
+    let fast = fast(EndpointConfig::new(9, 9));
+    let slow = slow_and_jittered(EndpointConfig::new(9, 9));
+    assert_eq!(fast.len(), 2 * N, "every scripted op completed");
+    assert_eq!(fast, slow);
+    for &(_, _, is_lookup, _, ok, value) in &fast {
         assert!(ok, "certain intersection cannot miss");
         assert_eq!(is_lookup, value.is_some());
     }
 }
 
 /// Probabilistic sizing (`qa = qℓ = 5`, n = 16): misses and retries are
-/// possible, and the two substrates must agree on every single outcome —
+/// possible, and the two schedules must agree on every single outcome —
 /// including which lookups missed.
 #[test]
 fn equivalence_with_probabilistic_sizing() {
-    let sim = run_sim(endpoint_cfg(5, 5));
-    let loopback = run_loopback(endpoint_cfg(5, 5));
-    assert_eq!(sim.len(), 2 * N);
-    assert_eq!(sim, loopback);
-    let hits = sim
+    let fast = fast(EndpointConfig::new(5, 5));
+    let slow = slow_and_jittered(EndpointConfig::new(5, 5));
+    assert_eq!(fast.len(), 2 * N);
+    assert_eq!(fast, slow);
+    let hits = fast
         .iter()
         .filter(|&&(_, _, is_lookup, _, ok, _)| is_lookup && ok)
         .count();

@@ -49,23 +49,6 @@ pub fn md_mixing_steps(n: usize) -> u64 {
     (n as u64).div_ceil(2)
 }
 
-/// Cost of the membership-based RANDOM access in an RGG (§4.1):
-/// `Θ(|Q| · 1/r) = O(|Q|·√(n / ln n))` network messages. Returns
-/// `q · sqrt(n / ln n)`.
-///
-/// # Panics
-///
-/// Panics if `n < 2`.
-pub fn random_access_cost_rgg(q: usize, n: usize) -> f64 {
-    assert!(n >= 2, "need at least two nodes");
-    q as f64 * (n as f64 / (n as f64).ln()).sqrt()
-}
-
-/// Cost of the sampling-based RANDOM access: `Θ(|Q| · T_mix)` (§4.1).
-pub fn random_sampling_cost(q: usize, n: usize) -> f64 {
-    q as f64 * md_mixing_steps(n) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,13 +70,6 @@ mod tests {
     fn md_mixing_is_half_n() {
         assert_eq!(md_mixing_steps(800), 400);
         assert_eq!(md_mixing_steps(801), 401);
-    }
-
-    #[test]
-    fn random_costs_monotone_in_q_and_n() {
-        assert!(random_access_cost_rgg(20, 800) > random_access_cost_rgg(10, 800));
-        assert!(random_access_cost_rgg(10, 800) > random_access_cost_rgg(10, 100));
-        assert!(random_sampling_cost(10, 800) > random_access_cost_rgg(10, 800));
     }
 
     #[test]

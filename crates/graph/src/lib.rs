@@ -9,9 +9,9 @@
 //!   (Penrose 2003; Gupta–Kumar 1998), with the paper's density-driven
 //!   scaling `a² = π r² n / d_avg`,
 //! - [`walks`]: simple, self-avoiding (UNIQUE) and Maximum-Degree random
-//!   walks, plus estimators for the partial cover time `PCT(i)`, the full
-//!   cover time and the crossing time of two walks (Definitions in §4.2 and
-//!   §5.3 of the paper),
+//!   walks, plus estimators for the partial cover time `PCT(i)` and the
+//!   crossing time of two walks (Definitions in §4.2 and §5.3 of the
+//!   paper),
 //! - [`bounds`]: the paper's closed-form asymptotic bounds (Theorem 4.1,
 //!   Theorem 5.5) for comparison against measurements.
 //!

@@ -5,8 +5,8 @@
 //! (§4.1, via Maximum-Degree walks à la RaWMS). The module also provides
 //! estimators for the quantities the paper analyses:
 //!
-//! - **partial cover time** `PCT(i)` — steps to visit `i` distinct nodes,
-//! - **cover time** — steps to visit all nodes,
+//! - **partial cover time** `PCT(i)` — steps to visit `i` distinct nodes
+//!   (the cover time is `PCT(n)`),
 //! - **crossing time** — steps until two walks have a common visited node
 //!   (Definition 5.4).
 
@@ -235,16 +235,6 @@ pub fn pct_profile<R: Rng + ?Sized>(
         }
     }
     Some(profile)
-}
-
-/// Returns one sample of the cover time: steps to visit every node.
-pub fn cover_steps<R: Rng + ?Sized>(
-    graph: &Graph,
-    start: usize,
-    kind: WalkKind,
-    rng: &mut R,
-) -> Option<u64> {
-    partial_cover_steps(graph, start, graph.node_count(), kind, rng)
 }
 
 /// Returns one sample of the *crossing time* (Definition 5.4): two walks

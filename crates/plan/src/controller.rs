@@ -178,31 +178,15 @@ impl AdaptiveController {
             .min(plan.spec.advertise.size);
         let qa_eff = f64::from(qa_hist) * survivors;
         if qa_eff >= 1.0 && survivors < 1.0 {
+            // Masking plans must keep b + 1 honest concurring votes even
+            // against the discounted historical placements.
             let b = self.cfg.planner.byz_b;
-            let floor = if b == 0 {
-                spec::min_partner_quorum_size(plan.n, plan.epsilon, qa_eff)
-            } else {
-                // Masking plans must keep b + 1 honest concurring votes
-                // even against the discounted historical placements.
-                spec::byz_min_partner_quorum_size(plan.n, plan.epsilon, b, qa_eff)
-            }
-            .min(plan.n as u32);
+            let floor = spec::byz_min_partner_quorum_size(plan.n, plan.epsilon, b, qa_eff)
+                .min(plan.n as u32);
             if floor > plan.spec.lookup.size {
                 plan.spec.lookup.size = floor;
-                plan.miss_bound = if b == 0 {
-                    1.0 - spec::intersection_lower_bound(
-                        plan.spec.advertise.size,
-                        plan.spec.lookup.size,
-                        plan.n,
-                    )
-                } else {
-                    spec::byz_miss_upper_bound(
-                        plan.spec.advertise.size,
-                        plan.spec.lookup.size,
-                        plan.n,
-                        b,
-                    )
-                };
+                let (qa, ql) = (plan.spec.advertise.size, plan.spec.lookup.size);
+                plan.miss_bound = spec::byz_miss_upper_bound(qa, ql, plan.n, b);
             }
         }
         // Hysteresis: dwell first (cheap), then dead-band.

@@ -299,29 +299,13 @@ impl Planner {
         // and clamped to [1, n]. With b > 0 the required product inflates
         // from n·ln(1/ε) to the masking bound; the cost-optimal split
         // keeps the same |Qℓ|/|Qa| ratio, so |Qℓ|* scales by
-        // √(P_byz/P_honest). The `b == 0` arm is kept literal so
-        // pre-existing plans are bit-identical.
-        let ql_star = analysis::optimal_lookup_size(
-            n,
-            eps,
-            tau,
-            self.cfg.cost_advertise,
-            self.cfg.cost_lookup,
-        );
-        let ql_star = if b == 0 {
-            ql_star
-        } else {
-            ql_star
-                * (spec::byz_min_quorum_product(n, eps, b) / spec::min_quorum_product(n, eps))
-                    .sqrt()
-        };
-        let partner = |other: f64| -> u32 {
-            if b == 0 {
-                spec::min_partner_quorum_size(n, eps, other)
-            } else {
-                spec::byz_min_partner_quorum_size(n, eps, b, other)
-            }
-        };
+        // √(P_byz/P_honest) — exactly 1 at b = 0, where the masking
+        // product is the Corollary 5.3 one to the bit.
+        let inflation =
+            (spec::byz_min_quorum_product(n, eps, b) / spec::min_quorum_product(n, eps)).sqrt();
+        let (cost_a, cost_l) = (self.cfg.cost_advertise, self.cfg.cost_lookup);
+        let ql_star = analysis::optimal_lookup_size(n, eps, tau, cost_a, cost_l) * inflation;
+        let partner = |other: f64| spec::byz_min_partner_quorum_size(n, eps, b, other);
         let ql = (ql_star.round() as u32).clamp(1, cap);
         // Corollary 5.3 partner size (checked rounding), capped at n;
         // when the cap binds, re-grow the lookup side toward the bound.
@@ -339,23 +323,13 @@ impl Planner {
         // undersized plan must never escape. Fully capped sides overlap
         // deterministically in at least qa + ql − n members, of which at
         // most b are Byzantine — certain masking needs qa + ql > n + 2b.
-        let satisfies = if b == 0 {
-            spec::satisfies_min_product(qa, ql, n, eps)
-        } else {
-            spec::byz_satisfies_min_product(qa, ql, n, eps, b)
-        };
+        let satisfies = spec::byz_satisfies_min_product(qa, ql, n, eps, b);
         let overlap_certain = qa as usize + ql as usize > n + 2 * b as usize;
         assert!(
             satisfies || overlap_certain,
             "planner produced an undersized plan: qa={qa} ql={ql} n={n} eps={eps} b={b}"
         );
-        let miss_bound = if b == 0 {
-            1.0 - spec::intersection_lower_bound(qa, ql, n)
-        } else if overlap_certain {
-            0.0
-        } else {
-            spec::byz_miss_upper_bound(qa, ql, n, b)
-        };
+        let miss_bound = spec::byz_miss_upper_bound(qa, ql, n, b);
         debug_assert!(miss_bound <= eps + 1e-9);
         // §6.1 refresh budget: how much churn until the *actual* miss
         // bound (below ε thanks to rounding) degrades up to ε.

@@ -2,13 +2,12 @@
 //! UDP sockets and serves until drained.
 //!
 //! Knobs: `PQS_SERVE_NODES` (cluster size, default 5), `PQS_SERVE_SEED`
-//! (default 1), `PQS_SERVE_WEIGHTED` (when 1, size with the fractional
-//! lookup mixture of `ServeConfig::sized_weighted`), `PQS_SERVE_RUN_SECS`
-//! (if set, auto-drain after this many seconds; otherwise the process
-//! waits for an external `DrainReq` on every node socket, e.g. from
-//! `serve_load --drain`). All `PQS_SERVE_*` variables are parsed at the
-//! top of `main` ([`Knobs::from_env`]); a malformed one exits with
-//! code 2 before any socket is bound.
+//! (default 1), `PQS_SERVE_RUN_SECS` (if set, auto-drain after this
+//! many seconds; otherwise the process waits for an external `DrainReq`
+//! on every node socket, e.g. from `serve_load --drain`). All
+//! `PQS_SERVE_*` variables are parsed at the top of `main`
+//! ([`Knobs::from_env`]); a malformed one exits with code 2 before any
+//! socket is bound.
 //!
 //! The bound addresses are printed one per line to stdout (and, when
 //! `PQS_SERVE_PORTS_FILE` is set, written to that path atomically via a
@@ -18,7 +17,7 @@
 //! JSON.
 
 use pqs_serve::knobs::Knobs;
-use pqs_serve::{drain_targets, Cluster, NodeReport};
+use pqs_serve::{drain_targets, Cluster, NodeReport, ServeConfig};
 use pqs_sim::json::JsonValue;
 use std::io::Write;
 use std::time::Duration;
@@ -53,19 +52,12 @@ fn main() -> std::io::Result<()> {
         std::process::exit(2);
     });
     let (nodes, seed) = (knobs.nodes, knobs.seed);
-    let cfg = knobs.serve_config(0.1);
+    let cfg = ServeConfig::sized(nodes, seed, 0.1);
     let (qa, ql) = (cfg.endpoint.qa, cfg.endpoint.ql);
-    let mix = cfg.endpoint.weighted;
     let cluster = Cluster::spawn(cfg)?;
     let addrs = cluster.addrs().to_vec();
 
-    match mix {
-        Some(w) => eprintln!(
-            "pqs_serve: {nodes} nodes, qa={qa} ql~{:.2} (weighted mixture), seed={seed}",
-            w.lookup.mean_size()
-        ),
-        None => eprintln!("pqs_serve: {nodes} nodes, qa={qa} ql={ql}, seed={seed}"),
-    }
+    eprintln!("pqs_serve: {nodes} nodes, qa={qa} ql={ql}, seed={seed}");
     let mut stdout = std::io::stdout().lock();
     for addr in &addrs {
         writeln!(stdout, "{addr}")?;

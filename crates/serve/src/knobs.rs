@@ -4,10 +4,9 @@
 //! and exits 2 on — before any socket is bound — instead of silently
 //! running a default configuration.
 
-use crate::ServeConfig;
 use std::path::PathBuf;
 
-/// The six `PQS_SERVE_*` variables. [`Knobs::from_env`] is the only
+/// The five `PQS_SERVE_*` variables. [`Knobs::from_env`] is the only
 /// place they are read; each binary uses the fields it needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Knobs {
@@ -16,10 +15,6 @@ pub struct Knobs {
     /// `PQS_SERVE_SEED`: master seed for quorum sampling (`pqs_serve`)
     /// and the workload (`serve_load`) (default 1).
     pub seed: u64,
-    /// `PQS_SERVE_WEIGHTED`: when `1`, size the cluster with the
-    /// fractional lookup mixture of [`ServeConfig::sized_weighted`]
-    /// instead of uniform quorum sizes (default 0).
-    pub weighted: bool,
     /// `PQS_SERVE_RUN_SECS`: if set, `pqs_serve` auto-drains after this
     /// many seconds instead of waiting for an external `DrainReq`.
     pub run_secs: Option<u64>,
@@ -56,26 +51,10 @@ impl Knobs {
                     .parse()
                     .map_err(|e| format!("PQS_SERVE_SEED={raw}: not a seed ({e})"))?,
             },
-            weighted: match var("PQS_SERVE_WEIGHTED").as_deref().map(str::trim) {
-                None | Some("0") => false,
-                Some("1") => true,
-                Some(raw) => return Err(format!("PQS_SERVE_WEIGHTED={raw}: expected 0 or 1")),
-            },
             run_secs: count("PQS_SERVE_RUN_SECS")?,
             ports_file: var("PQS_SERVE_PORTS_FILE").map(PathBuf::from),
             metrics: var("PQS_SERVE_METRICS").map(PathBuf::from),
         })
-    }
-
-    /// The cluster these knobs ask for, sized for intersection failure
-    /// budget `epsilon`: the fractional lookup mixture when `weighted`,
-    /// uniform quorum sizes otherwise.
-    pub fn serve_config(&self, epsilon: f64) -> ServeConfig {
-        if self.weighted {
-            ServeConfig::sized_weighted(self.nodes, self.seed, epsilon)
-        } else {
-            ServeConfig::sized(self.nodes, self.seed, epsilon)
-        }
     }
 }
 
@@ -103,8 +82,6 @@ mod tests {
     fn unset_means_default() {
         let k = knobs(&[]).expect("defaults are valid");
         assert_eq!((k.nodes, k.seed), (5, 1));
-        assert!(!k.weighted);
-        assert!(k.serve_config(0.1).endpoint.weighted.is_none());
         assert_eq!((k.run_secs, k.ports_file, k.metrics), (None, None, None));
     }
 
@@ -125,19 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn seeds_and_switches_parse_strictly() {
+    fn seeds_parse_strictly() {
         assert_eq!(knobs(&[("PQS_SERVE_SEED", "0")]).map(|k| k.seed), Ok(0));
         assert!(knobs(&[("PQS_SERVE_SEED", "abc")]).is_err());
-        assert!(knobs(&[("PQS_SERVE_WEIGHTED", "yes")]).is_err());
         // One bad variable fails the whole environment, whichever
         // binary reads it.
         assert!(knobs(&[("PQS_SERVE_NODES", "9"), ("PQS_SERVE_RUN_SECS", "lots")]).is_err());
-        let k = knobs(&[("PQS_SERVE_WEIGHTED", "1"), ("PQS_SERVE_NODES", "9")]).expect("valid");
-        let cfg = k.serve_config(0.1);
-        assert_eq!(cfg.nodes, 9);
-        assert_eq!(
-            cfg.endpoint.weighted,
-            ServeConfig::sized_weighted(9, 1, 0.1).endpoint.weighted
-        );
     }
 }

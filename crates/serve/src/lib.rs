@@ -1,12 +1,12 @@
 //! # pqs-serve — the probabilistic-quorum KV register over real sockets
 //!
-//! The third implementation of the `pqs-core` transport seam: each node
-//! is a `std::net::UdpSocket` endpoint served by one bounded thread (no
+//! The second host of the `pqs-core` transport seam: each node is a
+//! `std::net::UdpSocket` endpoint served by one bounded thread (no
 //! tokio/mio — the environment is offline and std-only), running the
-//! exact same [`QuorumEndpoint`] engine that the simulator and the
-//! loopback transport host. Peers exchange the canonical length-prefixed
-//! wire frames of [`pqs_core::wire`]; malformed datagrams are counted
-//! and dropped by the strict parser, never trusted.
+//! exact same [`QuorumEndpoint`] engine that the loopback transport
+//! hosts. Peers exchange the canonical length-prefixed wire frames of
+//! [`pqs_core::wire`]; malformed datagrams are counted and dropped by
+//! the strict parser, never trusted.
 //!
 //! A [`Cluster`] spawns N node endpoints on ephemeral localhost ports,
 //! serves client put/get traffic (coordinator-side quorum access with
@@ -23,7 +23,7 @@
 //! `BENCHMARK.json`.
 //!
 //! Determinism boundary: quorum *sampling* stays seed-deterministic
-//! (same engine rng streams as the other transports), but message
+//! (same engine rng streams as the loopback), but message
 //! interleaving and latencies are wall-clock — outcome counters are
 //! near-deterministic on clean localhost, timings never are. See
 //! DESIGN.md §17.
@@ -85,24 +85,8 @@ impl ServeConfig {
                 ql,
                 retry: Self::wall_clock_retry(),
                 byz: ByzPolicy::trusting(),
-                weighted: None,
             },
         }
-    }
-
-    /// Like [`ServeConfig::sized`], but recovers the Corollary 5.3
-    /// rounding slack with a fractional lookup mixture: the uniform
-    /// plan rounds `qℓ` *up* to the next integer, so the product
-    /// overshoots `n·ln(1/ε)`. A two-point mixture of `qℓ − 1` and `qℓ`
-    /// with the weight on the smaller size chosen so that the mixture
-    /// miss bound `Σᵢ wᵢ·exp(−qa·qℓᵢ/n)` still meets ε spends fewer
-    /// lookup probes per operation at the same intersection guarantee.
-    /// Falls back to the uniform plan when rounding left no slack.
-    pub fn sized_weighted(nodes: usize, seed: u64, epsilon: f64) -> Self {
-        let mut cfg = Self::sized(nodes, seed, epsilon);
-        cfg.endpoint.weighted =
-            fractional_lookup_mix(nodes, epsilon, cfg.endpoint.qa, cfg.endpoint.ql);
-        cfg
     }
 
     /// The retry policy used over real sockets: localhost round trips
@@ -119,48 +103,6 @@ impl ServeConfig {
             epsilon: 0.1,
         }
     }
-}
-
-/// Builds the fractional lookup mixture for [`ServeConfig::sized_weighted`]:
-/// weight `w` on `qℓ − 1` and `1 − w` on `qℓ`, with `w` maximal such
-/// that `w·exp(−qa(qℓ−1)/n) + (1−w)·exp(−qa·qℓ/n) ≤ ε`. Returns `None`
-/// when `qℓ ≤ 1` or the rounding slack is too small to shift any
-/// meaningful weight (w < 1%).
-fn fractional_lookup_mix(
-    nodes: usize,
-    epsilon: f64,
-    qa: usize,
-    ql: usize,
-) -> Option<spec::WeightedBiquorumSpec> {
-    use spec::{AccessStrategy, QuorumSpec, WeightedBiquorumSpec, WeightedSide};
-
-    if ql <= 1 {
-        return None;
-    }
-    let n = nodes as f64;
-    let miss = |q: usize| (-(qa as f64) * (q as f64) / n).exp();
-    let (e_lo, e_hi) = (miss(ql - 1), miss(ql));
-    if e_lo <= e_hi {
-        return None;
-    }
-    let w_lo = ((epsilon - e_hi) / (e_lo - e_hi)).clamp(0.0, 1.0);
-    if w_lo < 0.01 {
-        return None;
-    }
-    let cand = |size: usize| QuorumSpec {
-        strategy: AccessStrategy::Random,
-        size: size as u32,
-    };
-    let mixed = WeightedBiquorumSpec {
-        advertise: WeightedSide::single(cand(qa)),
-        lookup: WeightedSide::new(&[cand(ql - 1), cand(ql)], &[w_lo, 1.0 - w_lo]),
-    };
-    // The closed form above is exact for a deterministic advertise side;
-    // keep the generic gate as a belt-and-braces check against rounding.
-    if mixed.mixture_miss_bound(nodes) > epsilon + 1e-12 {
-        return None;
-    }
-    Some(mixed)
 }
 
 /// Monotonic wall clock reported to the engines, microseconds since
@@ -377,19 +319,5 @@ mod tests {
     #[should_panic(expected = "at least two nodes")]
     fn sizing_rejects_singleton() {
         ServeConfig::sized(1, 1, 0.1);
-    }
-
-    #[test]
-    fn weighted_sizing_keeps_the_epsilon_gate() {
-        for nodes in [5usize, 16, 64, 200] {
-            let cfg = ServeConfig::sized_weighted(nodes, 1, 0.1);
-            let Some(w) = cfg.endpoint.weighted else {
-                continue; // no rounding slack at this size — uniform fallback
-            };
-            assert!(w.mixture_miss_bound(nodes) <= 0.1 + 1e-12);
-            // The mixture only ever spends *fewer* lookup probes.
-            assert!(w.lookup.mean_size() <= cfg.endpoint.ql as f64);
-            assert!(w.lookup.mean_size() >= (cfg.endpoint.ql - 1) as f64);
-        }
     }
 }

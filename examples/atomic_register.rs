@@ -138,7 +138,7 @@ impl RegisterOp {
             Phase::Store => self.store_op.is_none_or(|op| {
                 stack
                     .op(op)
-                    .is_some_and(|r| r.stores_placed > 0 || r.completed.is_some())
+                    .is_some_and(|r| r.stores_placed() > 0 || r.completed.is_some())
             }),
         }
     }

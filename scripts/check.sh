@@ -25,14 +25,20 @@ diff <(grep -ohE 'PQS_[A-Z_]+' README.md | sort -u) \
         crates/serve/src/knobs.rs | tr -d '"' | sort -u) \
     || { echo "README.md and the knob parsers disagree on the PQS_* names"; exit 1; }
 
-echo "==> module names: DESIGN.md and README.md cite only modules that exist"
-core_names="$(perl -0ne 'print "$1\n" while /^pub (?:mod|use) ([^;]*);/mg' crates/core/src/lib.rs \
-    | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)"
-for name in $(grep -ohE 'pqs[-_]core::[A-Za-z_][A-Za-z0-9_]*' DESIGN.md README.md | sed 's/.*:://' | sort -u); do
-    grep -qx "$name" <<<"$core_names" \
-        || { echo "docs cite pqs-core::$name, which crates/core/src/lib.rs does not export"; exit 1; }
+echo "==> module names: the docs cite only modules and items that exist"
+docs=(DESIGN.md README.md EXPERIMENTS.md)
+# `pqs-X::name` / `pqs_X::name` must be a `pub mod`, `pub use` or
+# top-level `pub` item of crates/X/src/lib.rs.
+for cited in $(grep -ohE '\bpqs[-_][a-z]+::[A-Za-z_][A-Za-z0-9_]*' "${docs[@]}" | tr - _ | sort -u); do
+    crate="${cited%%::*}" name="${cited#*::}"
+    lib="crates/${crate#pqs_}/src/lib.rs"
+    [[ -f "$lib" ]] || { echo "docs cite $cited, but $lib does not exist"; exit 1; }
+    exported="$(perl -0ne 'print "$1\n" while /^pub (?:mod|use) ([^;]*);/mg;
+        print "$1\n" while /^pub (?:(?:const|unsafe) )*(?:struct|enum|fn|trait|type|const|static) (\w+)/mg' \
+        "$lib" | grep -oE '[A-Za-z_][A-Za-z0-9_]*')"
+    grep -qx "$name" <<<"$exported" || { echo "docs cite $cited, which $lib does not export"; exit 1; }
 done
-for name in $(grep -ohE '\bstack::[a-z_][a-z0-9_]*' DESIGN.md README.md | sed 's/.*:://' | sort -u); do
+for name in $(grep -ohE '\bstack::[a-z_][a-z0-9_]*' "${docs[@]}" | sed 's/.*:://' | sort -u); do
     [[ -f "crates/core/src/stack/$name.rs" ]] \
         || { echo "docs cite stack::$name, but crates/core/src/stack/$name.rs does not exist"; exit 1; }
 done
