@@ -87,6 +87,6 @@ pub use runner::{
 };
 pub use service::{Fanout, OpKind, OpRecord, QuorumCounters, RetryPolicy, ServiceConfig};
 pub use spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
-pub use stack::{QuorumNet, QuorumStack, ReconfigureError};
+pub use stack::{QuorumNet, QuorumStack};
 pub use store::{Key, Role, Store, Value};
 pub use transport::{Datagram, OpStatus, QueuedTransport, Transport, WireMsg};

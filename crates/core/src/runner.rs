@@ -8,7 +8,7 @@ use crate::service::{Fanout, OpKind, QuorumCounters, ServiceConfig};
 use crate::spec::{AccessStrategy, QuorumSpec};
 use crate::stack::{QuorumNet, QuorumStack};
 use crate::workload::{Workload, WorkloadConfig};
-use pqs_net::{FaultPlan, NetConfig, NetStats, Network, NodeFaultEvent, NodeId, Stack, Upcall};
+use pqs_net::{FaultPlan, NetConfig, NetStats, Network, NodeId, Stack, Upcall};
 use pqs_routing::RoutePacket;
 use pqs_sim::control::TickSchedule;
 use pqs_sim::metrics::Histogram;
@@ -474,28 +474,11 @@ enum FaultInstall {
     AdvertiseCut,
 }
 
-/// The earliest instant at which a plan can influence the run: the
-/// earliest frame-rule or partition window opening, or timed node fault.
-/// Behaviour rules never constrain the result — they only alter lookup
-/// replies (generated after the phase gap), and their node resolution
-/// draws from a dedicated stream independent of installation time.
-fn fault_first_activity(plan: &FaultPlan) -> Option<SimTime> {
-    let frames = plan.frame_rules().iter().map(|r| r.from);
-    let nodes = plan.node_events().iter().map(|e| match *e {
-        NodeFaultEvent::Crash { at, .. }
-        | NodeFaultEvent::Recover { at, .. }
-        | NodeFaultEvent::RegionCrash { at, .. }
-        | NodeFaultEvent::RegionRecover { at, .. } => at,
-    });
-    let partitions = plan.partitions().iter().map(|p| p.from);
-    frames.chain(nodes).chain(partitions).min()
-}
-
 fn fault_install_point(cfg: &ScenarioConfig) -> FaultInstall {
     let Some(plan) = &cfg.faults else {
         return FaultInstall::AdvertiseCut;
     };
-    match fault_first_activity(plan) {
+    match plan.first_activity() {
         None => FaultInstall::AdvertiseCut,
         Some(t) if t < cfg.workload.start => FaultInstall::Build,
         Some(t) if t < advertise_cut(&cfg.workload) => FaultInstall::Start,
@@ -515,17 +498,10 @@ fn install_faults_at(cfg: &ScenarioConfig, net: &mut QuorumNet, point: FaultInst
 
 /// Canonicalises the lookup-side service knobs so scenarios that differ
 /// only in how they *look up* share one advertise-phase template. Every
-/// field canonicalised here is unread until the first lookup is issued;
-/// RANDOM-OPT-ness of the lookup strategy is preserved because it
-/// selects the router's relay tap at stack construction time.
+/// field canonicalised here is unread until the first lookup is issued.
 fn advertise_profile(s: &ServiceConfig) -> ServiceConfig {
     let mut p = *s;
-    let lookup_strategy = if p.spec.lookup.strategy == AccessStrategy::RandomOpt {
-        AccessStrategy::RandomOpt
-    } else {
-        AccessStrategy::Random
-    };
-    p.spec.lookup = QuorumSpec::new(lookup_strategy, 1);
+    p.spec.lookup = QuorumSpec::new(AccessStrategy::Random, 1);
     p.lookup_fanout = Fanout::Serial;
     p.early_halting = false;
     p.probe_spacing = SimDuration::ZERO;

@@ -2,31 +2,11 @@
 //! estimate, the §6.1 survivor fraction and the observed τ it reads, the
 //! reconfiguration it applies, and the tick/hold accounting.
 
-use super::{random_opt, QuorumNet, QuorumStack};
+use super::{QuorumNet, QuorumStack};
 use crate::estimator;
 use crate::obs::{HoldReason, TraceEvent};
-use crate::spec::{BiquorumSpec, WeightedBiquorumSpec};
+use crate::spec::BiquorumSpec;
 use pqs_sim::SimTime;
-
-/// Why [`QuorumStack::reconfigure`] rejected a new spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconfigureError {
-    /// The new spec uses RANDOM-OPT but the router was built without the
-    /// §4.5 relay tap, which is fixed at construction.
-    NeedsTransitTap,
-}
-
-impl std::fmt::Display for ReconfigureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReconfigureError::NeedsTransitTap => {
-                f.write_str("RANDOM-OPT needs the relay tap, which is fixed at stack construction")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReconfigureError {}
 
 impl QuorumStack {
     /// The §6.3 birthday-collision population estimate `n̂ = k(k−1)/(2c)`
@@ -81,61 +61,21 @@ impl QuorumStack {
 
     /// Applies a new biquorum spec to the live stack (the adaptive
     /// controller's `Reconfigure` path). Future accesses use the new
-    /// sizes/strategies; in-flight operations finish under the old ones.
+    /// sizes/strategies — RANDOM-OPT included, since every routed frame
+    /// already reaches the stack's relay tap; in-flight operations
+    /// finish under the old ones.
     ///
-    /// Returns `Ok(true)` when the spec actually changed (counted and
-    /// traced), `Ok(false)` for a no-op, and
-    /// [`ReconfigureError::NeedsTransitTap`] when a side asks for
-    /// RANDOM-OPT but the router was built without the relay tap (the
-    /// tap is fixed at construction — §4.5 changes what *every* routed
-    /// frame does, which cannot be toggled mid-run).
-    pub fn reconfigure(
-        &mut self,
-        at: SimTime,
-        spec: BiquorumSpec,
-    ) -> Result<bool, ReconfigureError> {
-        if random_opt::needs_transit_tap(&spec, None) && !self.transit_tap {
-            return Err(ReconfigureError::NeedsTransitTap);
-        }
+    /// Returns `true` when the spec actually changed (counted and
+    /// traced), `false` for a no-op.
+    pub fn reconfigure(&mut self, at: SimTime, spec: BiquorumSpec) -> bool {
         if spec == self.cfg.spec {
-            return Ok(false);
+            return false;
         }
         self.cfg.spec = spec;
-        self.note_reconfigured(at, spec);
-        Ok(true)
-    }
-
-    /// Applies (or clears, with `None`) a weighted strategy mixture
-    /// alongside its representative uniform spec. In-flight operations
-    /// keep their pinned samples; only newly issued ops draw from the
-    /// new mixture. Counts as one reconfiguration when either the spec
-    /// or the mixture actually changed.
-    pub fn reconfigure_weighted(
-        &mut self,
-        at: SimTime,
-        spec: BiquorumSpec,
-        weighted: Option<WeightedBiquorumSpec>,
-    ) -> Result<bool, ReconfigureError> {
-        if random_opt::needs_transit_tap(&spec, weighted) && !self.transit_tap {
-            return Err(ReconfigureError::NeedsTransitTap);
-        }
-        let mix_changed = weighted != self.cfg.weighted;
-        let size_changed = self.reconfigure(at, spec)?;
-        if mix_changed {
-            self.cfg.weighted = weighted;
-            if !size_changed {
-                // The spec was unchanged but the weights moved: still a
-                // reconfiguration from the operator's point of view.
-                self.note_reconfigured(at, spec);
-            }
-        }
-        Ok(size_changed || mix_changed)
-    }
-
-    fn note_reconfigured(&mut self, at: SimTime, spec: BiquorumSpec) {
         self.counters.reconfigures += 1;
         let (qa, ql) = (spec.advertise.size, spec.lookup.size);
         self.trace_push(at, TraceEvent::Reconfigured { qa, ql });
+        true
     }
 
     /// Counts one adaptive-controller evaluation.

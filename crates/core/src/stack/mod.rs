@@ -24,8 +24,6 @@ mod reply;
 mod retry;
 mod verdict;
 
-pub use control::ReconfigureError;
-
 use crate::membership::{self, Membership};
 use crate::messages::{AppMsg, OpId, QuorumAction, ReplyMsg, WalkMsg};
 use crate::obs::TraceEvent;
@@ -34,7 +32,7 @@ use crate::service::{OpKind, OpRecord, QuorumCounters, ServiceConfig};
 use crate::spec::{AccessStrategy, QuorumSpec};
 use crate::store::{Key, Store, Value};
 use pqs_net::{Network, NodeId, Stack, Upcall};
-use pqs_routing::{RoutePacket, Router, RouterConfig, RouterEvent};
+use pqs_routing::{RoutePacket, Router, RouterEvent};
 use pqs_sim::rng::{self, streams};
 use pqs_sim::{EventId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -144,10 +142,6 @@ pub struct QuorumStack {
     /// since their stores were wiped and they no longer hold old
     /// advertisements. Drives the §6.1 advertise-survivor estimate.
     original_failed: HashSet<NodeId>,
-    /// Whether the router was built with the RANDOM-OPT relay tap —
-    /// fixed at construction, so reconfiguration onto RANDOM-OPT is only
-    /// possible when the tap already exists.
-    transit_tap: bool,
     counters: QuorumCounters,
     /// Structured sim-time trace (`None` unless
     /// `ServiceConfig::trace_capacity > 0`): the disabled hot path is a
@@ -165,13 +159,8 @@ impl QuorumStack {
         let mut membership_rng = rng::stream(seed, streams::MEMBERSHIP);
         let view_size = membership::view_size(cfg.membership_view_factor, alive.len());
         let membership = Membership::converged(n, &alive, view_size, &mut membership_rng);
-        let needs_tap = random_opt::needs_transit_tap(&cfg.spec, cfg.weighted);
-        let router_cfg = RouterConfig {
-            transit_tap: needs_tap,
-            ..RouterConfig::default()
-        };
         QuorumStack {
-            router: Router::new(n, router_cfg),
+            router: Router::new(n),
             cfg,
             stores: (0..n).map(|_| Store::new()).collect(),
             membership,
@@ -188,7 +177,6 @@ impl QuorumStack {
             next_flood: 0,
             initial_n: n,
             original_failed: HashSet::new(),
-            transit_tap: needs_tap,
             counters: QuorumCounters::default(),
             trace: (cfg.trace_capacity > 0)
                 .then(|| pqs_sim::trace::TraceRing::new(cfg.trace_capacity)),
@@ -388,7 +376,6 @@ impl QuorumStack {
                     node,
                     handle,
                     payload,
-                    ..
                 } => self.on_transit(net, node, handle, &payload),
                 RouterEvent::SendDone { token, ok, .. } => self.on_route_done(net, token, ok),
                 RouterEvent::AppSendResult { token, ok, .. } => self.on_link_result(net, token, ok),

@@ -4,26 +4,9 @@
 
 use super::{QuorumNet, QuorumStack};
 use crate::messages::{AppMsg, OpId};
-use crate::spec::{AccessStrategy, BiquorumSpec, WeightedBiquorumSpec};
+use crate::spec::AccessStrategy;
 use pqs_net::NodeId;
 use pqs_routing::TransitHandle;
-
-/// Whether `spec` or `weighted` can ask for RANDOM-OPT on either side —
-/// i.e. whether the router needs the relay tap, which is fixed at
-/// construction.
-pub(super) fn needs_transit_tap(
-    spec: &BiquorumSpec,
-    weighted: Option<WeightedBiquorumSpec>,
-) -> bool {
-    spec.advertise.strategy == AccessStrategy::RandomOpt
-        || spec.lookup.strategy == AccessStrategy::RandomOpt
-        || weighted.is_some_and(|w| {
-            w.advertise
-                .candidates()
-                .chain(w.lookup.candidates())
-                .any(|(s, _)| s.strategy == AccessStrategy::RandomOpt)
-        })
-}
 
 impl QuorumStack {
     /// Whether `op`'s frames take the §4.5 relay tap.
@@ -32,13 +15,13 @@ impl QuorumStack {
             .is_some_and(|q| q.strategy == AccessStrategy::RandomOpt)
     }
 
-    /// A routed frame passes relay `node`; `handle` forwards or consumes
-    /// it.
+    /// A routed frame passes relay `node`. Every frame takes this path;
+    /// only a RANDOM-OPT op's frames do anything here but go on.
     pub(super) fn on_transit(
         &mut self,
         net: &mut QuorumNet,
         node: NodeId,
-        handle: TransitHandle,
+        handle: TransitHandle<AppMsg>,
         payload: &AppMsg,
     ) {
         match payload {
@@ -57,7 +40,7 @@ impl QuorumStack {
                     .answer(net, *op, node, *origin, *key, true)
                     .unwrap_or_default();
                 if !found.is_empty() {
-                    self.router.consume_transit(handle);
+                    // Dropping `handle` consumes the probe.
                     self.send_lookup_reply(net, node, *op, *key, *origin, found);
                     return;
                 }

@@ -5,7 +5,8 @@
 //! wall-clock optimisation, never a result change.
 //!
 //! The grid deliberately mixes every install-point class: plain cells
-//! differing only in lookup behaviour (deepest sharing), a churn cell, a
+//! differing only in lookup behaviour (deepest sharing, RANDOM-OPT
+//! lookups included), a churn cell, a
 //! post-advertise crash plan, an in-advertise crash plan, and two plans
 //! active before the workload start (unshareable): a from-`t = 0`
 //! frame-drop plan and a crash during warmup.
@@ -32,6 +33,11 @@ fn mixed_grid() -> Vec<SweepCell> {
 
     let mut path_lookup = base(n);
     path_lookup.service.spec.lookup.strategy = AccessStrategy::Path;
+
+    // RANDOM-OPT lookups fork `plain`'s advertise template too: every
+    // router hands its transits to the stack, whatever the strategy.
+    let mut random_opt_lookup = base(n);
+    random_opt_lookup.service.spec.lookup.strategy = AccessStrategy::RandomOpt;
 
     let mut eager = base(n);
     eager.service.lookup_fanout = Fanout::Parallel;
@@ -91,6 +97,7 @@ fn mixed_grid() -> Vec<SweepCell> {
     let cfgs = [
         plain,
         path_lookup,
+        random_opt_lookup,
         eager,
         churny,
         late_crash,

@@ -4,9 +4,10 @@
 //! quorum intersection while nodes crash, move and lose frames (§6.1),
 //! and local repair when they do (§6.2). This module turns "adversity"
 //! into a first-class, declarative input: a [`FaultPlan`] describes
-//! *what* goes wrong and *when* (frame drops/delays/duplicates, node and
-//! region crashes, area partitions), and the [`FaultInjector`] executes
-//! it inside [`crate::Network`] delivery using a dedicated RNG stream
+//! *what* goes wrong and *when* (frame drops/delays/duplicates from the
+//! start of the run, node and region crashes, area partitions,
+//! Byzantine behaviours), and [`crate::Network`] executes it at frame
+//! delivery using a dedicated RNG stream
 //! (`pqs_sim::rng::streams::FAULTS`). The same master seed and plan
 //! therefore reproduce an identical event trace, which is what makes
 //! fault scenarios regression-testable.
@@ -14,14 +15,15 @@
 //! # Examples
 //!
 //! ```
-//! use pqs_net::faults::FaultPlan;
-//! use pqs_sim::{SimDuration, SimTime};
+//! use pqs_net::{faults::FaultPlan, NodeId};
+//! use pqs_sim::SimTime;
 //!
 //! let plan = FaultPlan::new()
-//!     .drop_frames(0.10)
-//!     .delay_data_frames(0.05, SimDuration::from_millis(20))
+//!     .crash_at(NodeId(3), SimTime::from_secs(45))
 //!     .partition_vertical(0.5, SimTime::from_secs(30), SimTime::from_secs(60));
-//! assert_eq!(plan.frame_rules().len(), 2);
+//! assert_eq!(plan.first_activity(), Some(SimTime::from_secs(30)));
+//! // Frame rules act from t = 0.
+//! assert_eq!(plan.drop_frames(0.10).first_activity(), Some(SimTime::ZERO));
 //! ```
 
 use crate::geometry::Point;
@@ -31,68 +33,26 @@ use pqs_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Which frames a [`FrameFaultRule`] applies to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultScope {
-    /// Every frame on the air.
-    All,
-    /// Frames sent or received by one node (a flaky radio).
-    Node(NodeId),
-    /// Frames whose sender or receiver is inside a disc (a jammed or
-    /// lossy area).
-    Region {
-        /// Disc centre.
-        center: Point,
-        /// Disc radius in metres.
-        radius_m: f64,
-    },
-}
-
-impl FaultScope {
-    /// Does the rule apply to a link with these endpoints?
-    fn matches(&self, sender: NodeId, sender_pos: Point, rx: NodeId, rx_pos: Point) -> bool {
-        match *self {
-            FaultScope::All => true,
-            FaultScope::Node(node) => node == sender || node == rx,
-            FaultScope::Region { center, radius_m } => {
-                sender_pos.distance(center) <= radius_m || rx_pos.distance(center) <= radius_m
-            }
-        }
-    }
-}
-
-/// A probabilistic frame fault active during a time window.
+/// A probabilistic fault on every frame on the air, from t = 0 on.
 ///
 /// Drop applies to every frame kind (data, hello, ACK); delay and
 /// duplication apply to *data deliveries* only — hellos and ACKs have no
 /// meaningful deferred-delivery semantics at this abstraction level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameFaultRule {
-    /// Window start (inclusive).
-    pub from: SimTime,
-    /// Window end (exclusive). Use [`SimTime::MAX`] for "forever".
-    pub until: SimTime,
-    /// Which links the rule covers.
-    pub scope: FaultScope,
-    /// Probability a covered frame reception is silently lost.
-    pub drop_prob: f64,
+#[derive(Debug, Clone, Default, PartialEq)]
+struct FrameFaultRule {
+    /// Probability a frame reception is silently lost.
+    drop_prob: f64,
     /// Probability a surviving data delivery is deferred.
-    pub delay_prob: f64,
+    delay_prob: f64,
     /// Maximum extra delivery latency (uniform in `(0, max]`).
-    pub max_delay: SimDuration,
+    max_delay: SimDuration,
     /// Probability a surviving data delivery is delivered twice.
-    pub duplicate_prob: f64,
-}
-
-impl FrameFaultRule {
-    fn active(&self, now: SimTime) -> bool {
-        self.from <= now && now < self.until
-    }
+    duplicate_prob: f64,
 }
 
 /// A scheduled node- or region-level fault.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NodeFaultEvent {
+pub(crate) enum NodeFaultEvent {
     /// Crash one node at `at`.
     Crash {
         /// The victim.
@@ -145,36 +105,26 @@ pub enum NodeBehavior {
     Equivocator,
 }
 
-/// How Byzantine behaviors are assigned to nodes.
+/// Marks `round(fraction·n)` distinct nodes, sampled from the dedicated
+/// BYZ RNG stream, cycling through `behaviors`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BehaviorRule {
-    /// Pin one node to a behavior (overrides earlier rules).
-    Node {
-        /// The misbehaving node.
-        node: NodeId,
-        /// Its behavior.
-        behavior: NodeBehavior,
-    },
-    /// Mark `round(fraction·n)` distinct nodes, sampled from the
-    /// dedicated BYZ RNG stream, cycling through `behaviors`.
-    Fraction {
-        /// Fraction of the population to corrupt, in `[0, 1]`.
-        fraction: f64,
-        /// The behavior mix assigned round-robin over the sample.
-        behaviors: Vec<NodeBehavior>,
-    },
+struct BehaviorRule {
+    /// Fraction of the population to corrupt, in `[0, 1]`.
+    fraction: f64,
+    /// The behavior mix assigned round-robin over the sample.
+    behaviors: Vec<NodeBehavior>,
 }
 
 /// A network partition: during the window, frames crossing the vertical
 /// line `x = fraction · side` are dropped deterministically (no RNG).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartitionWindow {
+struct PartitionWindow {
     /// Window start (inclusive).
-    pub from: SimTime,
+    from: SimTime,
     /// Window end (exclusive).
-    pub until: SimTime,
+    until: SimTime,
     /// Position of the cut as a fraction of the area side, in `(0, 1)`.
-    pub x_fraction: f64,
+    x_fraction: f64,
 }
 
 impl PartitionWindow {
@@ -207,56 +157,34 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Adds an arbitrary frame-fault rule.
-    pub fn with_rule(mut self, rule: FrameFaultRule) -> Self {
-        self.frame_rules.push(rule);
-        self
-    }
-
     /// Drops every frame kind with probability `prob`, everywhere,
     /// forever.
-    pub fn drop_frames(self, prob: f64) -> Self {
-        self.drop_frames_between(prob, SimTime::ZERO, SimTime::MAX)
-    }
-
-    /// Drops every frame kind with probability `prob` during a window.
-    pub fn drop_frames_between(self, prob: f64, from: SimTime, until: SimTime) -> Self {
-        self.with_rule(FrameFaultRule {
-            from,
-            until,
-            scope: FaultScope::All,
+    pub fn drop_frames(mut self, prob: f64) -> Self {
+        self.frame_rules.push(FrameFaultRule {
             drop_prob: prob,
-            delay_prob: 0.0,
-            max_delay: SimDuration::ZERO,
-            duplicate_prob: 0.0,
-        })
+            ..FrameFaultRule::default()
+        });
+        self
     }
 
     /// Defers data deliveries with probability `prob` by up to
     /// `max_delay`.
-    pub fn delay_data_frames(self, prob: f64, max_delay: SimDuration) -> Self {
-        self.with_rule(FrameFaultRule {
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-            scope: FaultScope::All,
-            drop_prob: 0.0,
+    pub fn delay_data_frames(mut self, prob: f64, max_delay: SimDuration) -> Self {
+        self.frame_rules.push(FrameFaultRule {
             delay_prob: prob,
             max_delay,
-            duplicate_prob: 0.0,
-        })
+            ..FrameFaultRule::default()
+        });
+        self
     }
 
     /// Duplicates data deliveries with probability `prob`.
-    pub fn duplicate_data_frames(self, prob: f64) -> Self {
-        self.with_rule(FrameFaultRule {
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-            scope: FaultScope::All,
-            drop_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay: SimDuration::ZERO,
+    pub fn duplicate_data_frames(mut self, prob: f64) -> Self {
+        self.frame_rules.push(FrameFaultRule {
             duplicate_prob: prob,
-        })
+            ..FrameFaultRule::default()
+        });
+        self
     }
 
     /// Crashes `node` at `at`.
@@ -292,13 +220,6 @@ impl FaultPlan {
         self
     }
 
-    /// Pins `node` to a Byzantine behavior (overrides earlier rules).
-    pub fn behavior_at(mut self, node: NodeId, behavior: NodeBehavior) -> Self {
-        self.behavior_rules
-            .push(BehaviorRule::Node { node, behavior });
-        self
-    }
-
     /// Corrupts `round(fraction·n)` distinct nodes (sampled from the
     /// dedicated BYZ RNG stream at install time), cycling through
     /// `behaviors`.
@@ -312,7 +233,7 @@ impl FaultPlan {
             "behavior fraction must be in [0, 1]"
         );
         assert!(!behaviors.is_empty(), "behavior mix must be non-empty");
-        self.behavior_rules.push(BehaviorRule::Fraction {
+        self.behavior_rules.push(BehaviorRule {
             fraction,
             behaviors: behaviors.to_vec(),
         });
@@ -329,30 +250,32 @@ impl FaultPlan {
         self
     }
 
-    /// The frame-fault rules in the plan.
-    pub fn frame_rules(&self) -> &[FrameFaultRule] {
-        &self.frame_rules
+    /// The earliest instant at which the plan can influence a run:
+    /// t = 0 if it has a frame rule, else its earliest timed node fault
+    /// or partition opening. Behaviour rules never count — they only
+    /// alter lookup replies, and resolve from a dedicated stream
+    /// whenever the plan is installed.
+    pub fn first_activity(&self) -> Option<SimTime> {
+        let frames = (!self.frame_rules.is_empty()).then_some(SimTime::ZERO);
+        let nodes = self.node_events.iter().map(|e| match *e {
+            NodeFaultEvent::Crash { at, .. }
+            | NodeFaultEvent::Recover { at, .. }
+            | NodeFaultEvent::RegionCrash { at, .. }
+            | NodeFaultEvent::RegionRecover { at, .. } => at,
+        });
+        let partitions = self.partitions.iter().map(|p| p.from);
+        frames.into_iter().chain(nodes).chain(partitions).min()
     }
 
     /// The scheduled node/region fault events.
-    pub fn node_events(&self) -> &[NodeFaultEvent] {
+    pub(crate) fn node_events(&self) -> &[NodeFaultEvent] {
         &self.node_events
-    }
-
-    /// The partition windows.
-    pub fn partitions(&self) -> &[PartitionWindow] {
-        &self.partitions
-    }
-
-    /// The Byzantine behavior-assignment rules.
-    pub fn behavior_rules(&self) -> &[BehaviorRule] {
-        &self.behavior_rules
     }
 }
 
 /// Per-receiver fate of a frame that the PHY decoded successfully.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FrameFate {
+pub(crate) enum FrameFate {
     /// Deliver normally.
     Deliver,
     /// Silently lose it (the receiver never saw it).
@@ -369,7 +292,7 @@ pub enum FrameFate {
 /// the dedicated `FAULTS` RNG stream so fault decisions never perturb
 /// placement, MAC or protocol randomness.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
     /// Per-node Byzantine behavior, resolved once at install time from
@@ -383,7 +306,7 @@ impl FaultInjector {
     /// master seed. `node_count` bounds the population the behavior
     /// rules are resolved over; a plan without behavior rules draws
     /// nothing from the BYZ stream.
-    pub fn new(plan: FaultPlan, master_seed: u64, node_count: usize) -> Self {
+    pub(crate) fn new(plan: FaultPlan, master_seed: u64, node_count: usize) -> Self {
         let behaviors = resolve_behaviors(&plan.behavior_rules, master_seed, node_count);
         FaultInjector {
             plan,
@@ -393,12 +316,12 @@ impl FaultInjector {
     }
 
     /// The Byzantine behavior assigned to `node`, if any.
-    pub fn behavior_of(&self, node: NodeId) -> Option<NodeBehavior> {
+    pub(crate) fn behavior_of(&self, node: NodeId) -> Option<NodeBehavior> {
         self.behaviors.get(node.0 as usize).copied().flatten()
     }
 
     /// How many nodes carry any Byzantine behavior.
-    pub fn byzantine_count(&self) -> usize {
+    pub(crate) fn byzantine_count(&self) -> usize {
         self.behaviors.iter().filter(|b| b.is_some()).count()
     }
 
@@ -407,14 +330,11 @@ impl FaultInjector {
     /// `is_data` selects eligibility for delay/duplication; drops and
     /// partitions apply to every kind. Partitions are checked first and
     /// consume no randomness.
-    #[allow(clippy::too_many_arguments)]
-    pub fn frame_fate(
+    pub(crate) fn frame_fate(
         &mut self,
         now: SimTime,
         side_m: f64,
-        sender: NodeId,
         sender_pos: Point,
-        rx: NodeId,
         rx_pos: Point,
         is_data: bool,
     ) -> FrameFate {
@@ -425,9 +345,6 @@ impl FaultInjector {
         }
         let mut fate = FrameFate::Deliver;
         for rule in &self.plan.frame_rules {
-            if !rule.active(now) || !rule.scope.matches(sender, sender_pos, rx, rx_pos) {
-                continue;
-            }
             if rule.drop_prob > 0.0 && self.rng.gen_bool(rule.drop_prob) {
                 return FrameFate::Drop;
             }
@@ -451,10 +368,10 @@ fn sample_delay(rng: &mut StdRng, max: SimDuration) -> SimDuration {
     SimDuration::from_micros(rng.gen_range(0..max_us) + 1)
 }
 
-/// Resolves the behavior rules into a per-node assignment. Fraction
-/// rules sample distinct victims by a partial Fisher–Yates over the
-/// population using the BYZ stream; explicit `Node` pins override in
-/// rule order. An empty rule list touches no RNG at all.
+/// Resolves the behavior rules into a per-node assignment: each rule
+/// samples distinct victims by a partial Fisher–Yates over the
+/// population using the BYZ stream, later rules overriding earlier ones.
+/// An empty rule list touches no RNG at all.
 fn resolve_behaviors(
     rules: &[BehaviorRule],
     master_seed: u64,
@@ -465,25 +382,17 @@ fn resolve_behaviors(
         return out;
     }
     let mut byz = rng::stream(master_seed, streams::BYZ);
-    for rule in rules {
-        match rule {
-            BehaviorRule::Fraction {
-                fraction,
-                behaviors,
-            } => {
-                let k = ((fraction * node_count as f64).round() as usize).min(node_count);
-                let mut idx: Vec<usize> = (0..node_count).collect();
-                for pick in 0..k {
-                    let j = byz.gen_range(pick..node_count);
-                    idx.swap(pick, j);
-                    out[idx[pick]] = Some(behaviors[pick % behaviors.len()]);
-                }
-            }
-            BehaviorRule::Node { node, behavior } => {
-                if let Some(slot) = out.get_mut(node.0 as usize) {
-                    *slot = Some(*behavior);
-                }
-            }
+    for BehaviorRule {
+        fraction,
+        behaviors,
+    } in rules
+    {
+        let k = ((fraction * node_count as f64).round() as usize).min(node_count);
+        let mut idx: Vec<usize> = (0..node_count).collect();
+        for pick in 0..k {
+            let j = byz.gen_range(pick..node_count);
+            idx.swap(pick, j);
+            out[idx[pick]] = Some(behaviors[pick % behaviors.len()]);
         }
     }
     out
@@ -513,7 +422,7 @@ mod tests {
         let p = Point::new(0.0, 0.0);
         for _ in 0..8 {
             assert_eq!(
-                inj.frame_fate(SimTime::ZERO, 1000.0, NodeId(0), p, NodeId(1), p, true),
+                inj.frame_fate(SimTime::ZERO, 1000.0, p, p, true),
                 FrameFate::Deliver
             );
         }
@@ -532,25 +441,9 @@ mod tests {
         let mut inj = FaultInjector::new(plan, 2, 8);
         let p = Point::new(1.0, 1.0);
         assert_eq!(
-            inj.frame_fate(SimTime::ZERO, 1000.0, NodeId(0), p, NodeId(1), p, true),
+            inj.frame_fate(SimTime::ZERO, 1000.0, p, p, true),
             FrameFate::Drop
         );
-    }
-
-    #[test]
-    fn window_bounds_are_half_open() {
-        let from = SimTime::from_secs(10);
-        let until = SimTime::from_secs(20);
-        let plan = FaultPlan::new().drop_frames_between(1.0, from, until);
-        let mut inj = FaultInjector::new(plan, 3, 8);
-        let p = Point::new(0.0, 0.0);
-        let fate = |inj: &mut FaultInjector, t| {
-            inj.frame_fate(t, 1000.0, NodeId(0), p, NodeId(1), p, false)
-        };
-        assert_eq!(fate(&mut inj, SimTime::from_secs(9)), FrameFate::Deliver);
-        assert_eq!(fate(&mut inj, from), FrameFate::Drop);
-        assert_eq!(fate(&mut inj, SimTime::from_secs(19)), FrameFate::Drop);
-        assert_eq!(fate(&mut inj, until), FrameFate::Deliver);
     }
 
     #[test]
@@ -560,68 +453,16 @@ mod tests {
         let west = Point::new(100.0, 0.0);
         let east = Point::new(900.0, 0.0);
         assert_eq!(
-            inj.frame_fate(
-                SimTime::ZERO,
-                1000.0,
-                NodeId(0),
-                west,
-                NodeId(1),
-                east,
-                true
-            ),
+            inj.frame_fate(SimTime::ZERO, 1000.0, west, east, true),
             FrameFate::Drop
         );
         assert_eq!(
-            inj.frame_fate(
-                SimTime::ZERO,
-                1000.0,
-                NodeId(0),
-                west,
-                NodeId(2),
-                west,
-                true
-            ),
+            inj.frame_fate(SimTime::ZERO, 1000.0, west, west, true),
             FrameFate::Deliver
         );
         // After the window the cut heals.
         assert_eq!(
-            inj.frame_fate(
-                SimTime::from_secs(100),
-                1000.0,
-                NodeId(0),
-                west,
-                NodeId(1),
-                east,
-                true
-            ),
-            FrameFate::Deliver
-        );
-    }
-
-    #[test]
-    fn node_scope_matches_either_endpoint() {
-        let rule = FrameFaultRule {
-            from: SimTime::ZERO,
-            until: SimTime::MAX,
-            scope: FaultScope::Node(NodeId(7)),
-            drop_prob: 1.0,
-            delay_prob: 0.0,
-            max_delay: SimDuration::ZERO,
-            duplicate_prob: 0.0,
-        };
-        let plan = FaultPlan::new().with_rule(rule);
-        let mut inj = FaultInjector::new(plan, 5, 8);
-        let p = Point::new(0.0, 0.0);
-        assert_eq!(
-            inj.frame_fate(SimTime::ZERO, 1000.0, NodeId(7), p, NodeId(1), p, true),
-            FrameFate::Drop
-        );
-        assert_eq!(
-            inj.frame_fate(SimTime::ZERO, 1000.0, NodeId(1), p, NodeId(7), p, true),
-            FrameFate::Drop
-        );
-        assert_eq!(
-            inj.frame_fate(SimTime::ZERO, 1000.0, NodeId(1), p, NodeId(2), p, true),
+            inj.frame_fate(SimTime::from_secs(100), 1000.0, west, east, true),
             FrameFate::Deliver
         );
     }
@@ -635,17 +476,7 @@ mod tests {
             let mut inj = FaultInjector::new(plan.clone(), seed, 8);
             let p = Point::new(0.0, 0.0);
             (0..256)
-                .map(|i| {
-                    inj.frame_fate(
-                        SimTime::from_micros(i),
-                        1000.0,
-                        NodeId(0),
-                        p,
-                        NodeId(1),
-                        p,
-                        i % 3 != 0,
-                    )
-                })
+                .map(|i| inj.frame_fate(SimTime::from_micros(i), 1000.0, p, p, i % 3 != 0))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));
@@ -687,19 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn behavior_pin_overrides_fraction() {
-        let plan = FaultPlan::new()
-            .behavior_fraction(1.0, &[NodeBehavior::Silent])
-            .behavior_at(NodeId(3), NodeBehavior::Equivocator);
-        let inj = FaultInjector::new(plan, 1, 8);
-        assert_eq!(inj.behavior_of(NodeId(3)), Some(NodeBehavior::Equivocator));
-        assert_eq!(inj.behavior_of(NodeId(0)), Some(NodeBehavior::Silent));
-        assert_eq!(inj.byzantine_count(), 8);
-        // Out-of-range probes are benign.
-        assert_eq!(inj.behavior_of(NodeId(99)), None);
-    }
-
-    #[test]
     fn behavior_rules_do_not_touch_the_frame_stream() {
         // A behavior-only plan must leave frame fates byte-identical to
         // no plan at all: behaviors resolve from the BYZ stream, frame
@@ -709,7 +527,7 @@ mod tests {
         let p = Point::new(0.0, 0.0);
         for _ in 0..8 {
             assert_eq!(
-                inj.frame_fate(SimTime::ZERO, 1000.0, NodeId(0), p, NodeId(1), p, true),
+                inj.frame_fate(SimTime::ZERO, 1000.0, p, p, true),
                 FrameFate::Deliver
             );
         }

@@ -60,10 +60,7 @@ pub mod phy;
 mod stats;
 
 pub use config::{MacConfig, NetConfig, PathLoss, PhyConfig, ReceptionModel};
-pub use faults::{
-    fabricated_value, BehaviorRule, FaultInjector, FaultPlan, FaultScope, FrameFaultRule,
-    NodeBehavior, NodeFaultEvent,
-};
+pub use faults::{fabricated_value, FaultPlan, NodeBehavior};
 pub use mac::MacDst;
 pub use mobility::MobilityModel;
 pub use network::{Network, Stack, Upcall};

@@ -874,7 +874,7 @@ impl<P: Clone> Network<P> {
                     let sender_pos = self.motions[sender.index()].position(now);
                     let rx_pos = self.motions[rx.index()].position(now);
                     let is_data = matches!(frame.kind, FrameKind::Data(_));
-                    injector.frame_fate(now, self.side, frame.src, sender_pos, rx, rx_pos, is_data)
+                    injector.frame_fate(now, self.side, sender_pos, rx_pos, is_data)
                 }
                 None => FrameFate::Deliver,
             };

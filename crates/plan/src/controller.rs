@@ -23,12 +23,11 @@
 //! configuration; every held tick is counted and traced with its
 //! reason, so silent holds are visible in `RunMetrics`.
 
-use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::planner::{Planner, PlannerConfig, QuorumPlan};
 use pqs_core::obs::HoldReason;
 use pqs_core::runner::{run_scenario_hooked, RunMetrics, ScenarioConfig};
-use pqs_core::spec::{self, BiquorumSpec, WeightedBiquorumSpec, WeightedSide};
-use pqs_core::stack::{QuorumNet, QuorumStack, ReconfigureError};
+use pqs_core::spec::{self, BiquorumSpec};
+use pqs_core::stack::{QuorumNet, QuorumStack};
 use pqs_sim::control::TickSchedule;
 use pqs_sim::{SimDuration, SimTime};
 
@@ -57,12 +56,6 @@ pub struct ControllerConfig {
     /// under-estimating silently voids the ε guarantee — so the
     /// controller leans high.
     pub estimate_headroom: f64,
-    /// When set, each applied replan also re-runs the weighted
-    /// optimizer against the live `(n̂, τ)` and rebalances the
-    /// mixture's selection weights — live replans move *weights*, not
-    /// just sizes. `None` (the default) keeps the classic single-pair
-    /// behaviour.
-    pub weighted: Option<OptimizerConfig>,
 }
 
 impl ControllerConfig {
@@ -78,7 +71,6 @@ impl ControllerConfig {
             min_dwell: SimDuration::from_secs(30),
             estimate_smoothing: 0.5,
             estimate_headroom: 1.25,
-            weighted: None,
         }
     }
 }
@@ -90,7 +82,6 @@ impl ControllerConfig {
 pub struct AdaptiveController {
     cfg: ControllerConfig,
     planner: Planner,
-    optimizer: Option<Optimizer>,
     last_apply: Option<SimTime>,
     last_plan: Option<QuorumPlan>,
     /// EWMA-smoothed population estimate across ticks.
@@ -114,7 +105,6 @@ impl AdaptiveController {
         assert!(cfg.estimate_headroom >= 1.0, "headroom must not shrink n̂");
         AdaptiveController {
             planner: Planner::new(cfg.planner),
-            optimizer: cfg.weighted.map(Optimizer::new),
             cfg,
             last_apply: None,
             last_plan: None,
@@ -196,82 +186,13 @@ impl AdaptiveController {
                 return;
             }
         }
-        let current = stack.config().spec;
-        // Weighted mode: each replan also rebalances the mixture's
-        // selection weights against the live `(n̂, τ)`. An infeasible
-        // optimizer input holds like any other invalid input.
-        let weighted_plan = match &self.optimizer {
-            Some(opt) => match opt.try_plan(n, tau) {
-                Ok(wp) => Some(wp),
-                Err(_) => {
-                    stack.note_controller_hold(now, HoldReason::InvalidInput);
-                    return;
-                }
-            },
-            None => None,
-        };
-        let sizes_held = self.within_dead_band(current, plan.spec);
-        let weights_held = weighted_plan.as_ref().is_none_or(|wp| {
-            self.weights_within_dead_band(stack.config().weighted.as_ref(), &wp.spec)
-        });
-        if sizes_held && weights_held {
+        if self.within_dead_band(stack.config().spec, plan.spec) {
             stack.note_controller_hold(now, HoldReason::DeadBand);
             return;
         }
-        match weighted_plan {
-            Some(wp) => match stack.reconfigure_weighted(now, plan.spec, Some(wp.spec)) {
-                Ok(_) => {}
-                Err(ReconfigureError::NeedsTransitTap) => {
-                    // A mixture candidate needs the relay tap the router
-                    // was built without: keep the live strategies and
-                    // mixture, apply the uniform sizes only.
-                    let mut fallback = current;
-                    fallback.advertise.size = plan.spec.advertise.size;
-                    fallback.lookup.size = plan.spec.lookup.size;
-                    plan.spec = fallback;
-                    stack
-                        .reconfigure(now, fallback)
-                        .expect("current strategies are always reconfigurable");
-                }
-            },
-            None => match stack.reconfigure(now, plan.spec) {
-                Ok(_) => {}
-                Err(ReconfigureError::NeedsTransitTap) => {
-                    // The planner asked for a strategy the router cannot
-                    // serve mid-run; keep the live strategies, apply sizes.
-                    let mut fallback = current;
-                    fallback.advertise.size = plan.spec.advertise.size;
-                    fallback.lookup.size = plan.spec.lookup.size;
-                    plan.spec = fallback;
-                    stack
-                        .reconfigure(now, fallback)
-                        .expect("current strategies are always reconfigurable");
-                }
-            },
-        }
+        stack.reconfigure(now, plan.spec);
         self.last_apply = Some(now);
         self.last_plan = Some(plan);
-    }
-
-    /// Whether the planned mixture is close enough to the live one to
-    /// hold: same candidate sets on both sides and every selection
-    /// weight within the dead-band. A live stack without a mixture is
-    /// never "close" — weighted mode always applies its first mixture.
-    fn weights_within_dead_band(
-        &self,
-        current: Option<&WeightedBiquorumSpec>,
-        planned: &WeightedBiquorumSpec,
-    ) -> bool {
-        let Some(cur) = current else {
-            return false;
-        };
-        let side_close = |a: &WeightedSide, b: &WeightedSide| {
-            a.len() == b.len()
-                && a.candidates()
-                    .zip(b.candidates())
-                    .all(|((sa, wa), (sb, wb))| sa == sb && (wa - wb).abs() <= self.cfg.dead_band)
-        };
-        side_close(&cur.advertise, &planned.advertise) && side_close(&cur.lookup, &planned.lookup)
     }
 
     fn within_dead_band(&self, current: BiquorumSpec, planned: BiquorumSpec) -> bool {

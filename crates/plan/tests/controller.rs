@@ -5,7 +5,7 @@
 use pqs_core::obs::{HoldReason, TraceEvent};
 use pqs_core::runner::{run_scenario, ChurnPlan, ScenarioConfig};
 use pqs_core::workload::WorkloadConfig;
-use pqs_plan::{run_adaptive_scenario, ControllerConfig, OptimizerConfig, PlannerConfig};
+use pqs_plan::{run_adaptive_scenario, ControllerConfig, PlannerConfig};
 use pqs_sim::{SimDuration, SimTime};
 
 fn small_scenario(n: usize) -> ScenarioConfig {
@@ -137,39 +137,6 @@ fn hysteresis_dead_band_and_dwell() {
     if m.counters.reconfigures == 1 {
         assert!(m.counters.controller_holds_dwell > 0);
     }
-}
-
-/// Weighted mode (PR 10 tentpole): with an optimizer attached, the
-/// controller's first eligible tick installs the weighted mixture (the
-/// live stack starts without one, which is never "within the
-/// dead-band"), and replans keep rebalancing weights against the live
-/// `(n̂, τ)` without breaking the tick accounting.
-#[test]
-fn weighted_mode_installs_and_rebalances_the_mixture() {
-    let scenario = small_scenario(50);
-    let mut ctrl = quick_controller();
-    ctrl.weighted = Some(OptimizerConfig::paper_default());
-
-    let metrics = run_adaptive_scenario(&scenario, ctrl, 9);
-
-    let c = &metrics.counters;
-    assert!(c.controller_ticks > 0, "controller never ran");
-    assert!(
-        c.reconfigures >= 1,
-        "weighted mode must apply its first mixture"
-    );
-    assert_eq!(
-        c.controller_ticks,
-        c.reconfigures
-            + c.controller_holds_no_estimate
-            + c.controller_holds_invalid
-            + c.controller_holds_dead_band
-            + c.controller_holds_dwell,
-        "tick outcomes must partition the ticks in weighted mode too"
-    );
-    // Weighted replans are deterministic: same seed, same trace.
-    let again = run_adaptive_scenario(&scenario, ctrl, 9);
-    assert_eq!(metrics, again, "weighted runs diverged across replays");
 }
 
 /// Same seed, controller enabled → byte-identical trace-event sequences

@@ -8,16 +8,18 @@
 //!
 //! Features:
 //!
-//! - on-demand route discovery with **expanding-ring search** (RREQ
-//!   floods with growing TTL),
+//! - on-demand route discovery: network-wide RREQ floods, retried a
+//!   fixed number of times before the send fails (no expanding ring —
+//!   quorum targets are uniformly random, so small rings rarely succeed),
 //! - reverse/forward route installation with destination sequence
-//!   numbers, route lifetimes and intermediate-node replies,
-//! - RERR generation and propagation on link breaks, driven by the MAC's
-//!   cross-layer failure notification (§6.2),
+//!   numbers and route lifetimes; only the destination answers an RREQ,
+//! - one-hop RERRs on link breaks, driven by the MAC's cross-layer
+//!   failure notification (§6.2),
 //! - **scoped discovery** (`max_ttl`) used by the paper's reply-path
 //!   local-repair technique (TTL-3 searches),
-//! - a **transit tap**: intermediate nodes see the payloads they forward,
-//!   enabling the RANDOM-OPT strategy (§4.5), and may consume packets,
+//! - a **relay tap**: every routed packet in transit reaches the stack,
+//!   which forwards it or consumes it — the hook of the RANDOM-OPT
+//!   strategy (§4.5),
 //! - separate accounting of data-hop transmissions vs routing control
 //!   overhead (RREQ/RREP/RERR), matching the paper's metrics (§8).
 //!
@@ -33,7 +35,7 @@ mod router;
 mod table;
 
 pub use router::{
-    RoutePacket, Router, RouterConfig, RouterEvent, RoutingStats, TransitHandle, CONTROL_BYTES,
+    RoutePacket, Router, RouterEvent, RoutingStats, TransitHandle, CONTROL_BYTES,
     DATA_HEADER_BYTES, ROUTER_TOKEN_BIT,
 };
 pub use table::{Route, RouteTable};

@@ -22,7 +22,7 @@ pub const DATA_HEADER_BYTES: usize = 16;
 /// traffic that bypasses routing entirely (random walks, floods).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RoutePacket<P> {
-    /// Route request (flooded with expanding-ring TTL).
+    /// Route request (flooded network-wide, or within a scoped TTL).
     Rreq {
         /// Per-originator request id (for duplicate suppression).
         id: u64,
@@ -54,8 +54,6 @@ pub enum RoutePacket<P> {
     Rerr {
         /// `(destination, bumped sequence number)` pairs.
         broken: Vec<(NodeId, u32)>,
-        /// Remaining propagation scope.
-        ttl: u8,
     },
     /// A routed application payload.
     Data {
@@ -63,7 +61,7 @@ pub enum RoutePacket<P> {
         src: NodeId,
         /// Final destination.
         dst: NodeId,
-        /// Per-originator packet id (diagnostics / transit bookkeeping).
+        /// Per-originator packet id (diagnostics).
         id: u64,
         /// Remaining time-to-live (loop protection).
         ttl: u8,
@@ -76,60 +74,21 @@ pub enum RoutePacket<P> {
     OneHop(Payload<P>),
 }
 
-/// AODV parameters.
-///
-/// The default `ttl_start` equals `net_ttl`, i.e. expanding-ring search
-/// is off: quorum targets are uniformly random (typically far away), so
-/// small rings almost never succeed and only add flood traffic and
-/// latency. Set `ttl_start` low to re-enable the classic ring search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouterConfig {
-    /// Initial expanding-ring TTL.
-    pub ttl_start: u8,
-    /// Ring growth per failed attempt.
-    pub ttl_increment: u8,
-    /// Above this TTL, jump straight to `net_ttl`.
-    pub ttl_threshold: u8,
-    /// Network-wide TTL (and data-packet TTL).
-    pub net_ttl: u8,
-    /// Extra full-TTL discovery attempts after the ring search.
-    pub rreq_retries: u32,
-    /// Per-hop traversal-time estimate used to size discovery timeouts.
-    pub node_traversal: SimDuration,
-    /// Lifetime of installed routes; reuse extends it (the paper
-    /// amortises discovery cost over consecutive quorum accesses, §8.1).
-    pub route_lifetime: SimDuration,
-    /// Propagation scope of RERR rebroadcasts.
-    pub rerr_ttl: u8,
-    /// Allow intermediate nodes with fresh routes to answer RREQs. With
-    /// long route lifetimes and network-wide floods this causes RREP
-    /// storms (hundreds of replies per discovery), so the default is the
-    /// AODV 'D' (destination-only) behaviour.
-    pub intermediate_replies: bool,
-    /// When `true`, data packets transiting an intermediate node are
-    /// surfaced as [`RouterEvent::Transit`] and forwarded only when the
-    /// stack calls [`Router::forward_transit`] — the cross-layer tap of
-    /// the RANDOM-OPT strategy (§4.5). When `false`, packets are
-    /// forwarded immediately and no transit events are emitted.
-    pub transit_tap: bool,
-}
+/// Network-wide RREQ and data-packet TTL. Every unscoped discovery
+/// floods at this TTL from its first attempt: quorum targets are
+/// uniformly random (typically far away), so an expanding ring would
+/// almost never succeed early and only add flood traffic and latency.
+const NET_TTL: u8 = 35;
 
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            ttl_start: 35,
-            ttl_increment: 2,
-            ttl_threshold: 7,
-            net_ttl: 35,
-            rreq_retries: 2,
-            node_traversal: SimDuration::from_millis(60),
-            route_lifetime: SimDuration::from_secs(60),
-            rerr_ttl: 1,
-            intermediate_replies: false,
-            transit_tap: false,
-        }
-    }
-}
+/// Extra network-wide discovery attempts before a discovery gives up.
+const RREQ_RETRIES: u32 = 2;
+
+/// Per-hop traversal-time estimate used to size discovery timeouts.
+const NODE_TRAVERSAL: SimDuration = SimDuration::from_millis(60);
+
+/// Lifetime of installed routes; reuse extends it (the paper amortises
+/// discovery cost over consecutive quorum accesses, §8.1).
+const ROUTE_LIFETIME: SimDuration = SimDuration::from_secs(60);
 
 /// Routing-layer statistics, split the way the paper reports them:
 /// `data_tx` is the "number of messages" (network-layer hops of
@@ -175,19 +134,16 @@ pub enum RouterEvent<P> {
         /// The payload (shared; deref or clone the [`Payload`] as needed).
         payload: Payload<P>,
     },
-    /// A data packet is transiting `node` (only with
-    /// [`RouterConfig::transit_tap`]); the stack must call
-    /// [`Router::forward_transit`] or [`Router::consume_transit`].
+    /// A routed data packet reached relay `node` on its way to someone
+    /// else. The router holds nothing for it: the stack passes `handle`
+    /// to [`Router::forward_transit`] to send it on, or drops it to
+    /// consume the packet (RANDOM-OPT answering a probe midway, §4.5).
     Transit {
-        /// The forwarding node.
+        /// The relaying node.
         node: NodeId,
-        /// The packet originator.
-        src: NodeId,
-        /// The final destination.
-        dst: NodeId,
-        /// Handle for forward/consume.
-        handle: TransitHandle,
-        /// The payload (shared with the retained packet).
+        /// The packet itself, by value.
+        handle: TransitHandle<P>,
+        /// The payload (shared with the packet in `handle`).
         payload: Payload<P>,
     },
     /// Outcome of a [`Router::send_data`] call: `ok = true` once the
@@ -249,15 +205,21 @@ pub enum RouterEvent<P> {
     },
 }
 
-/// Opaque handle to a tapped transit packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TransitHandle(u64);
+/// A routed data packet held at a relay (see [`RouterEvent::Transit`]).
+#[derive(Debug, Clone)]
+pub struct TransitHandle<P> {
+    at: NodeId,
+    src: NodeId,
+    dst: NodeId,
+    id: u64,
+    ttl: u8,
+    payload: Payload<P>,
+}
 
 #[derive(Debug, Clone)]
 struct Discovery<P> {
     buffered: Vec<(Payload<P>, u64)>,
-    ttl: u8,
-    full_attempts: u32,
+    retries: u32,
     max_ttl: Option<u8>,
     timer: EventId,
 }
@@ -276,7 +238,6 @@ enum TokenCtx {
     FirstHop {
         node: NodeId,
         app_token: u64,
-        dst: NodeId,
         next_hop: NodeId,
     },
     Forward {
@@ -301,12 +262,10 @@ enum TimerCtx {
 /// on both copies because forked schedulers honour pre-clone handles.
 #[derive(Clone)]
 pub struct Router<P> {
-    cfg: RouterConfig,
     nodes: Vec<NodeRouting>,
     pending: HashMap<(NodeId, NodeId), Discovery<P>>,
     tokens: HashMap<u64, TokenCtx>,
     timers: HashMap<u64, TimerCtx>,
-    transits: HashMap<u64, (NodeId, RoutePacket<P>)>,
     next_token: u64,
     stats: RoutingStats,
     node_forwards: Vec<u64>,
@@ -314,14 +273,12 @@ pub struct Router<P> {
 
 impl<P: Clone> Router<P> {
     /// Creates a router for `n` nodes.
-    pub fn new(n: usize, cfg: RouterConfig) -> Self {
+    pub fn new(n: usize) -> Self {
         Router {
-            cfg,
             nodes: (0..n).map(|_| NodeRouting::default()).collect(),
             pending: HashMap::new(),
             tokens: HashMap::new(),
             timers: HashMap::new(),
-            transits: HashMap::new(),
             next_token: 1,
             stats: RoutingStats::default(),
             node_forwards: vec![0; n],
@@ -475,18 +432,17 @@ impl<P: Clone> Router<P> {
             s.next_data_id += 1;
             s.next_data_id
         };
-        let ttl = max_ttl.unwrap_or(self.cfg.net_ttl);
+        let ttl = max_ttl.unwrap_or(NET_TTL);
         let token = match app_token {
             Some(app_token) => self.fresh_token(TokenCtx::FirstHop {
                 node,
                 app_token,
-                dst,
                 next_hop,
             }),
             None => self.fresh_token(TokenCtx::Forward { node, next_hop }),
         };
         self.stats.data_tx += 1;
-        let expiry = net.now() + self.cfg.route_lifetime;
+        let expiry = net.now() + ROUTE_LIFETIME;
         self.nodes[node.index()].table.refresh(dst, expiry);
         let bytes = net.config().payload_bytes + DATA_HEADER_BYTES;
         net.send_sized(
@@ -518,17 +474,13 @@ impl<P: Clone> Router<P> {
             return;
         }
         // Scoped searches make a single attempt at exactly max_ttl.
-        let ttl = match max_ttl {
-            Some(cap) => cap,
-            None => self.cfg.ttl_start,
-        };
+        let ttl = max_ttl.unwrap_or(NET_TTL);
         let timer = self.schedule_discovery_timeout(net, node, dst, ttl);
         self.pending.insert(
             (node, dst),
             Discovery {
                 buffered: vec![(payload, app_token)],
-                ttl,
-                full_attempts: 0,
+                retries: 0,
                 max_ttl,
                 timer,
             },
@@ -544,7 +496,7 @@ impl<P: Clone> Router<P> {
         dst: NodeId,
         ttl: u8,
     ) -> EventId {
-        let wait = self.cfg.node_traversal * (2 * u64::from(ttl)) + SimDuration::from_millis(100);
+        let wait = NODE_TRAVERSAL * (2 * u64::from(ttl)) + SimDuration::from_millis(100);
         let token = self.fresh_timer_token(TimerCtx::DiscoveryTimeout { node, dst });
         net.set_timer(node, wait, token)
     }
@@ -581,29 +533,6 @@ impl<P: Clone> Router<P> {
             token,
             CONTROL_BYTES,
         );
-    }
-
-    // ------------------------------------------------------------------
-    // Transit tap
-    // ------------------------------------------------------------------
-
-    /// Forwards a tapped transit packet onward (see
-    /// [`RouterEvent::Transit`]).
-    pub fn forward_transit(
-        &mut self,
-        net: &mut Network<RoutePacket<P>>,
-        handle: TransitHandle,
-    ) -> Vec<RouterEvent<P>> {
-        match self.transits.remove(&handle.0) {
-            Some((node, packet)) => self.forward_data(net, node, packet),
-            None => Vec::new(),
-        }
-    }
-
-    /// Consumes a tapped transit packet: it is not forwarded further
-    /// (RANDOM-OPT answering a lookup midway, §4.5).
-    pub fn consume_transit(&mut self, handle: TransitHandle) {
-        self.transits.remove(&handle.0);
     }
 
     // ------------------------------------------------------------------
@@ -651,12 +580,23 @@ impl<P: Clone> Router<P> {
         }
     }
 
+    /// Forgets `node`'s routes and discoveries (it failed or rejoined).
+    /// Its sequence number and RREQ id survive: other nodes still
+    /// remember the old ones, and would drop a restarted count's RREQs
+    /// as duplicates or keep stale reverse routes over its fresher ones.
     fn reset_node(&mut self, node: NodeId) {
         if let Some(s) = self.nodes.get_mut(node.index()) {
-            *s = NodeRouting::default();
+            *s = NodeRouting {
+                seq: s.seq,
+                next_rreq_id: s.next_rreq_id,
+                ..NodeRouting::default()
+            };
         }
         self.pending.retain(|&(n, _), _| n != node);
-        self.transits.retain(|_, (n, _)| *n != node);
+        // A forgotten discovery's timeout must not escalate a later
+        // discovery to the same destination.
+        self.timers
+            .retain(|_, TimerCtx::DiscoveryTimeout { node: n, .. }| *n != node);
     }
 
     fn on_frame(
@@ -724,8 +664,35 @@ impl<P: Clone> Router<P> {
                 hops,
                 dst_seq,
             } => self.on_rrep(net, at, from, target, origin, hops, dst_seq),
-            RoutePacket::Rerr { broken, ttl } => self.on_rerr(net, at, from, broken, ttl),
-            data @ RoutePacket::Data { .. } => self.on_data(net, at, data),
+            RoutePacket::Rerr { broken } => self.on_rerr(at, from, broken),
+            RoutePacket::Data {
+                src, dst, payload, ..
+            } if dst == at => {
+                self.stats.data_delivered += 1;
+                vec![RouterEvent::Delivered {
+                    node: at,
+                    src,
+                    payload,
+                }]
+            }
+            RoutePacket::Data {
+                src,
+                dst,
+                id,
+                ttl,
+                payload,
+            } => vec![RouterEvent::Transit {
+                node: at,
+                payload: payload.clone(),
+                handle: TransitHandle {
+                    at,
+                    src,
+                    dst,
+                    id,
+                    ttl,
+                    payload,
+                },
+            }],
         }
     }
 
@@ -744,7 +711,7 @@ impl<P: Clone> Router<P> {
         dst_seq: Option<u32>,
     ) -> Vec<RouterEvent<P>> {
         let now = net.now();
-        let lifetime = now + self.cfg.route_lifetime;
+        let lifetime = now + ROUTE_LIFETIME;
         {
             let s = &mut self.nodes[at.index()];
             if origin == at || !s.seen_rreqs.insert((origin, id)) {
@@ -766,19 +733,9 @@ impl<P: Clone> Router<P> {
             self.send_rrep(net, at, from, dst, origin, 0, my_seq);
             return Vec::new();
         }
-        // Intermediate reply if I know a fresh-enough route (disabled by
-        // default; see `RouterConfig::intermediate_replies`).
-        if self.cfg.intermediate_replies {
-            let fresh = self.nodes[at.index()].table.lookup(dst, now).copied();
-            if let Some(route) = fresh {
-                let fresh_enough =
-                    dst_seq.is_none_or(|w| (route.dst_seq.wrapping_sub(w) as i32) >= 0);
-                if fresh_enough {
-                    self.send_rrep(net, at, from, dst, origin, route.hops, route.dst_seq);
-                    return Vec::new();
-                }
-            }
-        }
+        // Only the destination replies (AODV's 'D' flag): with long
+        // route lifetimes and network-wide floods, intermediate replies
+        // cause RREP storms of hundreds of replies per discovery.
         if ttl > 1 {
             self.stats.rreq_tx += 1;
             let token = self.fresh_token(TokenCtx::Control);
@@ -840,7 +797,7 @@ impl<P: Clone> Router<P> {
         dst_seq: u32,
     ) -> Vec<RouterEvent<P>> {
         let now = net.now();
-        let lifetime = now + self.cfg.route_lifetime;
+        let lifetime = now + ROUTE_LIFETIME;
         self.nodes[at.index()]
             .table
             .update(target, from, hops + 1, dst_seq, lifetime, now);
@@ -871,30 +828,25 @@ impl<P: Clone> Router<P> {
         Vec::new()
     }
 
+    /// A neighbour's RERR invalidates the routes that went through it.
+    /// RERRs travel one hop: the receivers do not rebroadcast them.
     fn on_rerr(
         &mut self,
-        net: &mut Network<RoutePacket<P>>,
         at: NodeId,
         from: NodeId,
         broken: Vec<(NodeId, u32)>,
-        ttl: u8,
     ) -> Vec<RouterEvent<P>> {
+        let s = &mut self.nodes[at.index()];
         let mut events = Vec::new();
-        let mut my_broken = Vec::new();
-        for (dst, seq) in broken {
-            let s = &mut self.nodes[at.index()];
+        for (dst, _) in broken {
             let uses_from = s
                 .table
                 .entry(dst)
                 .is_some_and(|r| r.valid && r.next_hop == from);
             if uses_from {
                 s.table.invalidate(dst);
-                my_broken.push((dst, seq));
                 events.push(RouterEvent::RouteBroken { node: at, dst });
             }
-        }
-        if !my_broken.is_empty() && ttl > 1 {
-            self.broadcast_rerr(net, at, my_broken, ttl - 1);
         }
         events
     }
@@ -904,72 +856,33 @@ impl<P: Clone> Router<P> {
         net: &mut Network<RoutePacket<P>>,
         at: NodeId,
         broken: Vec<(NodeId, u32)>,
-        ttl: u8,
     ) {
         self.stats.rerr_tx += 1;
         let token = self.fresh_token(TokenCtx::Control);
         net.send_sized(
             at,
             MacDst::Broadcast,
-            RoutePacket::Rerr { broken, ttl },
+            RoutePacket::Rerr { broken },
             token,
             CONTROL_BYTES,
         );
     }
 
-    fn on_data(
+    /// Sends a transiting packet on from its relay (see
+    /// [`RouterEvent::Transit`]).
+    pub fn forward_transit(
         &mut self,
         net: &mut Network<RoutePacket<P>>,
-        at: NodeId,
-        packet: RoutePacket<P>,
+        handle: TransitHandle<P>,
     ) -> Vec<RouterEvent<P>> {
-        let RoutePacket::Data {
-            src, dst, payload, ..
-        } = &packet
-        else {
-            unreachable!("on_data called with non-data packet")
-        };
-        if *dst == at {
-            self.stats.data_delivered += 1;
-            return vec![RouterEvent::Delivered {
-                node: at,
-                src: *src,
-                payload: payload.clone(),
-            }];
-        }
-        if self.cfg.transit_tap {
-            let handle = TransitHandle(self.next_token);
-            self.next_token += 1;
-            let event = RouterEvent::Transit {
-                node: at,
-                src: *src,
-                dst: *dst,
-                handle,
-                payload: payload.clone(),
-            };
-            self.transits.insert(handle.0, (at, packet));
-            vec![event]
-        } else {
-            self.forward_data(net, at, packet)
-        }
-    }
-
-    fn forward_data(
-        &mut self,
-        net: &mut Network<RoutePacket<P>>,
-        at: NodeId,
-        packet: RoutePacket<P>,
-    ) -> Vec<RouterEvent<P>> {
-        let RoutePacket::Data {
+        let TransitHandle {
+            at,
             src,
             dst,
             id,
             ttl,
             payload,
-        } = packet
-        else {
-            unreachable!("forward_data called with non-data packet")
-        };
+        } = handle;
         if ttl <= 1 {
             self.stats.data_dropped += 1;
             return Vec::new();
@@ -985,7 +898,7 @@ impl<P: Clone> Router<P> {
                     node: at,
                     next_hop: route.next_hop,
                 });
-                let expiry = now + self.cfg.route_lifetime;
+                let expiry = now + ROUTE_LIFETIME;
                 self.nodes[at.index()].table.refresh(dst, expiry);
                 let bytes = net.config().payload_bytes + DATA_HEADER_BYTES;
                 net.send_sized(
@@ -1011,7 +924,7 @@ impl<P: Clone> Router<P> {
                     .entry(dst)
                     .map(|r| r.dst_seq)
                     .unwrap_or(0);
-                self.broadcast_rerr(net, at, vec![(dst, seq)], self.cfg.rerr_ttl);
+                self.broadcast_rerr(net, at, vec![(dst, seq)]);
                 Vec::new()
             }
         }
@@ -1031,7 +944,6 @@ impl<P: Clone> Router<P> {
             TokenCtx::FirstHop {
                 node,
                 app_token,
-                dst,
                 next_hop,
             } => {
                 if ok {
@@ -1047,7 +959,6 @@ impl<P: Clone> Router<P> {
                         token: app_token,
                         ok: false,
                     });
-                    let _ = dst;
                     events
                 }
             }
@@ -1074,7 +985,7 @@ impl<P: Clone> Router<P> {
             .map(|&(dst, _)| RouterEvent::RouteBroken { node, dst })
             .collect();
         if !broken.is_empty() {
-            self.broadcast_rerr(net, node, broken, self.cfg.rerr_ttl);
+            self.broadcast_rerr(net, node, broken);
         }
         events
     }
@@ -1105,20 +1016,8 @@ impl<P: Clone> Router<P> {
             return Vec::new();
         };
         // Scoped searches fail after their single attempt.
-        let give_up = if d.max_ttl.is_some() {
-            true
-        } else if d.ttl < self.cfg.net_ttl {
-            // Grow the ring.
-            d.ttl = if d.ttl >= self.cfg.ttl_threshold {
-                self.cfg.net_ttl
-            } else {
-                (d.ttl + self.cfg.ttl_increment).min(self.cfg.net_ttl)
-            };
-            false
-        } else {
-            d.full_attempts += 1;
-            d.full_attempts > self.cfg.rreq_retries
-        };
+        d.retries += 1;
+        let give_up = d.max_ttl.is_some() || d.retries > RREQ_RETRIES;
         if give_up {
             self.stats.discovery_failures += 1;
             return d
@@ -1131,10 +1030,9 @@ impl<P: Clone> Router<P> {
                 })
                 .collect();
         }
-        let ttl = d.ttl;
-        d.timer = self.schedule_discovery_timeout(net, node, dst, ttl);
+        d.timer = self.schedule_discovery_timeout(net, node, dst, NET_TTL);
         self.pending.insert((node, dst), d);
-        self.broadcast_rreq(net, node, dst, ttl);
+        self.broadcast_rreq(net, node, dst, NET_TTL);
         Vec::new()
     }
 }
@@ -1145,7 +1043,7 @@ mod tests {
 
     #[test]
     fn token_bit_partition() {
-        let mut r: Router<u8> = Router::new(2, RouterConfig::default());
+        let mut r: Router<u8> = Router::new(2);
         let t1 = r.fresh_token(TokenCtx::Control);
         let t2 = r.fresh_token(TokenCtx::Control);
         assert_ne!(t1, t2);
@@ -1165,7 +1063,7 @@ mod tests {
 
     #[test]
     fn ensure_node_grows() {
-        let mut r: Router<u8> = Router::new(2, RouterConfig::default());
+        let mut r: Router<u8> = Router::new(2);
         r.ensure_node(NodeId(10));
         assert!(r.nodes.len() == 11);
         assert!(!r.has_route(NodeId(10), NodeId(0), SimTime::ZERO));

@@ -1,8 +1,8 @@
 //! End-to-end AODV tests over the real wireless substrate.
 
 use pqs_net::{MobilityModel, NetConfig, Network, NodeId, Stack, Upcall};
-use pqs_routing::{RoutePacket, Router, RouterConfig, RouterEvent};
-use pqs_sim::SimTime;
+use pqs_routing::{RoutePacket, Router, RouterEvent};
+use pqs_sim::{SimDuration, SimTime};
 
 type Payload = String;
 type Net = Network<RoutePacket<Payload>>;
@@ -18,9 +18,9 @@ struct RoutedStack {
 }
 
 impl RoutedStack {
-    fn new(n: usize, cfg: RouterConfig) -> Self {
+    fn new(n: usize) -> Self {
         RoutedStack {
-            router: Router::new(n, cfg),
+            router: Router::new(n),
             delivered: Vec::new(),
             send_done: Vec::new(),
             route_broken: Vec::new(),
@@ -95,7 +95,7 @@ fn multi_hop_delivery() {
     let mut net = static_net(100, 21);
     let (src, dst, hops) = distant_pair(&net, 3);
     assert!(hops >= 3);
-    let mut stack = RoutedStack::new(100, RouterConfig::default());
+    let mut stack = RoutedStack::new(100);
     let events = stack
         .router
         .send_data(&mut net, src, dst, "across".into(), 1, None);
@@ -118,7 +118,7 @@ fn multi_hop_delivery() {
 fn route_reuse_avoids_second_discovery() {
     let mut net = static_net(100, 22);
     let (src, dst, _) = distant_pair(&net, 3);
-    let mut stack = RoutedStack::new(100, RouterConfig::default());
+    let mut stack = RoutedStack::new(100);
     stack
         .router
         .send_data(&mut net, src, dst, "first".into(), 1, None);
@@ -141,7 +141,7 @@ fn route_reuse_avoids_second_discovery() {
 fn self_delivery_is_immediate() {
     let mut net = static_net(30, 23);
     let a = net.alive_nodes()[0];
-    let mut stack = RoutedStack::new(30, RouterConfig::default());
+    let mut stack = RoutedStack::new(30);
     let events = stack
         .router
         .send_data(&mut net, a, a, "self".into(), 5, None);
@@ -156,7 +156,7 @@ fn discovery_to_dead_node_fails() {
     let mut net = static_net(80, 24);
     let (src, dst, _) = distant_pair(&net, 2);
     net.schedule_fail(dst, SimTime::from_millis(1));
-    let mut stack = RoutedStack::new(80, RouterConfig::default());
+    let mut stack = RoutedStack::new(80);
     net.run(&mut stack, SimTime::from_millis(10));
     stack
         .router
@@ -167,12 +167,82 @@ fn discovery_to_dead_node_fails() {
     assert_eq!(stack.router.stats().discovery_failures, 1);
 }
 
+/// One unscoped discovery round: `60 ms × 2 × 35 + 100 ms`.
+const ROUND: SimDuration = SimDuration::from_millis(4_300);
+
+/// A node that crashes and rejoins under the same id while a discovery
+/// is pending: that discovery's timeout must not escalate the node's
+/// next discovery to the same destination, which gets its own three
+/// rounds before it fails.
+#[test]
+fn rejoin_forgets_the_pending_discovery_timeout() {
+    let mut net = static_net(80, 24);
+    let (src, dst, _) = distant_pair(&net, 2);
+    net.schedule_fail(dst, SimTime::from_millis(1));
+    let mut stack = RoutedStack::new(80);
+    net.run(&mut stack, SimTime::from_millis(10));
+    stack
+        .router
+        .send_data(&mut net, src, dst, "lost".into(), 1, None);
+    net.schedule_fail(src, SimTime::from_secs(1));
+    net.schedule_join(src, SimTime::from_secs(2));
+    net.run(&mut stack, SimTime::from_secs(3));
+    let resent = net.now();
+    stack
+        .router
+        .send_data(&mut net, src, dst, "again".into(), 2, None);
+    net.run(&mut stack, resent + ROUND * 3 - SimDuration::from_millis(1));
+    assert!(
+        stack.send_done.is_empty(),
+        "gave up before its three rounds: {:?}",
+        stack.send_done
+    );
+    net.run(&mut stack, SimTime::from_secs(60));
+    // The crash forgot the first send; the second fails once.
+    assert_eq!(stack.send_done, vec![(src, 2, false)]);
+    assert_eq!(stack.router.stats().discovery_failures, 1);
+}
+
+/// A node that discovered a route, crashed and rejoined under the same
+/// id reaches a live destination again on its first RREQ round: every
+/// node remembers its pre-crash RREQ ids, so a restarted count would
+/// have its first RREQs dropped as duplicates.
+#[test]
+fn rejoined_node_rediscovers_on_its_first_round() {
+    let mut net = static_net(100, 22);
+    let (src, dst, _) = distant_pair(&net, 3);
+    let mut stack = RoutedStack::new(100);
+    stack
+        .router
+        .send_data(&mut net, src, dst, "before".into(), 1, None);
+    net.run(&mut stack, SimTime::from_secs(20));
+    assert_eq!(stack.delivered.len(), 1);
+    net.schedule_fail(src, SimTime::from_secs(21));
+    net.schedule_join(src, SimTime::from_secs(22));
+    net.run(&mut stack, SimTime::from_secs(25));
+    let g = net.connectivity_graph();
+    assert!(
+        g.bfs_distances(src.index())[dst.index()].is_some(),
+        "the rejoined node must be connected to the destination"
+    );
+    let resent = net.now();
+    stack
+        .router
+        .send_data(&mut net, src, dst, "after".into(), 2, None);
+    net.run(&mut stack, resent + ROUND - SimDuration::from_millis(1));
+    assert_eq!(
+        stack.delivered.last(),
+        Some(&(dst, src, "after".to_string()))
+    );
+    assert_eq!(stack.send_done.last(), Some(&(src, 2, true)));
+}
+
 #[test]
 fn scoped_discovery_respects_ttl() {
     let mut net = static_net(100, 25);
     let (src, far, hops) = distant_pair(&net, 5);
     assert!(hops >= 5);
-    let mut stack = RoutedStack::new(100, RouterConfig::default());
+    let mut stack = RoutedStack::new(100);
     // A TTL-3 scoped search cannot reach a 5-hop-away destination.
     stack
         .router
@@ -198,7 +268,7 @@ fn scoped_discovery_finds_near_destination() {
                 .map(|t| (NodeId(s as u32), NodeId(t as u32)))
         })
         .expect("2-hop pair exists");
-    let mut stack = RoutedStack::new(100, RouterConfig::default());
+    let mut stack = RoutedStack::new(100);
     stack
         .router
         .send_data(&mut net, src, dst, "near".into(), 6, Some(3));
@@ -212,7 +282,7 @@ fn one_hop_traffic_bypasses_routing() {
     let mut net = static_net(50, 27);
     let a = net.alive_nodes()[0];
     let nbr = net.neighbors(a)[0];
-    let mut stack = RoutedStack::new(50, RouterConfig::default());
+    let mut stack = RoutedStack::new(50);
     stack.router.send_one_hop(
         &mut net,
         a,
@@ -234,11 +304,7 @@ fn one_hop_traffic_bypasses_routing() {
 fn transit_tap_sees_intermediate_hops() {
     let mut net = static_net(100, 28);
     let (src, dst, hops) = distant_pair(&net, 3);
-    let cfg = RouterConfig {
-        transit_tap: true,
-        ..RouterConfig::default()
-    };
-    let mut stack = RoutedStack::new(100, cfg);
+    let mut stack = RoutedStack::new(100);
     stack
         .router
         .send_data(&mut net, src, dst, "tapped".into(), 1, None);
@@ -256,14 +322,14 @@ fn transit_tap_sees_intermediate_hops() {
 fn link_break_triggers_rerr_and_notification() {
     let mut net = static_net(100, 29);
     let (src, dst, _) = distant_pair(&net, 3);
-    let mut stack = RoutedStack::new(100, RouterConfig::default());
+    let mut stack = RoutedStack::new(100);
     stack
         .router
         .send_data(&mut net, src, dst, "a".into(), 1, None);
     net.run(&mut stack, SimTime::from_secs(20));
     assert_eq!(stack.delivered.len(), 1);
     // Kill the destination, then send again over the (stale) cached route.
-    net.schedule_fail(dst, net.now() + pqs_sim::SimDuration::from_millis(1));
+    net.schedule_fail(dst, net.now() + SimDuration::from_millis(1));
     net.run(&mut stack, SimTime::from_secs(21));
     stack
         .router
@@ -286,7 +352,7 @@ fn deterministic_routing_given_seed() {
     let run = |seed: u64| {
         let mut net = static_net(80, seed);
         let (src, dst, _) = distant_pair(&net, 3);
-        let mut stack = RoutedStack::new(80, RouterConfig::default());
+        let mut stack = RoutedStack::new(80);
         stack
             .router
             .send_data(&mut net, src, dst, "d".into(), 1, None);

@@ -42,6 +42,52 @@ for name in $(grep -ohE '\bstack::[a-z_][a-z0-9_]*' "${docs[@]}" | sed 's/.*:://
     [[ -f "crates/core/src/stack/$name.rs" ]] \
         || { echo "docs cite stack::$name, but crates/core/src/stack/$name.rs does not exist"; exit 1; }
 done
+# `Type::member` (CamelCase type, lowercase member) must be a fn, const
+# or static of one of that type's `impl`/`trait` blocks in crates/*/src, or
+# a field of its struct; a type defined outside the crates (a std trait)
+# needs the member defined somewhere in them.
+perl - "${docs[@]}" <<'PERL'
+use strict;
+use warnings;
+# Strip comments, strings and char literals so only code braces count.
+my $src = "";
+for my $f (split /\n/, `find crates/*/src -name '*.rs'`) {
+    open my $fh, "<", $f or die "$f: $!";
+    local $/;
+    my $text = <$fh>;
+    $text =~ s{(//[^\n]*)|("(?:[^"\\]|\\.)*")|('(?:[^'\\]|\\.)')}{defined $1 ? "" : "\"\""}ge;
+    $src .= $text . "\n";
+}
+my $block = qr/(\{(?:[^{}]++|(?-1))*\})/;
+my %seen;
+my $bad = 0;
+for my $doc (@ARGV) {
+    open my $fh, "<", $doc or die "$doc: $!";
+    local $/;
+    my $text = <$fh>;
+    while ($text =~ /\b([A-Z][A-Za-z0-9]*)::([a-z_][a-z0-9_]*)\b/g) {
+        my ($ty, $m) = ($1, $2);
+        next if $seen{"$ty\::$m"}++;
+        my $named = qr/\b(?:fn|const|static)\s+\Q$m\E\b/;
+        my $ok;
+        if ($src =~ /\b(?:struct|enum|trait|union)\s+\Q$ty\E\b/) {
+            while ($src =~ /\b(?:impl\b[^{;]*?\s(?:[\w:<>, ]+\s+for\s+)?\Q$ty\E\b[^{;]*|trait\s+\Q$ty\E\b[^{;]*)$block/g) {
+                $ok = 1 if $1 =~ $named;
+            }
+            while ($src =~ /\bstruct\s+\Q$ty\E\b[^{;]*$block/g) {
+                $ok = 1 if $1 =~ /(?:^|[{,])\s*(?:pub(?:\([^)]*\))?\s+)?\Q$m\E\s*:/m;
+            }
+        } else {
+            # A type from outside the crates (e.g. a std trait).
+            $ok = $src =~ $named || $src =~ /^\s*(?:pub(?:\([^)]*\))?\s+)?\Q$m\E\s*:/m;
+        }
+        next if $ok;
+        print "$doc cites $ty\::$m, which names no fn, const, static or field of $ty in crates/*/src\n";
+        $bad = 1;
+    }
+}
+exit $bad;
+PERL
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -15,7 +15,7 @@ fn facade_reexports_are_wired() {
     let _ = pqs::sim::SimTime::from_secs(1);
     let _ = pqs::graph::Graph::new(3);
     let _ = pqs::net::NodeId(0);
-    let _ = pqs::routing::RouterConfig::default();
+    let _ = pqs::routing::RoutingStats::default();
     let _ = pqs::core::AccessStrategy::UniquePath;
 }
 
