@@ -221,7 +221,10 @@ struct Discovery<P> {
     buffered: Vec<(Payload<P>, u64)>,
     retries: u32,
     max_ttl: Option<u8>,
+    /// The pending timeout and its `timers` key: a discovery that ends
+    /// before the timeout fires removes both.
     timer: EventId,
+    token: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -475,7 +478,7 @@ impl<P: Clone> Router<P> {
         }
         // Scoped searches make a single attempt at exactly max_ttl.
         let ttl = max_ttl.unwrap_or(NET_TTL);
-        let timer = self.schedule_discovery_timeout(net, node, dst, ttl);
+        let (timer, token) = self.schedule_discovery_timeout(net, node, dst, ttl);
         self.pending.insert(
             (node, dst),
             Discovery {
@@ -483,6 +486,7 @@ impl<P: Clone> Router<P> {
                 retries: 0,
                 max_ttl,
                 timer,
+                token,
             },
         );
         self.stats.discoveries += 1;
@@ -495,10 +499,10 @@ impl<P: Clone> Router<P> {
         node: NodeId,
         dst: NodeId,
         ttl: u8,
-    ) -> EventId {
+    ) -> (EventId, u64) {
         let wait = NODE_TRAVERSAL * (2 * u64::from(ttl)) + SimDuration::from_millis(100);
         let token = self.fresh_timer_token(TimerCtx::DiscoveryTimeout { node, dst });
-        net.set_timer(node, wait, token)
+        (net.set_timer(node, wait, token), token)
     }
 
     fn broadcast_rreq(
@@ -592,11 +596,15 @@ impl<P: Clone> Router<P> {
                 ..NodeRouting::default()
             };
         }
-        self.pending.retain(|&(n, _), _| n != node);
         // A forgotten discovery's timeout must not escalate a later
         // discovery to the same destination.
-        self.timers
-            .retain(|_, TimerCtx::DiscoveryTimeout { node: n, .. }| *n != node);
+        let timers = &mut self.timers;
+        self.pending.retain(|&(n, _), d| {
+            if n == node {
+                timers.remove(&d.token);
+            }
+            n != node
+        });
     }
 
     fn on_frame(
@@ -805,6 +813,7 @@ impl<P: Clone> Router<P> {
             // Discovery complete: flush buffered payloads.
             if let Some(d) = self.pending.remove(&(at, target)) {
                 net.cancel_timer(d.timer);
+                self.timers.remove(&d.token);
                 if let Some(route) = self.nodes[at.index()].table.lookup(target, now).copied() {
                     for (payload, app_token) in d.buffered {
                         self.transmit_data(
@@ -1030,7 +1039,7 @@ impl<P: Clone> Router<P> {
                 })
                 .collect();
         }
-        d.timer = self.schedule_discovery_timeout(net, node, dst, NET_TTL);
+        (d.timer, d.token) = self.schedule_discovery_timeout(net, node, dst, NET_TTL);
         self.pending.insert((node, dst), d);
         self.broadcast_rreq(net, node, dst, NET_TTL);
         Vec::new()
@@ -1059,6 +1068,85 @@ mod tests {
             ..RoutingStats::default()
         };
         assert_eq!(s.control_tx(), 6);
+    }
+
+    /// The router alone, forwarding every transit and recording send
+    /// results: the one harness for unit tests that run a network and
+    /// need the router's private state.
+    struct Routed {
+        router: Router<u8>,
+        done: Vec<(NodeId, u64, bool)>,
+    }
+
+    impl Routed {
+        fn dispatch(&mut self, net: &mut Network<RoutePacket<u8>>, events: Vec<RouterEvent<u8>>) {
+            for ev in events {
+                match ev {
+                    RouterEvent::Transit { handle, .. } => {
+                        let more = self.router.forward_transit(net, handle);
+                        self.dispatch(net, more);
+                    }
+                    RouterEvent::SendDone { node, token, ok } => self.done.push((node, token, ok)),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    impl pqs_net::Stack<RoutePacket<u8>> for Routed {
+        fn on_upcall(
+            &mut self,
+            net: &mut Network<RoutePacket<u8>>,
+            upcall: Upcall<RoutePacket<u8>>,
+        ) {
+            let events = self.router.on_upcall(net, upcall);
+            self.dispatch(net, events);
+        }
+    }
+
+    /// A discovery answered before its timeout fires leaves no timer
+    /// context behind, so `timers` stays as small as the set of pending
+    /// discoveries.
+    #[test]
+    fn answered_discoveries_leave_no_timer_contexts() {
+        const K: usize = 8;
+        let mut cfg = pqs_net::NetConfig::paper(60);
+        cfg.mobility = pqs_net::MobilityModel::Static;
+        cfg.seed = 21;
+        let mut net = Network::new(cfg);
+        let src = NodeId(0);
+        let targets: Vec<NodeId> = net
+            .connectivity_graph()
+            .bfs_distances(src.index())
+            .iter()
+            .enumerate()
+            .filter(|&(i, d)| i != src.index() && d.is_some())
+            .map(|(i, _)| NodeId(i as u32))
+            .take(K)
+            .collect();
+        assert_eq!(targets.len(), K, "enough reachable targets");
+        let mut stack = Routed {
+            router: Router::new(60),
+            done: Vec::new(),
+        };
+        for (k, &dst) in targets.iter().enumerate() {
+            let events = stack
+                .router
+                .send_data(&mut net, src, dst, 0, k as u64, None);
+            stack.dispatch(&mut net, events);
+            let until = net.now() + SimDuration::from_secs(2);
+            net.run(&mut stack, until);
+        }
+        let expected: Vec<_> = (0..K as u64).map(|k| (src, k, true)).collect();
+        assert_eq!(stack.done, expected);
+        assert_eq!(stack.router.stats().discoveries, K as u64);
+        assert_eq!(stack.router.stats().discovery_failures, 0);
+        assert!(stack.router.pending.is_empty());
+        assert!(
+            stack.router.timers.is_empty(),
+            "{} timer contexts outlived their discoveries",
+            stack.router.timers.len()
+        );
     }
 
     #[test]

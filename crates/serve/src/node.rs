@@ -1,9 +1,10 @@
 //! The per-node UDP serving loop: one bounded thread per socket, no
-//! async runtime. Each iteration drains a burst of datagrams through
-//! the strict wire decoder, fires due engine timers from a local
-//! binary-heap timer queue, answers completed client operations, and —
-//! once a drain has been requested and the engine reports quiescence —
-//! acknowledges and exits, closing the socket.
+//! async runtime. Each turn receives at most one datagram, dispatches
+//! it through the strict wire decoder, fires the due engine timers from
+//! a local binary-heap timer queue and answers the client operations
+//! that completed, so an answer leaves in the turn that produced it.
+//! Once a drain has been requested and the engine reports quiescence,
+//! the node acknowledges and exits, closing the socket.
 
 use crate::sessions::{answer, Admission, ClientSessions};
 use crate::{WallClock, CLIENT_NODE_ID};
@@ -116,6 +117,8 @@ pub fn node_loop(
     mut engine: QuorumEndpoint,
     clock: WallClock,
 ) -> NodeReport {
+    // The read timeout bounds how late an engine timer fires, and is the
+    // only wake-up an idle node pays.
     sock.set_read_timeout(Some(Duration::from_millis(1)))
         .expect("set_read_timeout on a bound socket");
     let mut ctx = UdpCtx {
@@ -134,23 +137,17 @@ pub fn node_loop(
     let mut draining = false;
 
     loop {
-        // 1. Drain a burst of datagrams (bounded, so timers and
-        //    completions are serviced under sustained load).
-        let mut received = 0u32;
-        while received < 128 {
-            // A read timeout or a socket error: either way the burst is over.
-            let Ok((n, src)) = ctx.sock.recv_from(&mut buf) else {
-                break;
-            };
-            received += 1;
-            let dg = match wire::decode_frame(&buf[..n]) {
-                Ok((dg, _)) => dg,
-                Err(_) => {
-                    malformed += 1;
-                    continue;
-                }
-            };
-            ctx.now = clock.now_micros();
+        // 1. Receive at most one datagram: a read timeout (or any other
+        //    socket error) means none arrived this turn.
+        let received = ctx.sock.recv_from(&mut buf).ok().and_then(|(n, src)| {
+            let dg = wire::decode_frame(&buf[..n]).map(|(dg, _)| (dg, src));
+            malformed += u64::from(dg.is_err());
+            dg.ok()
+        });
+
+        // 2. Dispatch it.
+        ctx.now = clock.now_micros();
+        if let Some((dg, src)) = received {
             match dg.msg {
                 msg @ (WireMsg::Store { .. }
                 | WireMsg::StoreAck { .. }
@@ -199,8 +196,7 @@ pub fn node_loop(
             }
         }
 
-        // 2. Fire due engine timers.
-        ctx.now = clock.now_micros();
+        // 3. Fire due engine timers.
         while ctx
             .timers
             .peek()
@@ -210,7 +206,7 @@ pub fn node_loop(
             engine.on_timer(&mut ctx, token);
         }
 
-        // 3. Answer clients whose quorum operations completed.
+        // 4. Answer clients whose quorum operations completed.
         for c in engine.take_completions() {
             if let Some((addr, msg)) = sessions.complete(&c) {
                 client_completed += 1;
@@ -218,7 +214,7 @@ pub fn node_loop(
             }
         }
 
-        // 4. Drained: acknowledge and exit (the socket closes on drop —
+        // 5. Drained: acknowledge and exit (the socket closes on drop —
         //    nothing leaks).
         if draining && engine.drained() {
             let refused = engine.counters().refused;

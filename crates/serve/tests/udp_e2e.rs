@@ -3,11 +3,14 @@
 //! client frames. Kept small — the 120k-op sustained run lives in
 //! check.sh's e2e smoke, not in the unit test suite.
 
+use pqs_core::endpoint::QuorumEndpoint;
 use pqs_core::transport::{Datagram, OpStatus, WireMsg};
 use pqs_core::wire;
-use pqs_serve::load;
+use pqs_net::NodeId;
+use pqs_serve::{drain_targets, load, node, WallClock};
 use pqs_serve::{ping_targets, Cluster, ServeConfig, CLIENT_NODE_ID};
 use std::net::{SocketAddr, UdpSocket};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn client_socket() -> UdpSocket {
@@ -103,6 +106,120 @@ fn load_roundtrip_health_and_drain() {
         );
         assert_eq!(r.malformed_datagrams, 0);
     }
+}
+
+/// An idle node answers a client as soon as the quorum operation
+/// completes, not when its socket's read timeout next expires.
+#[test]
+fn idle_answers_do_not_wait_for_the_read_timeout() {
+    let cluster = Cluster::spawn(ServeConfig::sized(5, 5, 0.1)).expect("spawn");
+    let addrs = cluster.addrs().to_vec();
+    ping_targets(&addrs, Duration::from_secs(5)).expect("all nodes answer pings");
+    let sock = client_socket();
+    let median_rtt = |requests: Vec<(SocketAddr, WireMsg, WireMsg)>| {
+        let mut rtts: Vec<Duration> = requests
+            .into_iter()
+            .map(|(target, msg, want)| {
+                let start = Instant::now();
+                assert_eq!(request(&sock, target, &msg), want);
+                start.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        rtts[rtts.len() / 2]
+    };
+
+    let target = |i: u64| addrs[i as usize % addrs.len()];
+    let puts = (0..21)
+        .map(|i| {
+            let put = WireMsg::ClientPut {
+                req: i,
+                key: i,
+                value: 1000 + i,
+            };
+            let status = OpStatus::Ok;
+            (target(i), put, WireMsg::ClientPutDone { req: i, status })
+        })
+        .collect();
+    let put_p50 = median_rtt(puts);
+    let gets = (0..21)
+        .map(|i| {
+            let get = WireMsg::ClientGet {
+                req: 100 + i,
+                key: i,
+            };
+            let done = WireMsg::ClientGetDone {
+                req: 100 + i,
+                status: OpStatus::Ok,
+                value: 1000 + i,
+            };
+            (target(i + 1), get, done)
+        })
+        .collect();
+    let get_p50 = median_rtt(gets);
+    assert!(put_p50 < Duration::from_millis(1), "put p50 {put_p50:?}");
+    assert!(get_p50 < Duration::from_millis(1), "get p50 {get_p50:?}");
+    cluster.drain().expect("drain");
+}
+
+/// An answer a timer produces leaves without any datagram to wake the
+/// node: of the four peers a put must reach, three are gone and one
+/// never answers, so only the retry and deadline timers can finish the
+/// operation.
+#[test]
+fn timer_produced_answer_is_sent() {
+    let cfg = ServeConfig::sized(5, 9, 0.1);
+    assert_eq!(cfg.endpoint.qa, 4);
+    let sock = UdpSocket::bind("127.0.0.1:0").expect("bind node socket");
+    let silent = UdpSocket::bind("127.0.0.1:0").expect("bind silent peer");
+    let mut book = vec![sock.local_addr().unwrap(), silent.local_addr().unwrap()];
+    for _ in 0..3 {
+        let gone = UdpSocket::bind("127.0.0.1:0").expect("bind dead peer");
+        book.push(gone.local_addr().unwrap());
+    }
+    let addr = book[0];
+    let all: Vec<NodeId> = (0..5).map(NodeId).collect();
+    let engine = QuorumEndpoint::new(NodeId(0), all, cfg.endpoint.clone(), cfg.seed);
+    let book: Arc<[SocketAddr]> = book.into();
+    let handle =
+        std::thread::spawn(move || node::node_loop(sock, book, engine, WallClock::start()));
+
+    // One request, never retransmitted, so no client datagram wakes the
+    // node either.
+    let client = UdpSocket::bind("127.0.0.1:0").expect("bind client socket");
+    let put = WireMsg::ClientPut {
+        req: 1,
+        key: 7,
+        value: 70,
+    };
+    let frame = wire::encode_frame(&Datagram {
+        from: CLIENT_NODE_ID,
+        msg: put,
+    });
+    client.send_to(&frame, addr).expect("send");
+    let deadline = ServeConfig::wall_clock_retry().op_deadline.as_micros();
+    client
+        .set_read_timeout(Some(Duration::from_micros(deadline)))
+        .expect("set timeout");
+    let mut buf = [0u8; 2048];
+    let (n, _) = client
+        .recv_from(&mut buf)
+        .expect("an answer within the operation deadline");
+    let (dg, _) = wire::decode_frame(&buf[..n]).expect("well-formed answer");
+    assert_eq!(
+        dg.msg,
+        WireMsg::ClientPutDone {
+            req: 1,
+            status: OpStatus::Failed
+        }
+    );
+
+    drain_targets(&[addr]).expect("node drains");
+    let report = handle.join().expect("node thread");
+    assert_eq!(report.client_completed, 1);
+    assert_eq!(report.counters.advertises_issued, 1);
+    assert_eq!(report.counters.completed_failed, 1);
+    assert!(report.counters.op_retries > 0, "the put was retried");
 }
 
 #[test]

@@ -112,6 +112,9 @@ PQS_BENCH_DIR="$tmp/par" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
 diff -r "$tmp/seq" "$tmp/par" \
     || { echo "exports differ between PQS_JOBS=1 and 2"; exit 1; }
 
+echo "==> serve tests: cargo test -q -p pqs-serve (not a default member, so tier-1 skips it)"
+cargo test -q -p pqs-serve
+
 echo "==> serve e2e: pqs_serve + serve_load over localhost UDP (120k verified ops)"
 mkdir "$tmp/serve"
 ports="$tmp/serve/ports.txt"
@@ -139,8 +142,8 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     set --quick --out "$tmp/quick.json"
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> cargo test --workspace -q"
-    cargo test --workspace -q
+    echo "==> cargo test --workspace -q --exclude pqs-serve (its tests ran above)"
+    cargo test --workspace -q --exclude pqs-serve
 
     echo "==> full-suite export diff: every figure vs committed bench_results"
     PQS_BENCH_DIR="$tmp/full" cargo run --release -q -p pqs-bench -- all >/dev/null
