@@ -1,35 +1,32 @@
-//! Weighted-strategy load balance (PR 10 tentpole): measured per-node
-//! load of the optimizer's weighted mixture vs uniform-random sizing,
-//! at equal hit ratio.
+//! Load-ranked plan (beyond the paper): measured per-node load of the
+//! optimizer's ranked plan vs uniform-random sizing, at equal hit ratio.
 //!
 //! Both arms run the *same* planner-sized quorum product over the same
 //! scenario and seeds. The uniform arm accesses one RANDOM/RANDOM pair
 //! for every operation — the paper's sizing, which funnels every probe
 //! through routed unicasts and concentrates load on relay hubs. The
-//! weighted arm keeps the identical sizes but lets each operation draw
-//! its quorum candidate from the optimizer's mixture
-//! ([`pqs_plan::Optimizer`], DESIGN.md §18), which shifts lookup weight
-//! toward access strategies whose work lands flatter (walks, TTL
-//! floods) while the mixture ε gate keeps the intersection guarantee.
+//! ranked arm keeps the RANDOM advertise side and runs the lookup
+//! strategy [`pqs_plan::Optimizer`] ranks lowest on predicted peak load
+//! (DESIGN.md §12): a walk, whose work lands flatter, which Lemma 5.2
+//! allows opposite a RANDOM side without giving up the ε guarantee.
 //!
 //! The headline metric is `total_load` — receiver-side upcalls *plus*
-//! router forwarding work per node (PR 10 satellite: forwarding used to
-//! be invisible to the balance view). On a broadcast medium the
+//! router forwarding work per node. On a broadcast medium the
 //! `max/mean` ratio is shaped by the topology (every frame is overheard
-//! by the whole neighbourhood), so what a strategy mixture can and does
+//! by the whole neighbourhood), so what a strategy choice can and does
 //! move is the *peak itself*: the heaviest node's absolute load and the
-//! p99 tail. Acceptance: the weighted arm's measured peak per-node
-//! load (p99) drops ≥ 20 % below uniform at a hit ratio within ±0.01.
+//! p99 tail. Acceptance: the ranked arm's measured peak per-node load
+//! (p99) drops ≥ 20 % below uniform at a hit ratio within ±0.01.
 //!
-//! The Malkhi–Reiter–Wool theoretical load `(E[|Qa|] + τ·E[|Qℓ|]) /
-//! (n(1+τ))` is reported alongside each arm — the analytic floor any
-//! access implementation can at best achieve.
+//! The Malkhi–Reiter–Wool theoretical load `(|Qa| + τ·|Qℓ|) / (n(1+τ))`
+//! is reported alongside each arm — the analytic floor any access
+//! implementation can at best achieve.
 
 use pqs_bench::{bench_workload, f, Bench};
 use pqs_core::runner::{aggregate, RunMetrics, ScenarioConfig};
 use pqs_core::service::RetryPolicy;
 use pqs_core::spec::AccessStrategy;
-use pqs_plan::{Optimizer, OptimizerConfig, PlannerConfig};
+use pqs_plan::{Optimizer, PlannerConfig};
 use pqs_sim::json::JsonValue;
 
 pub fn run(b: &mut Bench) {
@@ -40,7 +37,7 @@ pub fn run(b: &mut Bench) {
     let tau = lookups as f64 / advertises as f64;
 
     // Both arms are sized from the same RANDOM/RANDOM planner: this is
-    // the "uniform-random sizing" baseline the mixture must beat on
+    // the "uniform-random sizing" baseline the ranked plan must beat on
     // measured balance without giving up its hit ratio. ε = 0.02 sizes
     // both arms with margin, so MAC losses leave the measured hit
     // ratios near the ceiling where they can be compared within ±0.01.
@@ -50,11 +47,7 @@ pub fn run(b: &mut Bench) {
         lookup_strategy: AccessStrategy::Random,
         ..PlannerConfig::paper_default()
     };
-    let opt = Optimizer::new(OptimizerConfig {
-        planner: planner_cfg,
-        ..OptimizerConfig::paper_default()
-    });
-    let wp = opt.plan(n, tau);
+    let rp = Optimizer::new(planner_cfg).plan(n, tau);
 
     let mut base = ScenarioConfig::paper(n);
     base.net.avg_degree = 10.0;
@@ -77,33 +70,20 @@ pub fn run(b: &mut Bench) {
         adapt_quorum: false,
         ..RetryPolicy::default_policy()
     });
-    base.service.spec = wp.uniform.spec;
+    base.service.spec = rp.uniform.spec;
 
-    let mut weighted = base.clone();
-    weighted.service.weighted = Some(wp.spec);
+    let mut ranked = base.clone();
+    ranked.service.spec = rp.spec;
 
     b.header(
         &format!(
-            "Weighted plan, n = {n}, eps = {:.2}, tau = {tau}, f = {:.2}",
-            wp.epsilon, wp.f_resilience
+            "Load-ranked plan, n = {n}, eps = {:.2}, tau = {tau}",
+            rp.uniform.epsilon
         ),
-        &["side", "strategy", "size", "weight"],
+        &["side", "strategy", "size"],
     );
-    for (spec, w) in wp.spec.advertise.candidates() {
-        b.row(&[
-            "advertise".into(),
-            spec.strategy.to_string(),
-            spec.size.to_string(),
-            f(w),
-        ]);
-    }
-    for (spec, w) in wp.spec.lookup.candidates() {
-        b.row(&[
-            "lookup".into(),
-            spec.strategy.to_string(),
-            spec.size.to_string(),
-            f(w),
-        ]);
+    for (side, spec) in [("advertise", rp.spec.advertise), ("lookup", rp.spec.lookup)] {
+        b.row(&[side.into(), spec.strategy.to_string(), spec.size.to_string()]);
     }
 
     b.header(
@@ -112,18 +92,18 @@ pub fn run(b: &mut Bench) {
     );
     b.row(&[
         "uniform".into(),
-        f(wp.uniform.miss_probability()),
-        f(wp.predicted_peak_uniform),
-        f(wp.mrw_load_uniform),
+        f(rp.uniform.miss_probability()),
+        f(rp.predicted_peak_uniform),
+        f(rp.mrw_load_uniform),
     ]);
     b.row(&[
-        "weighted".into(),
-        f(wp.miss_bound),
-        f(wp.predicted_peak),
-        f(wp.mrw_load),
+        "ranked".into(),
+        f(rp.miss_bound),
+        f(rp.predicted_peak),
+        f(rp.mrw_load),
     ]);
 
-    let runs = b.runs(&[base, weighted], &the_seeds);
+    let runs = b.runs(&[base, ranked], &the_seeds);
     let arm = |rs: &[RunMetrics]| {
         let k = rs.len() as f64;
         let mean = |pick: fn(&RunMetrics) -> f64| rs.iter().map(pick).sum::<f64>() / k;
@@ -136,7 +116,7 @@ pub fn run(b: &mut Bench) {
         )
     };
     let (hit_u, imb_u, p99_u, mean_u, app_u) = arm(&runs[0]);
-    let (hit_w, imb_w, p99_w, mean_w, app_w) = arm(&runs[1]);
+    let (hit_r, imb_r, p99_r, mean_r, app_r) = arm(&runs[1]);
 
     b.header(
         &format!("measured: per-node load, n = {n} (total = upcalls + forwards)"),
@@ -158,20 +138,20 @@ pub fn run(b: &mut Bench) {
         f(app_u),
     ]);
     b.row(&[
-        "weighted".into(),
-        f(hit_w),
-        f(imb_w),
-        f(p99_w),
-        f(mean_w),
-        f(app_w),
+        "ranked".into(),
+        f(hit_r),
+        f(imb_r),
+        f(p99_r),
+        f(mean_r),
+        f(app_r),
     ]);
 
     let peak_drop = if p99_u > 0.0 {
-        1.0 - p99_w / p99_u
+        1.0 - p99_r / p99_u
     } else {
         0.0
     };
-    let hit_delta = (hit_u - hit_w).abs();
+    let hit_delta = (hit_u - hit_r).abs();
     b.header(
         "acceptance: peak per-node load drop at equal hit ratio",
         &[
@@ -184,15 +164,15 @@ pub fn run(b: &mut Bench) {
     b.row(&[f(peak_drop), f(hit_delta), "0.200".into(), "0.010".into()]);
 
     b.add_value("uniform_peak", JsonValue::from(p99_u));
-    b.add_value("weighted_peak", JsonValue::from(p99_w));
+    b.add_value("ranked_peak", JsonValue::from(p99_r));
     b.add_value("peak_drop", JsonValue::from(peak_drop));
     b.add_value("uniform_imbalance", JsonValue::from(imb_u));
-    b.add_value("weighted_imbalance", JsonValue::from(imb_w));
+    b.add_value("ranked_imbalance", JsonValue::from(imb_r));
     b.add_value("hit_uniform", JsonValue::from(hit_u));
-    b.add_value("hit_weighted", JsonValue::from(hit_w));
+    b.add_value("hit_ranked", JsonValue::from(hit_r));
 
-    println!("\nAcceptance check: the weighted mixture must cut the measured peak");
+    println!("\nAcceptance check: the ranked plan must cut the measured peak");
     println!("(p99) per-node total load by >= 20% against uniform-random sizing");
     println!("while keeping the hit ratio within +-0.01 — balance is bought with");
-    println!("weights, never with intersection probability.");
+    println!("the lookup strategy, never with intersection probability.");
 }

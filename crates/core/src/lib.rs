@@ -12,8 +12,8 @@
 //! - [`membership`]: converged random membership views (RaWMS-style),
 //! - [`store`]: the location-service store with owner/bystander roles,
 //! - [`op`]: the open-operation core both engines run on — per
-//!   operation, the pinned quorum sample, the placement count, the
-//!   `b + 1` vote and the retry verdicts, defined once,
+//!   operation, the placement count, the `b + 1` vote and the retry
+//!   verdicts, defined once,
 //! - [`stack`]: the simulator engine, one child module per access
 //!   strategy — RANDOM, RANDOM-OPT, PATH / UNIQUE-PATH, FLOODING — plus
 //!   the reverse-path reply with its reduction and local repair, the

@@ -205,7 +205,7 @@ pub struct LoadSummary {
     /// balanced.
     pub imbalance: f64,
     /// 99th-percentile per-node load (nearest-rank) — the balance tail
-    /// the weighted optimizer targets; `max` alone is too noisy for a
+    /// the load-ranked plan targets; `max` alone is too noisy for a
     /// single outlier hub.
     pub p99: u64,
 }

@@ -4,10 +4,10 @@
 //! An advertise or lookup is the same operation whether
 //! [`crate::stack::QuorumStack`] walks, floods and routes it over the
 //! simulated MANET or [`crate::endpoint::QuorumEndpoint`] sends it as
-//! datagrams: it accesses one quorum — a sample pinned from a weighted
-//! mixture, or the engine's uniform spec — counts confirmed placements,
-//! tallies votes, and is judged against the [`RetryPolicy`] after every
-//! attempt. [`OpenOp`] holds that state and those rules.
+//! datagrams: it accesses its side of the engine's live spec, counts
+//! confirmed placements, tallies votes, and is judged against the
+//! [`RetryPolicy`] after every attempt. [`OpenOp`] holds that state and
+//! those rules.
 //!
 //! What it leaves to the engines is dissemination: how a quorum is
 //! sampled and reached, and how a placement is *confirmed*. The
@@ -17,7 +17,7 @@
 //! end in the same [`OpenOp::placed`].
 
 use crate::service::{ByzMode, ByzPolicy, OpKind, RetryPolicy};
-use crate::spec::{AccessStrategy, BiquorumSpec, QuorumSpec, WeightedBiquorumSpec};
+use crate::spec::{AccessStrategy, BiquorumSpec, QuorumSpec};
 use crate::store::{Key, Value};
 use pqs_net::NodeId;
 use pqs_sim::{SimDuration, SimTime};
@@ -117,9 +117,6 @@ pub struct OpenOp {
     /// When the operation was issued.
     pub started: SimTime,
     attempts: u32,
-    /// The `(strategy, size)` sampled from a weighted mixture at issue
-    /// time; `None` follows the engine's uniform spec.
-    sample: Option<QuorumSpec>,
     placed: u32,
     answered: bool,
     votes: VoteTally,
@@ -127,7 +124,7 @@ pub struct OpenOp {
 
 impl OpenOp {
     /// A freshly issued operation: first attempt, nothing placed, no
-    /// votes, no pinned sample.
+    /// votes.
     pub fn new(kind: OpKind, key: Key, value: Option<Value>, now: SimTime) -> Self {
         OpenOp {
             kind,
@@ -135,35 +132,19 @@ impl OpenOp {
             value,
             started: now,
             attempts: 1,
-            sample: None,
             placed: 0,
             answered: false,
             votes: VoteTally::default(),
         }
     }
 
-    /// Samples this operation's quorum from its side of `mix` (one draw
-    /// from `rng`) and pins it for the operation's whole life, so
-    /// retries and completion checks never read a concurrent
-    /// operation's sample or a reconfigured mixture. The draw is made
-    /// even when the side has a single candidate (the committed
-    /// `fig_load.json` runs such a mixture and pins it); only an
-    /// operation that is never pinned draws nothing.
-    pub fn pin(&mut self, mix: &WeightedBiquorumSpec, rng: &mut impl Rng) {
-        let side = match self.kind {
-            OpKind::Advertise => &mix.advertise,
-            OpKind::Lookup => &mix.lookup,
-        };
-        self.sample = Some(side.pick(rng.gen::<f64>()));
-    }
-
-    /// The `(strategy, size)` this operation accesses: its pinned
-    /// sample, or its side of the engine's current `uniform` spec.
-    pub fn quorum(&self, uniform: &BiquorumSpec) -> QuorumSpec {
-        self.sample.unwrap_or(match self.kind {
-            OpKind::Advertise => uniform.advertise,
-            OpKind::Lookup => uniform.lookup,
-        })
+    /// The `(strategy, size)` this operation accesses: its side of the
+    /// engine's current `spec`.
+    pub fn quorum(&self, spec: &BiquorumSpec) -> QuorumSpec {
+        match self.kind {
+            OpKind::Advertise => spec.advertise,
+            OpKind::Lookup => spec.lookup,
+        }
     }
 
     /// Issue attempts so far (1 = first issue, no retries).
@@ -184,24 +165,24 @@ impl OpenOp {
 
     /// Quorum members still to place: what a member-count strategy
     /// re-sends on a retry.
-    pub fn shortfall(&self, uniform: &BiquorumSpec) -> usize {
-        self.quorum(uniform).size.saturating_sub(self.placed) as usize
+    pub fn shortfall(&self, spec: &BiquorumSpec) -> usize {
+        self.quorum(spec).size.saturating_sub(self.placed) as usize
     }
 
     /// Counts one confirmed placement; `true` once an advertise has
     /// reached its placement target.
-    pub fn placed(&mut self, uniform: &BiquorumSpec) -> bool {
+    pub fn placed(&mut self, spec: &BiquorumSpec) -> bool {
         self.placed += 1;
-        self.kind == OpKind::Advertise && self.is_done(uniform)
+        self.kind == OpKind::Advertise && self.is_done(spec)
     }
 
     /// Whether the operation needs no (further) attempts: a lookup has
     /// its answer, an advertise its placements.
-    pub fn is_done(&self, uniform: &BiquorumSpec) -> bool {
+    pub fn is_done(&self, spec: &BiquorumSpec) -> bool {
         match self.kind {
             OpKind::Lookup => self.answered,
             OpKind::Advertise => {
-                let quorum = self.quorum(uniform);
+                let quorum = self.quorum(spec);
                 // Flooding's size parameter is a TTL, not a member count,
                 // and floods are unconfirmed — the origin's own store is
                 // the only guaranteed placement.
@@ -255,12 +236,12 @@ impl OpenOp {
     /// from `rng` only for [`Judgement::Backoff`] (the jitter).
     pub fn judge(
         &self,
-        uniform: &BiquorumSpec,
+        spec: &BiquorumSpec,
         policy: &RetryPolicy,
         now: SimTime,
         rng: &mut impl Rng,
     ) -> Judgement {
-        if self.is_done(uniform) {
+        if self.is_done(spec) {
             Judgement::Done
         } else if now >= self.started + policy.op_deadline {
             Judgement::Deadline
@@ -286,11 +267,9 @@ impl OpenOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::WeightedSide;
     use pqs_sim::rng::{stream, streams};
-    use rand::RngCore;
 
-    const UNIFORM: BiquorumSpec = BiquorumSpec::new(
+    const SPEC: BiquorumSpec = BiquorumSpec::new(
         QuorumSpec::new(AccessStrategy::Random, 3),
         QuorumSpec::new(AccessStrategy::Random, 5),
     );
@@ -326,8 +305,8 @@ mod tests {
         let mut answered = lookup();
         answered.vote(NodeId(1), &[9], &ByzPolicy::trusting());
         let mut placed = OpenOp::new(OpKind::Advertise, 7, Some(9), at(0));
-        assert!(!placed.placed(&UNIFORM) && !placed.placed(&UNIFORM));
-        assert!(placed.placed(&UNIFORM), "third of |Qa| = 3");
+        assert!(!placed.placed(&SPEC) && !placed.placed(&SPEC));
+        assert!(placed.placed(&SPEC), "third of |Qa| = 3");
 
         // (op, checked at, verdict; `None` = a backoff within the jitter range of this retry)
         let table = [
@@ -341,7 +320,7 @@ mod tests {
         ];
         let mut rng = stream(1, streams::QUORUM);
         for (op, now, want) in table {
-            let got = op.judge(&UNIFORM, &policy(), now, &mut rng);
+            let got = op.judge(&SPEC, &policy(), now, &mut rng);
             match (want, got) {
                 (Some(want), got) => assert_eq!(got, want, "attempt {} at {now}", op.attempts()),
                 (None, Judgement::Backoff(d)) => {
@@ -361,39 +340,6 @@ mod tests {
             "deadline passed while backing off"
         );
         assert_eq!(op.attempts(), 2);
-    }
-
-    #[test]
-    fn pin_draws_once_and_outlives_retries_and_reconfiguration() {
-        let mut rng = stream(2, streams::QUORUM);
-        let mut untouched = rng.clone();
-
-        // Never pinned: no draw, and the quorum follows the uniform spec.
-        let mut op = lookup();
-        assert_eq!(op.quorum(&UNIFORM), UNIFORM.lookup);
-        assert_eq!(rng.next_u64(), untouched.next_u64());
-
-        let small = QuorumSpec::new(AccessStrategy::Random, 2);
-        let large = QuorumSpec::new(AccessStrategy::UniquePath, 8);
-        let mix = WeightedBiquorumSpec::new(
-            WeightedSide::single(UNIFORM.advertise),
-            WeightedSide::new(&[small, large], &[0.5, 0.5]),
-        );
-        op.pin(&mix, &mut rng);
-        let sample = mix.lookup.pick(untouched.gen::<f64>());
-        assert_eq!(rng.next_u64(), untouched.next_u64(), "exactly one draw");
-        assert_eq!(op.quorum(&UNIFORM), sample);
-
-        assert!(op.fire(&policy(), op.started));
-        let resized = BiquorumSpec::new(
-            UNIFORM.advertise,
-            QuorumSpec::new(AccessStrategy::Random, 1),
-        );
-        assert_eq!(
-            op.quorum(&resized),
-            sample,
-            "kept across a retry and a resize"
-        );
     }
 
     #[test]
@@ -417,7 +363,7 @@ mod tests {
         op.vote(NodeId(2), &[222], &masking);
         let verdict = op.degrade().expect("votes were cast");
         assert_eq!((verdict.value, verdict.votes, verdict.dissent), (111, 1, 1));
-        assert!(op.is_done(&UNIFORM));
+        assert!(op.is_done(&SPEC));
 
         // Trusting: the first non-empty reply wins, misses do not.
         let mut op = lookup();

@@ -141,8 +141,9 @@ pub struct RunMetrics {
     pub load: LoadSummary,
     /// Per-node load with router forwarding folded in: upper-layer
     /// frames plus routed data transmissions each node relayed on
-    /// behalf of others. This is the load the weighted optimizer
-    /// balances (relay work on hub nodes is invisible to `load`).
+    /// behalf of others. This is the load `fig_load` compares the
+    /// uniform and the load-ranked plan on (relay work on hub nodes is
+    /// invisible to `load`).
     pub total_load: LoadSummary,
     /// Past-timestamp schedules clamped by the event scheduler — a
     /// causality-violation canary, zero in a healthy run.

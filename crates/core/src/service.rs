@@ -193,13 +193,6 @@ pub struct ServiceConfig {
     /// The Byzantine read policy (paper default: trusting — no vote
     /// verification, no overhead).
     pub byz: ByzPolicy,
-    /// Optional weighted strategy mixture (ROADMAP item 3). When set,
-    /// each operation samples its side's `(strategy, size)` candidate
-    /// from the mixture using one draw from the op RNG stream; `spec`
-    /// then only serves as the fallback shape for code paths that need
-    /// a single representative pair. `None` (the default) reproduces
-    /// the uniform single-pair behaviour exactly — no extra RNG draws.
-    pub weighted: Option<crate::spec::WeightedBiquorumSpec>,
 }
 
 impl ServiceConfig {
@@ -230,7 +223,6 @@ impl ServiceConfig {
             trace_capacity: 0,
             estimator_sample_factor: 2.0,
             byz: ByzPolicy::trusting(),
-            weighted: None,
         }
     }
 }
@@ -273,10 +265,10 @@ pub struct OpRecord {
     /// A retry had to shrink the access below the Corollary 5.3 sizing
     /// rule because the estimated live population could not support it.
     pub degraded: bool,
-    /// The engine-side state: retry clock, pinned quorum sample,
-    /// placements, votes. Never closed — frames still in flight consult
-    /// the pin, and late stores and votes land, after the retry layer
-    /// has given its verdict.
+    /// The engine-side state: retry clock, placements, votes. Never
+    /// closed — frames still in flight look their operation up, and late
+    /// stores and votes land, after the retry layer has given its
+    /// verdict.
     pub(crate) open: OpenOp,
 }
 

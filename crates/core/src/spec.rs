@@ -367,204 +367,6 @@ pub fn paper_advertise_size(n: usize) -> u32 {
     (2.0 * (n as f64).sqrt()).round() as u32
 }
 
-// ---------------------------------------------------------------------
-// Weighted strategy mixtures (ROADMAP item 3: "Read-Write Quorum
-// Systems Made Practical"-style load optimisation on top of the
-// paper's sizing rules).
-// ---------------------------------------------------------------------
-
-/// Maximum number of candidates per side of a
-/// [`WeightedBiquorumSpec`]. Fixed so the spec stays `Copy` (it is
-/// embedded in `ServiceConfig`, which whole-struct-copies through the
-/// snapshot/fork pipeline); the optimizer never needs more than a
-/// handful of support points.
-pub const MAX_WEIGHTED_CANDIDATES: usize = 4;
-
-/// One side of a weighted biquorum: up to
-/// [`MAX_WEIGHTED_CANDIDATES`] quorum candidates with normalised
-/// selection weights. Each operation samples one candidate
-/// independently from this distribution (a *probabilistic quorum
-/// strategy* in Malkhi–Reiter–Wool terms).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedSide {
-    specs: [QuorumSpec; MAX_WEIGHTED_CANDIDATES],
-    weights: [f64; MAX_WEIGHTED_CANDIDATES],
-    len: u8,
-}
-
-impl WeightedSide {
-    /// Builds a weighted side from parallel candidate/weight slices.
-    /// Weights are normalised to sum to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices are empty, have mismatched lengths, exceed
-    /// [`MAX_WEIGHTED_CANDIDATES`], or if any weight is negative,
-    /// non-finite, or the total weight is zero.
-    pub fn new(specs: &[QuorumSpec], weights: &[f64]) -> Self {
-        assert!(
-            !specs.is_empty(),
-            "weighted side needs at least one candidate"
-        );
-        assert_eq!(specs.len(), weights.len(), "one weight per candidate");
-        assert!(
-            specs.len() <= MAX_WEIGHTED_CANDIDATES,
-            "at most {MAX_WEIGHTED_CANDIDATES} weighted candidates"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0) && total > 0.0,
-            "weights must be non-negative with a positive sum"
-        );
-        let mut s = [specs[0]; MAX_WEIGHTED_CANDIDATES];
-        let mut w = [0.0; MAX_WEIGHTED_CANDIDATES];
-        for i in 0..specs.len() {
-            s[i] = specs[i];
-            w[i] = weights[i] / total;
-        }
-        WeightedSide {
-            specs: s,
-            weights: w,
-            len: specs.len() as u8,
-        }
-    }
-
-    /// A degenerate single-candidate side (weight 1).
-    pub fn single(spec: QuorumSpec) -> Self {
-        WeightedSide::new(&[spec], &[1.0])
-    }
-
-    /// The candidates with their normalised weights.
-    pub fn candidates(&self) -> impl Iterator<Item = (QuorumSpec, f64)> + '_ {
-        (0..self.len as usize).map(|i| (self.specs[i], self.weights[i]))
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Always `false`: a `WeightedSide` holds ≥ 1 candidate by
-    /// construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Picks a candidate by inverse-CDF sampling on one uniform draw in
-    /// `[0,1)`. Deterministic given the draw, so callers control
-    /// reproducibility by where the draw comes from (the op RNG
-    /// stream).
-    pub fn pick(&self, draw: f64) -> QuorumSpec {
-        let mut acc = 0.0;
-        for (spec, w) in self.candidates() {
-            acc += w;
-            if draw < acc {
-                return spec;
-            }
-        }
-        // Float rounding can leave acc marginally below 1.0.
-        self.specs[self.len as usize - 1]
-    }
-
-    /// Weighted mean of the candidate size parameters.
-    pub fn mean_size(&self) -> f64 {
-        self.candidates().map(|(s, w)| f64::from(s.size) * w).sum()
-    }
-}
-
-/// A weighted biquorum: advertise- and lookup-side candidate mixtures.
-/// The mixture generalises [`BiquorumSpec`] — a pair of
-/// [`WeightedSide::single`]s behaves identically to the plain spec.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedBiquorumSpec {
-    /// The advertise (write/update) side mixture.
-    pub advertise: WeightedSide,
-    /// The lookup (read/query) side mixture.
-    pub lookup: WeightedSide,
-}
-
-impl WeightedBiquorumSpec {
-    /// Creates a weighted biquorum from explicit sides.
-    pub const fn new(advertise: WeightedSide, lookup: WeightedSide) -> Self {
-        WeightedBiquorumSpec { advertise, lookup }
-    }
-
-    /// Lifts a plain [`BiquorumSpec`] into the degenerate mixture.
-    pub fn from_uniform(spec: BiquorumSpec) -> Self {
-        WeightedBiquorumSpec {
-            advertise: WeightedSide::single(spec.advertise),
-            lookup: WeightedSide::single(spec.lookup),
-        }
-    }
-
-    /// `true` when every advertise×lookup candidate pair keeps the
-    /// mix-and-match guarantee (at least one RANDOM side per pair).
-    pub fn has_mix_and_match_guarantee(&self) -> bool {
-        self.advertise.candidates().all(|(a, _)| {
-            self.lookup
-                .candidates()
-                .all(|(l, _)| a.strategy.is_uniform_random() || l.strategy.is_uniform_random())
-        })
-    }
-
-    /// The mixture miss bound `Σᵢⱼ wᵢwⱼ·miss(i,j)` over all candidate
-    /// pairs: `miss(i,j) = exp(−qaᵢ·qlⱼ/n)` when the pair keeps a
-    /// RANDOM side (Lemma 5.2), `0` when the pair covers the whole
-    /// population, and conservatively `1` for topology-dependent pairs
-    /// with no guarantee. The ε gate for the optimizer is
-    /// `mixture_miss_bound(n) ≤ ε`.
-    pub fn mixture_miss_bound(&self, n: usize) -> f64 {
-        self.pair_miss_bound(n, |qa, ql| 1.0 - intersection_lower_bound(qa, ql, n))
-    }
-
-    /// [`WeightedBiquorumSpec::mixture_miss_bound`] with each side's
-    /// effective size discounted by a survivor fraction `1 − f`
-    /// (f-resilience: the bound must hold even after an `f` fraction of
-    /// each placed quorum fails).
-    pub fn mixture_miss_bound_with_failures(&self, n: usize, f: f64) -> f64 {
-        assert!((0.0..1.0).contains(&f), "failure fraction in [0,1)");
-        let survive = 1.0 - f;
-        self.pair_miss_bound(n, |qa, ql| {
-            let qa_eff = (f64::from(qa) * survive).floor().max(0.0) as u32;
-            let ql_eff = (f64::from(ql) * survive).floor().max(0.0) as u32;
-            if qa_eff == 0 || ql_eff == 0 {
-                1.0
-            } else {
-                1.0 - intersection_lower_bound(qa_eff, ql_eff, n)
-            }
-        })
-    }
-
-    fn pair_miss_bound(&self, _n: usize, miss: impl Fn(u32, u32) -> f64) -> f64 {
-        let mut total = 0.0;
-        for (a, wa) in self.advertise.candidates() {
-            for (l, wl) in self.lookup.candidates() {
-                let guaranteed = a.strategy.is_uniform_random() || l.strategy.is_uniform_random();
-                let m = if guaranteed {
-                    miss(a.size, l.size)
-                } else {
-                    1.0
-                };
-                total += wa * wl * m;
-            }
-        }
-        total
-    }
-
-    /// The Malkhi–Reiter–Wool load of the mixture under a uniform
-    /// access model: with write rate `1` and read rate `τ`, the
-    /// expected fraction of operations touching any fixed node is
-    /// `(E[|Qa|] + τ·E[|Qℓ|]) / (n·(1 + τ))`. This is the analytic
-    /// floor the measured per-node load is compared against — access
-    /// strategies that concentrate on hubs (walks, relay taps) exceed
-    /// it.
-    pub fn mrw_load(&self, n: usize, tau: f64) -> f64 {
-        assert!(n > 0, "population must be non-empty");
-        assert!(tau > 0.0, "tau must be positive");
-        (self.advertise.mean_size() + tau * self.lookup.mean_size()) / (n as f64 * (1.0 + tau))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -248,9 +248,8 @@ impl QuorumStack {
         self.open_op(net, OpKind::Lookup, node, key, None)
     }
 
-    /// Records a freshly issued operation, pinning its quorum (one draw
-    /// from the op RNG stream) when a weighted mixture is configured; a
-    /// live origin then issues it and arms the retry layer.
+    /// Records a freshly issued operation; a live origin then issues it
+    /// and arms the retry layer.
     fn open_op(
         &mut self,
         net: &mut QuorumNet,
@@ -262,10 +261,7 @@ impl QuorumStack {
         let now = net.now();
         let op = self.next_op;
         self.next_op += 1;
-        let mut open = OpenOp::new(kind, key, value, now);
-        if let Some(mix) = &self.cfg.weighted {
-            open.pin(mix, &mut self.rng);
-        }
+        let open = OpenOp::new(kind, key, value, now);
         self.ops.insert(op, OpRecord::new(origin, open));
         self.trace_push(now, TraceEvent::OpIssued { op, kind, origin });
         if net.is_alive(origin) {
@@ -275,8 +271,7 @@ impl QuorumStack {
         op
     }
 
-    /// The `(strategy, size)` `op` accesses: its pinned weighted sample,
-    /// or the live uniform spec.
+    /// The `(strategy, size)` `op` accesses: its side of the live spec.
     fn quorum_of(&self, op: OpId) -> Option<QuorumSpec> {
         self.ops.get(&op).map(|r| r.open.quorum(&self.cfg.spec))
     }

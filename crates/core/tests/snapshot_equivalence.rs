@@ -12,7 +12,6 @@
 //! frame-drop plan and a crash during warmup.
 
 use pqs_core::runner::{run_cells, run_scenario, run_scenario_hooked, ScenarioConfig, SweepCell};
-use pqs_core::spec::{QuorumSpec, WeightedBiquorumSpec, WeightedSide};
 use pqs_core::workload::WorkloadConfig;
 use pqs_core::{AccessStrategy, Fanout, QuorumStack};
 use pqs_net::{FaultPlan, Network, NodeId};
@@ -78,22 +77,6 @@ fn mixed_grid() -> Vec<SweepCell> {
     let mut early_crash = base(n);
     early_crash.faults = Some(FaultPlan::new().crash_at(NodeId(7), SimTime::from_secs(1)));
 
-    // Weighted mixture (PR 10): per-op quorum selection draws from the
-    // op RNG stream — byte-identity across pool widths and entry
-    // stages is exactly what this grid checks.
-    let mut weighted = base(n);
-    let s = weighted.service.spec;
-    weighted.service.weighted = Some(WeightedBiquorumSpec {
-        advertise: WeightedSide::single(s.advertise),
-        lookup: WeightedSide::new(
-            &[
-                s.lookup,
-                QuorumSpec::new(s.lookup.strategy, s.lookup.size + 2),
-            ],
-            &[0.6, 0.4],
-        ),
-    });
-
     let cfgs = [
         plain,
         path_lookup,
@@ -104,7 +87,6 @@ fn mixed_grid() -> Vec<SweepCell> {
         mid_crash,
         drops,
         early_crash,
-        weighted,
     ];
     let seeds = [11u64, 17];
     cfgs.iter()

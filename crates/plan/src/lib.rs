@@ -7,11 +7,11 @@
 //!   costs, the workload ratio τ and an (estimated) population `n` to a
 //!   checked [`QuorumPlan`] (Lemma 5.6 split, Corollary 5.3 floor, §6.1
 //!   churn/refresh budget),
-//! - [`optimizer`]: the weighted-strategy [`Optimizer`] — a small set
-//!   of quorum candidates with selection weights minimising predicted
-//!   peak per-node load under the mixture ε gate and an f-resilience
-//!   discount, with the Malkhi–Reiter–Wool theoretical load reported
-//!   alongside (DESIGN.md §18),
+//! - [`optimizer`]: the load [`Optimizer`] — ranks one lookup candidate
+//!   per strategy opposite the planner's advertise side, drops those
+//!   below `1 − ε`, and returns the plain spec with the lowest predicted
+//!   peak per-node load, the Malkhi–Reiter–Wool load reported alongside
+//!   (DESIGN.md §12),
 //! - [`controller`]: the deterministic runtime [`AdaptiveController`] —
 //!   periodically folds the §6.3 collision estimate n̂, the observed τ
 //!   and the §6.1 advertise-survivor fraction into the planner and
@@ -60,7 +60,7 @@ pub mod optimizer;
 pub mod planner;
 
 pub use controller::{run_adaptive_scenario, AdaptiveController, ControllerConfig};
-pub use optimizer::{LoadModel, Optimizer, OptimizerConfig, WeightedPlan};
+pub use optimizer::{Optimizer, OptimizerConfig, RankedPlan};
 pub use planner::{PlanError, Planner, PlannerConfig, QuorumPlan};
 
 // The one checked Corollary 5.3 rounding helper (it lives in

@@ -150,23 +150,6 @@ pub enum PlanError {
         /// Population.
         n: usize,
     },
-    /// The optimizer's resilience fraction was outside `[0,1)`.
-    BadResilience {
-        /// The rejected fraction.
-        f: f64,
-    },
-    /// The optimizer's weight grid had zero resolution.
-    BadWeightGrid,
-    /// The optimizer's lookup palette held no strategies.
-    EmptyPalette,
-    /// No candidate mixture satisfied the f-discounted ε gate — the
-    /// population is too small for the requested resilience.
-    Infeasible {
-        /// Population planned for.
-        n: usize,
-        /// The resilience fraction requested.
-        f: f64,
-    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -194,14 +177,6 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::TooManyByzantine { b, n } => {
                 write!(f, "cannot mask b={b} Byzantine nodes out of n={n}")
-            }
-            PlanError::BadResilience { f: frac } => {
-                write!(f, "resilience fraction in [0,1): got {frac}")
-            }
-            PlanError::BadWeightGrid => f.write_str("weight grid needs at least one step"),
-            PlanError::EmptyPalette => f.write_str("lookup palette holds no strategies"),
-            PlanError::Infeasible { n, f: frac } => {
-                write!(f, "no feasible weighted mixture: n={n} f_resilience={frac}")
             }
         }
     }

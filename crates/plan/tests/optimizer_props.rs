@@ -1,117 +1,61 @@
-//! Property tests for the weighted-strategy optimizer: over a grid of
-//! `(n, ε, f, candidate count)`, every emitted mixture satisfies the
-//! f-discounted ε gate *after* integer rounding, keeps the
-//! mix-and-match guarantee, and stays inside the universe; and the
-//! whole pipeline is deterministic — identical inputs give identical
-//! plans.
+//! Property tests for the load optimizer: over a grid of `(n, ε, τ)`,
+//! every ranked plan keeps the mix-and-match guarantee, meets the ε gate
+//! *after* integer rounding, keeps the planner's advertise side and
+//! stays inside the universe; and the whole pipeline is deterministic —
+//! identical inputs give identical plans.
 
-use pqs_core::spec::{AccessStrategy, MAX_WEIGHTED_CANDIDATES};
-use pqs_plan::{Optimizer, OptimizerConfig, PlannerConfig};
+use pqs_core::spec::AccessStrategy;
+use pqs_plan::{Optimizer, PlannerConfig};
 use proptest::prelude::*;
 
-/// The palette grows one strategy per candidate slot, in a fixed order
-/// so `count` alone pins the configuration.
-fn palette(count: usize) -> [Option<AccessStrategy>; MAX_WEIGHTED_CANDIDATES] {
-    let order = [
-        AccessStrategy::UniquePath,
-        AccessStrategy::Random,
-        AccessStrategy::Flooding,
-        AccessStrategy::Path,
-    ];
-    let mut out = [None; MAX_WEIGHTED_CANDIDATES];
-    for (slot, s) in out.iter_mut().zip(order).take(count) {
-        *slot = Some(s);
-    }
-    out
+fn optimizer(epsilon: f64, tau: f64) -> Optimizer {
+    Optimizer::new(PlannerConfig {
+        epsilon,
+        tau,
+        ..PlannerConfig::paper_default()
+    })
 }
 
 proptest! {
     #[test]
-    fn every_mixture_satisfies_the_discounted_gate(
+    fn every_ranked_plan_satisfies_the_gate(
         n in 30usize..1500,
         eps_mil in 20u32..300,   // ε ∈ [0.02, 0.30)
-        f_pct in 0u32..50,       // f ∈ [0.0, 0.50)
-        count in 1usize..=MAX_WEIGHTED_CANDIDATES,
         tau_deci in 10u32..300,  // τ ∈ [1.0, 30.0)
     ) {
         let epsilon = f64::from(eps_mil) / 1000.0;
-        let f = f64::from(f_pct) / 100.0;
         let tau = f64::from(tau_deci) / 10.0;
-        let cfg = OptimizerConfig {
-            planner: PlannerConfig {
-                epsilon,
-                tau,
-                ..PlannerConfig::paper_default()
-            },
-            f_resilience: f,
-            lookup_palette: palette(count),
-            ..OptimizerConfig::paper_default()
-        };
-        let Ok(plan) = Optimizer::new(cfg).try_plan(n, tau) else {
-            // Infeasible (f too aggressive for this n/ε): allowed, but
-            // it must be the *typed* infeasibility, which try_plan is.
+        let Ok(plan) = optimizer(epsilon, tau).try_plan(n, tau) else {
             return Ok(());
         };
+        let spec = plan.spec;
 
-        // The ε gate holds after integer rounding, under f-discounting.
+        prop_assert!(spec.has_mix_and_match_guarantee());
+        // The ε gate holds on the integer sizes the plan emits.
+        let bound = spec.intersection_lower_bound(n).expect("a RANDOM side");
         prop_assert!(
-            plan.spec.mixture_miss_bound_with_failures(n, f) <= epsilon + 1e-9,
-            "gate violated: miss {} > eps {} (n={} f={})",
-            plan.spec.mixture_miss_bound_with_failures(n, f), epsilon, n, f
+            bound >= 1.0 - epsilon,
+            "gate violated: bound {} < {} (n={} spec={:?})", bound, 1.0 - epsilon, n, spec
         );
-        prop_assert!((plan.miss_bound - plan.spec.mixture_miss_bound_with_failures(n, f)).abs() < 1e-12);
-
-        // Every candidate is sane: inside the universe, positive size,
-        // normalised weights on both sides.
-        for side in [&plan.spec.advertise, &plan.spec.lookup] {
-            let mut total = 0.0;
-            for (spec, w) in side.candidates() {
-                prop_assert!(spec.size >= 1);
-                if spec.strategy != AccessStrategy::Flooding {
-                    prop_assert!(spec.size as usize <= n);
-                }
-                prop_assert!(w > 0.0 && w <= 1.0 + 1e-12);
-                total += w;
+        prop_assert_eq!(plan.miss_bound, 1.0 - bound);
+        prop_assert_eq!(spec.advertise, plan.uniform.spec.advertise);
+        for side in [spec.advertise, spec.lookup] {
+            if side.strategy != AccessStrategy::Flooding {
+                prop_assert!(side.size >= 1 && side.size as usize <= n, "{:?} outside [1, {}]", side, n);
             }
-            prop_assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
         }
-        prop_assert!(plan.spec.lookup.len() <= count);
-
-        // Mix-and-match: the RANDOM advertise anchor covers every pair.
-        prop_assert!(plan.spec.has_mix_and_match_guarantee());
-
-        // Both load figures are reported and positive.
-        prop_assert!(plan.predicted_peak > 0.0);
-        prop_assert!(plan.mrw_load > 0.0 && plan.mrw_load_uniform > 0.0);
-
-        // The f-discounted advertise anchor never shrinks below the
-        // uniform baseline it guards.
-        prop_assert!(
-            plan.spec.advertise.mean_size() >= f64::from(plan.uniform.spec.advertise.size),
-            "anchor {} under uniform {}",
-            plan.spec.advertise.mean_size(), plan.uniform.spec.advertise.size
-        );
     }
 
     #[test]
     fn optimizer_output_is_deterministic(
-        n in 30usize..1000,
+        n in 30usize..1500,
         eps_mil in 20u32..300,
-        f_pct in 0u32..40,
-        count in 1usize..=MAX_WEIGHTED_CANDIDATES,
+        tau_deci in 10u32..300,
     ) {
-        let cfg = OptimizerConfig {
-            planner: PlannerConfig {
-                epsilon: f64::from(eps_mil) / 1000.0,
-                ..PlannerConfig::paper_default()
-            },
-            f_resilience: f64::from(f_pct) / 100.0,
-            lookup_palette: palette(count),
-            ..OptimizerConfig::paper_default()
-        };
-        let opt = Optimizer::new(cfg);
-        let a = opt.try_plan(n, 10.0);
-        let b = opt.try_plan(n, 10.0);
+        let tau = f64::from(tau_deci) / 10.0;
+        let opt = optimizer(f64::from(eps_mil) / 1000.0, tau);
+        let a = opt.try_plan(n, tau);
+        let b = opt.try_plan(n, tau);
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

@@ -112,6 +112,11 @@ PQS_BENCH_DIR="$tmp/par" PQS_JOBS=2 PQS_SEEDS=1 PQS_SIZES=50 \
 diff -r "$tmp/seq" "$tmp/par" \
     || { echo "exports differ between PQS_JOBS=1 and 2"; exit 1; }
 
+echo "==> bench summary: BENCH_SUMMARY.json is what pqs-bench summary makes of bench_results/"
+cargo run --release -q -p pqs-bench -- summary bench_results "$tmp/summary.json"
+diff BENCH_SUMMARY.json "$tmp/summary.json" \
+    || { echo "BENCH_SUMMARY.json is stale: regenerate it with scripts/bench_summary"; exit 1; }
+
 echo "==> serve tests: cargo test -q -p pqs-serve (not a default member, so tier-1 skips it)"
 cargo test -q -p pqs-serve
 
