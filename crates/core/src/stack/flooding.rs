@@ -106,7 +106,7 @@ impl QuorumStack {
         let token = self.token();
         self.link_ctx.insert(token, LinkCtx::FireAndForget);
         self.counters.flood_tx += 1;
-        let bytes = action_bytes(net, msg.action);
+        let bytes = action_bytes(msg.action);
         self.router
             .send_one_hop(net, at, MacDst::Broadcast, AppMsg::Flood(msg), token, bytes);
     }

@@ -7,6 +7,7 @@ use super::{LinkCtx, QuorumNet, QuorumStack};
 use crate::messages::{AppMsg, OpId, QuorumAction, ReplyMsg, WalkMsg};
 use crate::service::OpKind;
 use crate::spec::{AccessStrategy, QuorumSpec};
+use pqs_net::config::PAYLOAD_BYTES;
 use pqs_net::{MacDst, NodeId};
 use rand::seq::SliceRandom;
 
@@ -15,9 +16,9 @@ const MAX_SALVAGE_ATTEMPTS: usize = 5;
 
 /// Wire size of a walk or flood carrying `action`: advertise accesses
 /// carry the payload, lookups are small control messages.
-pub(super) fn action_bytes(net: &QuorumNet, action: QuorumAction) -> usize {
+pub(super) fn action_bytes(action: QuorumAction) -> usize {
     match action {
-        QuorumAction::Advertise { .. } => net.config().payload_bytes,
+        QuorumAction::Advertise { .. } => PAYLOAD_BYTES,
         QuorumAction::Lookup { .. } => 48,
     }
 }
@@ -129,7 +130,7 @@ impl QuorumStack {
         );
         self.counters.walk_tx += 1;
         // Both walks carry the visited list (§4.2).
-        let bytes = action_bytes(net, msg.action) + 4 * msg.visited.len();
+        let bytes = action_bytes(msg.action) + 4 * msg.visited.len();
         self.router.send_one_hop(
             net,
             at,

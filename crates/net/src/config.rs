@@ -1,10 +1,15 @@
 //! Simulation parameters, mirroring Fig. 2 of the paper.
 //!
-//! Defaults reproduce the paper's setup: two-ray ground propagation,
-//! cumulative-noise SINR reception with capture, 15 dBm transmit power,
-//! −71 dBm receive threshold (≈200 m ideal range), −77 dBm carrier-sense
-//! threshold (≈283 m sensing range), β = 10, 11 Mb/s unicast / 2 Mb/s
-//! broadcast, 512-byte payloads, 10 s heartbeat cycle and random-waypoint
+//! Fig. 2 fixes the radio for every experiment, so its values are
+//! constants here: two-ray ground propagation with an 86 m crossover,
+//! 15 dBm transmit power, −71 dBm receive threshold (200 m ideal range),
+//! −101 dBm background noise, 802.11b DCF timings at 11 Mb/s unicast /
+//! 2 Mb/s broadcast, 512-byte payloads and a 10 s heartbeat cycle. What
+//! an experiment does vary is a field: the reception model and
+//! carrier-sense threshold ([`PhyConfig`]), and the node count, density,
+//! mobility, promiscuous mode and seed ([`NetConfig`]). The defaults are
+//! cumulative-noise SINR reception with capture (β = 10), a −77 dBm
+//! carrier-sense threshold (≈ 283 m sensing range) and random-waypoint
 //! mobility at walking speed.
 
 use crate::mobility::MobilityModel;
@@ -25,30 +30,99 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
     10.0 * mw.log10()
 }
 
-/// Signal propagation (path-loss) models.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PathLoss {
-    /// Free-space (Friis): power decays as `d⁻²`.
-    FreeSpace,
-    /// Two-ray ground reflection: `d⁻²` up to the crossover distance,
-    /// `d⁻⁴` beyond — the model in Fig. 2 ("Two-Ray ground reflection").
-    TwoRayGround {
-        /// Distance (m) at which the ground reflection starts dominating.
-        crossover_m: f64,
-    },
+// --- PHY (Fig. 2, "PHY") ---------------------------------------------
+
+/// Transmit power in dBm (15 dBm = 31.62 mW).
+pub const TX_POWER_DBM: f64 = 15.0;
+
+/// Receive threshold in dBm: weaker frames cannot be decoded. −71 dBm
+/// gives the 200 m ideal reception range.
+pub const RX_THRESHOLD_DBM: f64 = -71.0;
+
+/// Thermal background noise in dBm.
+pub const NOISE_DBM: f64 = -101.0;
+
+/// Ideal reception range in metres. The path-loss curve is calibrated so
+/// that the received power at exactly this distance equals
+/// [`RX_THRESHOLD_DBM`].
+pub const IDEAL_RANGE_M: f64 = 200.0;
+
+/// Maximum distance (m) at which a transmitter still contributes
+/// interference to SINR computations. Signals from farther away are
+/// ≥ 16 dB below the weakest decodable frame and are folded into the
+/// noise floor. Also bounds the spatial-index query radius.
+pub const INTERFERENCE_RANGE_M: f64 = 600.0;
+
+/// Two-ray ground crossover (m): power decays as `d⁻²` below it and as
+/// `d⁻⁴` beyond ("Two-Ray ground reflection" in Fig. 2).
+///
+/// The ns-2-style crossover for 1.5 m antennas at 2.4 GHz,
+/// 4π·ht·hr/λ ≈ 226 m, is too far to ever see the d⁻² regime inside the
+/// 200 m reception range, so SWANS-era studies effectively ran in the
+/// Friis regime indoors and d⁻⁴ at range edge; we pick the classical
+/// ns-2 914 MHz crossover of ≈ 86 m, putting the entire
+/// contention-relevant band in the d⁻⁴ regime like the original.
+pub const CROSSOVER_M: f64 = 86.0;
+
+// The path-loss calibration point lies in the d⁻⁴ regime.
+const _: () = assert!(CROSSOVER_M < IDEAL_RANGE_M);
+
+// --- MAC (Fig. 2, "MAC": DSSS 802.11b with long preamble) -------------
+
+/// Slot time.
+pub const SLOT: SimDuration = SimDuration::from_micros(20);
+/// DIFS.
+pub const DIFS: SimDuration = SimDuration::from_micros(50);
+/// SIFS (802.11b).
+pub const SIFS: SimDuration = SimDuration::from_micros(10);
+/// Minimum contention window in slots (802.11b).
+pub const CW_MIN: u32 = 31;
+/// Maximum contention window in slots (802.11b).
+pub const CW_MAX: u32 = 1023;
+/// Maximum transmission attempts for a unicast frame (the 802.11
+/// default).
+pub const RETRY_LIMIT: u32 = 7;
+/// Unicast data rate in bits/s.
+pub const UNICAST_RATE_BPS: u64 = 11_000_000;
+/// Broadcast (and ACK) data rate in bits/s.
+pub const BROADCAST_RATE_BPS: u64 = 2_000_000;
+/// PLCP preamble + header duration (long preamble).
+pub const PLCP: SimDuration = SimDuration::from_micros(192);
+/// Random jitter applied before broadcasts to de-synchronise floods
+/// (RFC 5148).
+pub const BROADCAST_JITTER: SimDuration = SimDuration::from_millis(10);
+/// ACK frame size in bytes (802.11).
+pub const ACK_BYTES: usize = 14;
+/// Extra per-frame header bytes: 20 IP + 28 MAC/LLC (§2.4 "512 bytes +
+/// IP + MAC + PHY headers").
+pub const HEADER_BYTES: usize = 48;
+/// Slack past SIFS + ACK airtime before a unicast sender gives up on the
+/// ACK and retries.
+pub const ACK_TIMEOUT_SLACK: SimDuration = SimDuration::from_micros(60);
+
+/// Airtime of a frame of `payload_bytes` at `rate_bps`, including
+/// headers and PLCP preamble.
+pub fn frame_airtime(payload_bytes: usize, rate_bps: u64) -> SimDuration {
+    let bits = (payload_bytes + HEADER_BYTES) as u64 * 8;
+    PLCP + SimDuration::from_micros(bits * 1_000_000 / rate_bps)
 }
 
-impl Default for PathLoss {
-    fn default() -> Self {
-        // ns-2-style crossover for 1.5 m antennas at 2.4 GHz:
-        // 4π·ht·hr/λ ≈ 226 m is too far to ever see the d⁻² regime inside
-        // the 200 m reception range, so SWANS-era studies effectively ran
-        // in the Friis regime indoors and d⁻⁴ at range edge; we pick the
-        // classical ns-2 914 MHz crossover of ≈ 86 m, putting the entire
-        // contention-relevant band in the d⁻⁴ regime like the original.
-        PathLoss::TwoRayGround { crossover_m: 86.0 }
-    }
+/// Airtime of an ACK (sent at the broadcast/basic rate).
+pub fn ack_airtime() -> SimDuration {
+    let bits = ACK_BYTES as u64 * 8;
+    PLCP + SimDuration::from_micros(bits * 1_000_000 / BROADCAST_RATE_BPS)
 }
+
+// --- Scenario (Fig. 2, "Simulation Scenarios") -------------------------
+
+/// Application payload size in bytes.
+pub const PAYLOAD_BYTES: usize = 512;
+/// Hello frame payload size in bytes.
+pub const HELLO_BYTES: usize = 32;
+/// Heartbeat (hello) cycle for neighbourhood discovery.
+pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_secs(10);
+/// Number of missed heartbeats before a neighbour entry expires.
+pub const HEARTBEAT_EXPIRY_CYCLES: u32 = 3;
 
 /// How a receiver decides whether a transmission is successfully received.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,45 +152,22 @@ impl Default for ReceptionModel {
     }
 }
 
-/// Physical-layer parameters (Fig. 2, "PHY").
+/// The physical-layer settings an experiment varies (Fig. 2, "PHY"); the
+/// fixed radio is the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyConfig {
-    /// Transmit power in dBm (paper: 15 dBm = 31.62 mW).
-    pub tx_power_dbm: f64,
-    /// Receive threshold in dBm — weaker frames cannot be decoded
-    /// (paper: −71 dBm, giving the 200 m ideal reception range).
-    pub rx_threshold_dbm: f64,
     /// Carrier-sense threshold in dBm — stronger ambient signals mark the
     /// channel busy (paper: −77 dBm, ≈ 283 m sensing range under d⁻⁴).
     pub cs_threshold_dbm: f64,
-    /// Thermal background noise in dBm (paper: −101 dBm).
-    pub noise_dbm: f64,
-    /// Path-loss model.
-    pub path_loss: PathLoss,
     /// Reception decision model.
     pub reception: ReceptionModel,
-    /// Ideal reception range in metres used to calibrate path loss
-    /// (paper: 200 m). The path-loss constant is chosen so that the
-    /// received power at exactly this distance equals `rx_threshold_dbm`.
-    pub ideal_range_m: f64,
-    /// Maximum distance (m) at which a transmitter still contributes
-    /// interference to SINR computations. Signals from farther away are
-    /// ≥ 16 dB below the weakest decodable frame and are folded into the
-    /// noise floor. Also bounds the spatial-index query radius.
-    pub interference_range_m: f64,
 }
 
 impl Default for PhyConfig {
     fn default() -> Self {
         PhyConfig {
-            tx_power_dbm: 15.0,
-            rx_threshold_dbm: -71.0,
             cs_threshold_dbm: -77.0,
-            noise_dbm: -101.0,
-            path_loss: PathLoss::default(),
             reception: ReceptionModel::default(),
-            ideal_range_m: 200.0,
-            interference_range_m: 600.0,
         }
     }
 }
@@ -135,10 +186,10 @@ impl PhyConfig {
     }
 
     /// The carrier-sense range implied by the thresholds under the d⁻⁴
-    /// regime of the default two-ray model.
+    /// regime of the two-ray model.
     pub fn cs_range_m(&self) -> f64 {
-        let margin_db = self.rx_threshold_dbm - self.cs_threshold_dbm;
-        self.ideal_range_m * 10f64.powf(margin_db / 40.0)
+        let margin_db = RX_THRESHOLD_DBM - self.cs_threshold_dbm;
+        IDEAL_RANGE_M * 10f64.powf(margin_db / 40.0)
     }
 
     /// The maximum distance at which a reception can *begin* under the
@@ -146,83 +197,19 @@ impl PhyConfig {
     /// the calibrated ideal range for the physical model (the power
     /// curve equals the rx threshold exactly there). Nodes beyond it can
     /// still interfere with receptions in progress — interference is
-    /// resolved against `interference_range_m` — but can never lock onto
-    /// a new frame, so candidate-receiver queries need only this radius.
+    /// resolved against [`INTERFERENCE_RANGE_M`] — but can never lock
+    /// onto a new frame, so candidate-receiver queries need only this
+    /// radius.
     pub fn reception_range_m(&self) -> f64 {
         match self.reception {
             ReceptionModel::Protocol { range_m, .. } => range_m,
-            ReceptionModel::Physical { .. } => self.ideal_range_m,
+            ReceptionModel::Physical { .. } => IDEAL_RANGE_M,
         }
     }
 }
 
-/// MAC-layer parameters (Fig. 2, "MAC": DSSS 802.11b with long preamble).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MacConfig {
-    /// Slot time (paper: 20 µs).
-    pub slot: SimDuration,
-    /// DIFS (paper: 50 µs).
-    pub difs: SimDuration,
-    /// SIFS (802.11b: 10 µs).
-    pub sifs: SimDuration,
-    /// Minimum contention window (802.11b: 31 slots).
-    pub cw_min: u32,
-    /// Maximum contention window (802.11b: 1023 slots).
-    pub cw_max: u32,
-    /// Maximum transmission attempts for unicast frames
-    /// (paper / 802.11 default: 7).
-    pub retry_limit: u32,
-    /// Unicast data rate in bits/s (paper: 11 Mb/s).
-    pub unicast_rate_bps: u64,
-    /// Broadcast data rate in bits/s (paper: 2 Mb/s).
-    pub broadcast_rate_bps: u64,
-    /// PLCP preamble + header duration (long preamble: 192 µs).
-    pub plcp: SimDuration,
-    /// Random jitter applied before broadcasts to de-synchronise floods
-    /// (paper: 10 ms, per RFC 5148).
-    pub broadcast_jitter: SimDuration,
-    /// ACK frame size in bytes (802.11: 14).
-    pub ack_bytes: usize,
-    /// Extra per-frame header bytes (IP + MAC + PHY, §2.4 "512 bytes +
-    /// IP + MAC + PHY headers").
-    pub header_bytes: usize,
-}
-
-impl Default for MacConfig {
-    fn default() -> Self {
-        MacConfig {
-            slot: SimDuration::from_micros(20),
-            difs: SimDuration::from_micros(50),
-            sifs: SimDuration::from_micros(10),
-            cw_min: 31,
-            cw_max: 1023,
-            retry_limit: 7,
-            unicast_rate_bps: 11_000_000,
-            broadcast_rate_bps: 2_000_000,
-            plcp: SimDuration::from_micros(192),
-            broadcast_jitter: SimDuration::from_millis(10),
-            ack_bytes: 14,
-            header_bytes: 48, // 20 IP + 28 MAC/LLC
-        }
-    }
-}
-
-impl MacConfig {
-    /// Airtime of a frame of `payload_bytes` at `rate_bps`, including
-    /// headers and PLCP preamble.
-    pub fn frame_airtime(&self, payload_bytes: usize, rate_bps: u64) -> SimDuration {
-        let bits = (payload_bytes + self.header_bytes) as u64 * 8;
-        self.plcp + SimDuration::from_micros(bits * 1_000_000 / rate_bps)
-    }
-
-    /// Airtime of an ACK (sent at the broadcast/basic rate).
-    pub fn ack_airtime(&self) -> SimDuration {
-        let bits = self.ack_bytes as u64 * 8;
-        self.plcp + SimDuration::from_micros(bits * 1_000_000 / self.broadcast_rate_bps)
-    }
-}
-
-/// Top-level network configuration (Fig. 2, "Simulation Scenarios").
+/// Top-level network configuration: what an experiment varies (Fig. 2,
+/// "Simulation Scenarios").
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
     /// Number of nodes (paper: 50, 100, 200, 400, 800).
@@ -233,22 +220,9 @@ pub struct NetConfig {
     pub avg_degree: f64,
     /// PHY parameters.
     pub phy: PhyConfig,
-    /// MAC parameters.
-    pub mac: MacConfig,
     /// Mobility model (paper default: random waypoint, 0.5–2 m/s, 30 s
     /// pause).
     pub mobility: MobilityModel,
-    /// Heartbeat (hello) cycle for neighbourhood discovery (paper: 10 s).
-    pub heartbeat_period: SimDuration,
-    /// Number of missed heartbeats before a neighbour entry expires.
-    pub heartbeat_expiry_cycles: u32,
-    /// Hello frame payload size in bytes.
-    pub hello_bytes: usize,
-    /// Application payload size in bytes (paper: 512).
-    pub payload_bytes: usize,
-    /// Start with neighbour tables filled from ground truth, standing in
-    /// for the paper's 200 s warm-up period (§8) without simulating it.
-    pub prepopulate_neighbors: bool,
     /// Deliver overheard unicast frames to the upper layer (promiscuous
     /// mode, the §7.2 optimisation).
     pub promiscuous: bool,
@@ -262,13 +236,7 @@ impl Default for NetConfig {
             n: 100,
             avg_degree: 10.0,
             phy: PhyConfig::default(),
-            mac: MacConfig::default(),
             mobility: MobilityModel::default(),
-            heartbeat_period: SimDuration::from_secs(10),
-            heartbeat_expiry_cycles: 3,
-            hello_bytes: 32,
-            payload_bytes: 512,
-            prepopulate_neighbors: true,
             promiscuous: false,
             seed: 1,
         }
@@ -287,8 +255,7 @@ impl NetConfig {
     /// Side of the square deployment area in metres:
     /// `a = sqrt(π r² n / d_avg)`.
     pub fn area_side_m(&self) -> f64 {
-        (std::f64::consts::PI * self.phy.ideal_range_m * self.phy.ideal_range_m * self.n as f64
-            / self.avg_degree)
+        (std::f64::consts::PI * IDEAL_RANGE_M * IDEAL_RANGE_M * self.n as f64 / self.avg_degree)
             .sqrt()
     }
 }
@@ -311,23 +278,28 @@ mod tests {
         let phy = PhyConfig::default();
         let cs = phy.cs_range_m();
         assert!((cs - 283.0).abs() < 2.0, "cs range {cs}");
+        assert_eq!(cs.to_bits(), 0x4071a81ec1ad95fc, "bit for bit");
     }
 
     #[test]
     fn frame_airtimes() {
-        let mac = MacConfig::default();
         // 512 B + 48 B headers at 11 Mb/s = 4480 bits ≈ 407 µs + 192 PLCP.
-        let t = mac.frame_airtime(512, mac.unicast_rate_bps);
-        assert!((t.as_micros() as i64 - 599).abs() <= 2, "airtime {t}");
-        let b = mac.frame_airtime(512, mac.broadcast_rate_bps);
-        assert!(b > t, "broadcast is slower than unicast");
-        assert!(mac.ack_airtime().as_micros() < 300);
+        let airtime_us = |bytes, rate| frame_airtime(bytes, rate).as_micros();
+        assert_eq!(airtime_us(PAYLOAD_BYTES, UNICAST_RATE_BPS), 599);
+        assert_eq!(airtime_us(PAYLOAD_BYTES, BROADCAST_RATE_BPS), 2432);
+        assert_eq!(airtime_us(HELLO_BYTES, BROADCAST_RATE_BPS), 512);
+        assert_eq!(ack_airtime().as_micros(), 248);
     }
 
     #[test]
     fn area_scaling_matches_fig2() {
         let cfg = NetConfig::paper(800);
         assert!((cfg.area_side_m() - 3170.0).abs() < 10.0);
+        assert_eq!(
+            cfg.area_side_m().to_bits(),
+            0x40a8c552dc710300,
+            "bit for bit"
+        );
         let dense = NetConfig {
             avg_degree: 25.0,
             ..NetConfig::paper(800)

@@ -3,10 +3,10 @@
 //! A from-scratch, deterministic MANET simulator in the mould of
 //! JiST/SWANS (the substrate of the paper this workspace reproduces):
 //!
-//! - **PHY** ([`phy`]): two-ray ground / free-space path loss, and both
-//!   reception models of §2.3 — the protocol (unit-disk + guard zone)
-//!   model and the physical (SINR, cumulative interference, capture)
-//!   model, parameterised exactly as Fig. 2,
+//! - **PHY** ([`phy`]): two-ray ground path loss, and both reception
+//!   models of §2.3 — the protocol (unit-disk + guard zone) model and the
+//!   physical (SINR, cumulative interference, capture) model, with the
+//!   radio fixed to Fig. 2 by the constants of [`config`],
 //! - **MAC** ([`mac`]): simplified 802.11 DCF — CSMA, DIFS + binary
 //!   exponential backoff, unicast ACKs with 7 retries and a cross-layer
 //!   failure signal, jittered unacknowledged broadcasts,
@@ -59,7 +59,7 @@ pub mod payload;
 pub mod phy;
 mod stats;
 
-pub use config::{MacConfig, NetConfig, PathLoss, PhyConfig, ReceptionModel};
+pub use config::{NetConfig, PhyConfig, ReceptionModel};
 pub use faults::{fabricated_value, FaultPlan, NodeBehavior};
 pub use mac::MacDst;
 pub use mobility::MobilityModel;

@@ -6,7 +6,7 @@
 //!
 //! - CSMA with DIFS + slotted binary-exponential backoff,
 //! - unicast frames are ACKed after SIFS and retried up to
-//!   [`crate::config::MacConfig::retry_limit`] times, after which the
+//!   [`crate::config::RETRY_LIMIT`] times, after which the
 //!   upper layer is notified (the cross-layer failure signal of §6.2),
 //! - broadcast frames are sent once, unacknowledged, at the low rate,
 //!   after a random jitter (§4.4),
@@ -17,6 +17,7 @@
 //! busy, and there is no RTS/CTS (the paper's SWANS setup also ran without
 //! RTS/CTS for these frame sizes).
 
+use crate::config::{CW_MAX, CW_MIN};
 use crate::NodeId;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
@@ -108,19 +109,21 @@ pub struct MacState<P> {
     delivered: HashMap<NodeId, u64>,
 }
 
-impl<P> MacState<P> {
-    /// Creates an idle MAC with contention window `cw_min`.
-    pub fn new(cw_min: u32) -> Self {
+impl<P> Default for MacState<P> {
+    /// An idle MAC with contention window [`CW_MIN`].
+    fn default() -> Self {
         MacState {
             queue: VecDeque::new(),
             phase: MacPhase::Idle,
             retries: 0,
-            cw: cw_min,
+            cw: CW_MIN,
             next_seq: 0,
             delivered: HashMap::new(),
         }
     }
+}
 
+impl<P> MacState<P> {
     /// Enqueues a frame of `bytes` payload bytes, assigning its sequence
     /// number. Returns `true` if the MAC was idle and an attempt should
     /// be scheduled.
@@ -150,16 +153,17 @@ impl<P> MacState<P> {
 
     /// Pops the head-of-line frame after success or final failure,
     /// resetting retry state. Returns the frame.
-    pub fn finish_head(&mut self, cw_min: u32) -> Option<Outgoing<P>> {
+    pub fn finish_head(&mut self) -> Option<Outgoing<P>> {
         self.retries = 0;
-        self.cw = cw_min;
+        self.cw = CW_MIN;
         self.phase = MacPhase::Idle;
         self.queue.pop_front()
     }
 
-    /// Doubles the contention window after a failed attempt.
-    pub fn grow_cw(&mut self, cw_max: u32) {
-        self.cw = (self.cw * 2 + 1).min(cw_max);
+    /// Doubles the contention window after a failed attempt, up to
+    /// [`CW_MAX`].
+    pub fn grow_cw(&mut self) {
+        self.cw = (self.cw * 2 + 1).min(CW_MAX);
     }
 
     /// Draws a backoff length in slots: uniform in `[0, cw]`.
@@ -200,7 +204,7 @@ mod tests {
     use pqs_sim::rng;
 
     fn mac() -> MacState<u8> {
-        MacState::new(31)
+        MacState::default()
     }
 
     #[test]
@@ -218,7 +222,7 @@ mod tests {
         m.enqueue(MacDst::Broadcast, FrameKind::Data(1), None, 512);
         m.enqueue(MacDst::Broadcast, FrameKind::Data(2), None, 512);
         assert_eq!(m.head().unwrap().seq, 0);
-        m.finish_head(31);
+        m.finish_head();
         assert_eq!(m.head().unwrap().seq, 1);
     }
 
@@ -229,7 +233,7 @@ mod tests {
         m.retries = 3;
         m.cw = 255;
         m.phase = MacPhase::AwaitingAck { seq: 0 };
-        let out = m.finish_head(31).expect("head");
+        let out = m.finish_head().expect("head");
         assert_eq!(out.token, Some(1));
         assert_eq!(m.retries, 0);
         assert_eq!(m.cw, 31);
@@ -239,10 +243,10 @@ mod tests {
     #[test]
     fn cw_doubles_and_saturates() {
         let mut m = mac();
-        m.grow_cw(1023);
+        m.grow_cw();
         assert_eq!(m.cw, 63);
         for _ in 0..10 {
-            m.grow_cw(1023);
+            m.grow_cw();
         }
         assert_eq!(m.cw, 1023);
     }

@@ -2,7 +2,11 @@
 //! mobility and churn, plus the [`Stack`] interface that upper layers
 //! (routing, quorum protocols) implement.
 
-use crate::config::NetConfig;
+use crate::config::{
+    ack_airtime, frame_airtime, NetConfig, ACK_TIMEOUT_SLACK, BROADCAST_JITTER, BROADCAST_RATE_BPS,
+    DIFS, HEARTBEAT_EXPIRY_CYCLES, HEARTBEAT_PERIOD, HELLO_BYTES, IDEAL_RANGE_M,
+    INTERFERENCE_RANGE_M, PAYLOAD_BYTES, RETRY_LIMIT, SIFS, SLOT, UNICAST_RATE_BPS,
+};
 use crate::faults::{FaultInjector, FaultPlan, FrameFate, NodeBehavior, NodeFaultEvent};
 use crate::geometry::{Point, SpatialGrid};
 use crate::mac::{Frame, FrameKind, MacDst, MacPhase, MacState};
@@ -225,15 +229,18 @@ pub struct Network<P> {
 
 impl<P: Clone> Network<P> {
     /// Builds the network: places nodes uniformly at random, initialises
-    /// mobility, staggers heartbeats, and (by default) prepopulates
-    /// neighbour tables in lieu of the paper's warm-up period.
+    /// mobility, staggers heartbeats, and prepopulates neighbour tables
+    /// from ground truth, standing in for the paper's 200 s warm-up
+    /// period (§8) without simulating it. Nodes brought in later with
+    /// [`Network::add_node`] start with empty tables and learn their
+    /// neighbours from heartbeats.
     pub fn new(config: NetConfig) -> Self {
         let side = config.area_side_m();
         let mut placement_rng = rng::stream(config.seed, streams::PLACEMENT);
         let mut mobility_rng = rng::stream(config.seed, streams::MOBILITY);
         let mac_rng = rng::stream(config.seed, streams::MAC);
 
-        let cell = (config.phy.interference_range_m / 2.0).min(side).max(1.0);
+        let cell = (INTERFERENCE_RANGE_M / 2.0).min(side).max(1.0);
         let mut grid = SpatialGrid::new(side, cell, config.n);
         let mut scheduler = Scheduler::new();
         let mut motions = Vec::with_capacity(config.n);
@@ -270,11 +277,11 @@ impl<P: Clone> Network<P> {
                 );
             }
             motions.push(motion);
-            macs.push(MacState::new(config.mac.cw_min));
+            macs.push(MacState::default());
         }
 
         // Staggered heartbeats.
-        let period = config.heartbeat_period.as_micros();
+        let period = HEARTBEAT_PERIOD.as_micros();
         let mut hb_rng = rng::stream(config.seed, streams::MAC.wrapping_add(0x48_42)); // "HB"
         for i in 0..config.n {
             let offset = SimDuration::from_micros(hb_rng.gen_range(0..period.max(1)));
@@ -315,9 +322,7 @@ impl<P: Clone> Network<P> {
             cand_scratch: Vec::new(),
             config,
         };
-        if net.config.prepopulate_neighbors {
-            net.prepopulate_neighbors();
-        }
+        net.prepopulate_neighbors();
         net
     }
 
@@ -328,20 +333,18 @@ impl<P: Clone> Network<P> {
     /// not matter: a [`NeighborTable`] keeps itself id-sorted on every
     /// insert.
     fn prepopulate_neighbors(&mut self) {
-        let expiry = SimTime::ZERO
-            + self.config.heartbeat_period * u64::from(self.config.heartbeat_expiry_cycles);
-        let range = self.config.phy.ideal_range_m;
+        let expiry = SimTime::ZERO + HEARTBEAT_PERIOD * u64::from(HEARTBEAT_EXPIRY_CYCLES);
         let positions: Vec<Point> = (0..self.motions.len())
             .map(|i| self.motions[i].position(SimTime::ZERO))
             .collect();
         for (i, &pi) in positions.iter().enumerate() {
-            for j in self.grid.nearby(pi, range) {
+            for j in self.grid.nearby(pi, IDEAL_RANGE_M) {
                 let j = j as usize;
                 // Each unordered pair once.
                 if j <= i {
                     continue;
                 }
-                if pi.distance(positions[j]) <= range {
+                if pi.distance(positions[j]) <= IDEAL_RANGE_M {
                     self.neighbors[i].insert(NodeId(j as u32), expiry);
                     self.neighbors[j].insert(NodeId(i as u32), expiry);
                     self.neighbor_min_expiry[i] = self.neighbor_min_expiry[i].min(expiry);
@@ -358,11 +361,6 @@ impl<P: Clone> Network<P> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.scheduler.now()
-    }
-
-    /// The configuration this network was built with.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
     }
 
     /// Side of the deployment square, metres.
@@ -404,8 +402,8 @@ impl<P: Clone> Network<P> {
         self.motions[node.index()].position(self.now())
     }
 
-    /// Queues a data frame for transmission at the configured default
-    /// payload size. Each call is one network-layer message in the
+    /// Queues a data frame of the paper's [`PAYLOAD_BYTES`] for
+    /// transmission. Each call is one network-layer message in the
     /// paper's accounting.
     ///
     /// A [`Upcall::SendResult`] with `token` follows: for unicast, after
@@ -413,8 +411,7 @@ impl<P: Clone> Network<P> {
     /// is on the air. Returns `false` (and produces no upcall) if the node
     /// is down.
     pub fn send(&mut self, node: NodeId, dst: MacDst, payload: P, token: u64) -> bool {
-        let bytes = self.config.payload_bytes;
-        self.send_sized(node, dst, payload, token, bytes)
+        self.send_sized(node, dst, payload, token, PAYLOAD_BYTES)
     }
 
     /// Like [`Network::send`] with an explicit payload size in bytes —
@@ -476,7 +473,7 @@ impl<P: Clone> Network<P> {
         self.alive.push(false);
         self.ack_timeouts.push(None);
         self.recorded_pos.push(Point::default());
-        self.macs.push(MacState::new(self.config.mac.cw_min));
+        self.macs.push(MacState::default());
         self.neighbors.push(NeighborTable::default());
         self.neighbor_min_expiry.push(SimTime::MAX);
         self.node_load.push(0);
@@ -603,8 +600,7 @@ impl<P: Clone> Network<P> {
     /// filtered by exact current distance.
     pub fn connectivity_graph(&self) -> pqs_graph::Graph {
         let now = self.now();
-        let range = self.config.phy.ideal_range_m;
-        let search = range + self.grid_slack_m;
+        let search = IDEAL_RANGE_M + self.grid_slack_m;
         let mut g = pqs_graph::Graph::new(self.motions.len());
         for i in 0..self.motions.len() {
             if !self.alive[i] {
@@ -617,7 +613,7 @@ impl<P: Clone> Network<P> {
                 if j <= i {
                     continue;
                 }
-                if pi.distance(self.motions[j].position(now)) <= range {
+                if pi.distance(self.motions[j].position(now)) <= IDEAL_RANGE_M {
                     g.add_edge(i, j);
                 }
             }
@@ -655,7 +651,6 @@ impl<P: Clone> Network<P> {
     }
 
     fn schedule_attempt_for_head(&mut self, node: NodeId) {
-        let mac_cfg = self.config.mac;
         let mac = &mut self.macs[node.index()];
         let Some(head) = mac.head() else {
             mac.phase = MacPhase::Idle;
@@ -664,15 +659,15 @@ impl<P: Clone> Network<P> {
         let jitter = match (&head.dst, &head.kind) {
             (MacDst::Broadcast, FrameKind::Data(_) | FrameKind::Hello) => SimDuration::from_micros(
                 self.mac_rng
-                    .gen_range(0..mac_cfg.broadcast_jitter.as_micros().max(1)),
+                    .gen_range(0..BROADCAST_JITTER.as_micros().max(1)),
             ),
             _ => SimDuration::ZERO,
         };
-        let backoff = mac_cfg.slot * u64::from(mac.draw_backoff(&mut self.mac_rng));
+        let backoff = SLOT * u64::from(mac.draw_backoff(&mut self.mac_rng));
         self.stats.mac_backoff_draws += 1;
         mac.phase = MacPhase::Contending;
         self.scheduler
-            .schedule_in(jitter + mac_cfg.difs + backoff, Event::MacAttempt { node });
+            .schedule_in(jitter + DIFS + backoff, Event::MacAttempt { node });
     }
 
     /// Collects candidate receivers around `pos` into `out`: all alive
@@ -711,7 +706,6 @@ impl<P: Clone> Network<P> {
     }
 
     fn transmit(&mut self, node: NodeId, frame: Frame<Payload<P>>, bytes: usize) {
-        let mac_cfg = self.config.mac;
         let now = self.scheduler.now();
         let pos = self.position_now(node);
         let airtime = match &frame.kind {
@@ -720,19 +714,19 @@ impl<P: Clone> Network<P> {
                 let rate = match frame.dst {
                     MacDst::Unicast(_) => {
                         self.stats.unicast_data_tx += 1;
-                        mac_cfg.unicast_rate_bps
+                        UNICAST_RATE_BPS
                     }
-                    MacDst::Broadcast => mac_cfg.broadcast_rate_bps,
+                    MacDst::Broadcast => BROADCAST_RATE_BPS,
                 };
-                mac_cfg.frame_airtime(bytes, rate)
+                frame_airtime(bytes, rate)
             }
             FrameKind::Hello => {
                 self.stats.hello_tx += 1;
-                mac_cfg.frame_airtime(self.config.hello_bytes, mac_cfg.broadcast_rate_bps)
+                frame_airtime(HELLO_BYTES, BROADCAST_RATE_BPS)
             }
             FrameKind::Ack { .. } => {
                 self.stats.ack_tx += 1;
-                mac_cfg.ack_airtime()
+                ack_airtime()
             }
         };
         self.stats.phy_tx += 1;
@@ -794,12 +788,10 @@ impl<P: Clone> Network<P> {
             // Defer: retry a backoff after the channel is expected free.
             let now = self.scheduler.now();
             let idle_at = self.medium.busy_until(node.0, pos).unwrap_or(now).max(now);
-            let mac_cfg = self.config.mac;
-            let backoff =
-                mac_cfg.slot * u64::from(self.macs[node.index()].draw_backoff(&mut self.mac_rng));
+            let backoff = SLOT * u64::from(self.macs[node.index()].draw_backoff(&mut self.mac_rng));
             self.stats.mac_channel_defers += 1;
             self.stats.mac_backoff_draws += 1;
-            let at = idle_at + mac_cfg.difs + backoff;
+            let at = idle_at + DIFS + backoff;
             self.scheduler.schedule_at(at, Event::MacAttempt { node });
             return Vec::new();
         }
@@ -889,8 +881,7 @@ impl<P: Clone> Network<P> {
             match &frame.kind {
                 FrameKind::Hello => {
                     let expiry = self.scheduler.now()
-                        + self.config.heartbeat_period
-                            * u64::from(self.config.heartbeat_expiry_cycles);
+                        + HEARTBEAT_PERIOD * u64::from(HEARTBEAT_EXPIRY_CYCLES);
                     self.neighbors[rx.index()].insert(frame.src, expiry);
                     self.neighbor_min_expiry[rx.index()] =
                         self.neighbor_min_expiry[rx.index()].min(expiry);
@@ -916,7 +907,7 @@ impl<P: Clone> Network<P> {
                         intended_accounted = true;
                         // ACK even duplicates; deliver only fresh frames.
                         self.scheduler.schedule_in(
-                            self.config.mac.sifs,
+                            SIFS,
                             Event::SendAck {
                                 node: rx,
                                 to: frame.src,
@@ -962,9 +953,7 @@ impl<P: Clone> Network<P> {
         if self.is_alive(sender) && self.macs[sender.index()].phase == MacPhase::Transmitting {
             match (&frame.kind, frame.dst) {
                 (FrameKind::Data(_), MacDst::Unicast(_)) => {
-                    let mac_cfg = self.config.mac;
-                    let timeout =
-                        mac_cfg.sifs + mac_cfg.ack_airtime() + SimDuration::from_micros(60);
+                    let timeout = SIFS + ack_airtime() + ACK_TIMEOUT_SLACK;
                     self.macs[sender.index()].phase = MacPhase::AwaitingAck { seq: frame.seq };
                     let id = self.scheduler.schedule_in(
                         timeout,
@@ -977,8 +966,7 @@ impl<P: Clone> Network<P> {
                 }
                 (FrameKind::Data(_) | FrameKind::Hello, _) => {
                     // Broadcast data / hello: done after one transmission.
-                    if let Some(out) = self.macs[sender.index()].finish_head(self.config.mac.cw_min)
-                    {
+                    if let Some(out) = self.macs[sender.index()].finish_head() {
                         if let Some(token) = out.token {
                             upcalls.push(Upcall::SendResult {
                                 node: sender,
@@ -1075,7 +1063,7 @@ impl<P: Clone> Network<P> {
         if let Some(id) = self.ack_timeouts[node.index()].take() {
             self.scheduler.cancel(id);
         }
-        let out = mac.finish_head(self.config.mac.cw_min).expect("head acked");
+        let out = mac.finish_head().expect("head acked");
         let mut upcalls = Vec::new();
         if let Some(token) = out.token {
             upcalls.push(Upcall::SendResult {
@@ -1092,16 +1080,15 @@ impl<P: Clone> Network<P> {
         if !self.is_alive(node) {
             return Vec::new();
         }
-        let mac_cfg = self.config.mac;
         let mac = &mut self.macs[node.index()];
         if mac.phase != (MacPhase::AwaitingAck { seq }) {
             return Vec::new();
         }
         self.ack_timeouts[node.index()] = None;
         mac.retries += 1;
-        if mac.retries >= mac_cfg.retry_limit {
+        if mac.retries >= RETRY_LIMIT {
             self.stats.mac_failures += 1;
-            let out = mac.finish_head(mac_cfg.cw_min).expect("head failed");
+            let out = mac.finish_head().expect("head failed");
             let mut upcalls = Vec::new();
             if let Some(token) = out.token {
                 upcalls.push(Upcall::SendResult {
@@ -1113,26 +1100,29 @@ impl<P: Clone> Network<P> {
             self.schedule_attempt_for_head(node);
             upcalls
         } else {
-            mac.grow_cw(mac_cfg.cw_max);
-            let backoff = mac_cfg.slot * u64::from(mac.draw_backoff(&mut self.mac_rng));
+            mac.grow_cw();
+            let backoff = SLOT * u64::from(mac.draw_backoff(&mut self.mac_rng));
             self.stats.mac_backoff_draws += 1;
             mac.phase = MacPhase::Contending;
             self.scheduler
-                .schedule_in(mac_cfg.difs + backoff, Event::MacAttempt { node });
+                .schedule_in(DIFS + backoff, Event::MacAttempt { node });
             Vec::new()
         }
     }
 
     fn on_heartbeat(&mut self, node: NodeId) -> Vec<Upcall<P>> {
         if self.is_alive(node) {
-            let bytes = self.config.hello_bytes;
-            let was_idle =
-                self.macs[node.index()].enqueue(MacDst::Broadcast, FrameKind::Hello, None, bytes);
+            let was_idle = self.macs[node.index()].enqueue(
+                MacDst::Broadcast,
+                FrameKind::Hello,
+                None,
+                HELLO_BYTES,
+            );
             if was_idle {
                 self.schedule_attempt_for_head(node);
             }
             self.scheduler
-                .schedule_in(self.config.heartbeat_period, Event::Heartbeat { node });
+                .schedule_in(HEARTBEAT_PERIOD, Event::Heartbeat { node });
         }
         Vec::new()
     }

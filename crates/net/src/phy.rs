@@ -6,10 +6,11 @@
 //! - the **physical model** (SINR with cumulative interference and capture
 //!   — the SWANS `RadioNoiseAdditive` behaviour used by the paper).
 //!
-//! The path-loss curve is *calibrated*: the constant is chosen so that the
-//! received power at exactly [`PhyConfig::ideal_range_m`] equals
-//! [`PhyConfig::rx_threshold_dbm`], making the "ideal reception range
-//! 200 m" of Fig. 2 exact by construction.
+//! Propagation is two-ray ground with the crossover at
+//! [`CROSSOVER_M`]. The path-loss curve is *calibrated*: the constant is
+//! chosen so that the received power at exactly [`IDEAL_RANGE_M`] equals
+//! [`RX_THRESHOLD_DBM`], making the "ideal reception range 200 m" of
+//! Fig. 2 exact by construction.
 //!
 //! # Hot path (see DESIGN.md §13)
 //!
@@ -26,7 +27,7 @@
 //!   recomputing path loss (`powf`/`log10`) per ongoing transmission;
 //! - ongoing transmissions and pending receptions are bucketed in
 //!   [`SpatialGrid`]s, so begin/end only touch state within
-//!   [`PhyConfig::interference_range_m`].
+//!   [`INTERFERENCE_RANGE_M`].
 //!
 //! Results are *bit-identical* to the naive recompute: the old code
 //! folded ongoing transmissions in ascending-id order (the `Vec` was
@@ -37,7 +38,10 @@
 //! begin/end; `tests/proptests.rs` drives randomized schedules against a
 //! from-scratch reference.
 
-use crate::config::{dbm_to_mw, PathLoss, PhyConfig, ReceptionModel};
+use crate::config::{
+    dbm_to_mw, PhyConfig, ReceptionModel, CROSSOVER_M, IDEAL_RANGE_M, INTERFERENCE_RANGE_M,
+    NOISE_DBM, RX_THRESHOLD_DBM, TX_POWER_DBM,
+};
 use crate::geometry::{Point, SpatialGrid};
 use pqs_sim::hash::FastMap;
 use pqs_sim::SimTime;
@@ -46,33 +50,27 @@ use pqs_sim::SimTime;
 ///
 /// Never exceeds the transmit power; at `d = 0` the full transmit power is
 /// received.
-pub fn received_power_dbm(phy: &PhyConfig, d: f64) -> f64 {
+pub fn received_power_dbm(d: f64) -> f64 {
     if d <= 0.0 {
-        return phy.tx_power_dbm;
+        return TX_POWER_DBM;
     }
-    let r = phy.ideal_range_m;
-    let extra_loss_db = match phy.path_loss {
-        PathLoss::FreeSpace => 20.0 * (d / r).log10(),
-        PathLoss::TwoRayGround { crossover_m: c } => {
-            // d⁻² below the crossover, d⁻⁴ above; calibrated at `r`
-            // (which is beyond the crossover for all sane configs).
-            let loss_from = |x: f64| {
-                if x >= c {
-                    40.0 * (x / c).log10()
-                } else {
-                    20.0 * (x / c).log10()
-                }
-            };
-            loss_from(d) - loss_from(r)
+    let (r, c) = (IDEAL_RANGE_M, CROSSOVER_M);
+    // d⁻² below the crossover, d⁻⁴ above; calibrated at `r`.
+    let loss_from = |x: f64| {
+        if x >= c {
+            40.0 * (x / c).log10()
+        } else {
+            20.0 * (x / c).log10()
         }
     };
-    (phy.rx_threshold_dbm - extra_loss_db).min(phy.tx_power_dbm)
+    let extra_loss_db = loss_from(d) - loss_from(r);
+    (RX_THRESHOLD_DBM - extra_loss_db).min(TX_POWER_DBM)
 }
 
 /// Received power in milliwatts at *squared* distance `d2` (m²) — the
 /// PHY hot-path form: no `log10`, `powf` or `sqrt`. See `PowerCurve`.
-pub fn received_power_mw_d2(phy: &PhyConfig, d2: f64) -> f64 {
-    PowerCurve::new(phy).mw_at_d2(d2)
+pub fn received_power_mw_d2(d2: f64) -> f64 {
+    PowerCurve::new().mw_at_d2(d2)
 }
 
 /// The calibrated path-loss curve in linear (mW) form, precomputed.
@@ -80,15 +78,14 @@ pub fn received_power_mw_d2(phy: &PhyConfig, d2: f64) -> f64 {
 /// In dBm the model is logarithmic, but exponentiating it back to mW
 /// collapses to a piecewise *rational* function of squared distance:
 /// `P(d) = k_near/d²` below the two-ray crossover and `k_far/d⁴` above
-/// it (free space is a single `k_near/d²` branch), capped at the
-/// transmit power. `Medium` evaluates this per (transmitter, receiver)
+/// it, capped at the transmit power. `Medium` evaluates this per (transmitter, receiver)
 /// pair, so dodging `log10`/`powf` — and taking squared distance to
 /// dodge `sqrt` — is a large constant-factor win (see DESIGN.md §13).
 #[derive(Debug, Clone, Copy)]
 struct PowerCurve {
     /// Transmit power in mW (the cap, and the value at `d = 0`).
     txp_mw: f64,
-    /// Squared crossover distance; `f64::INFINITY` for free space.
+    /// Squared crossover distance.
     cross2: f64,
     /// `P(d) = k_near / d²` for `d² < cross2`.
     k_near: f64,
@@ -97,30 +94,20 @@ struct PowerCurve {
 }
 
 impl PowerCurve {
-    fn new(phy: &PhyConfig) -> Self {
-        let t_mw = dbm_to_mw(phy.rx_threshold_dbm);
-        let txp_mw = dbm_to_mw(phy.tx_power_dbm);
-        let r = phy.ideal_range_m;
-        match phy.path_loss {
-            // Calibration: P(r) = rx threshold, so P(d) = T·(r/d)².
-            PathLoss::FreeSpace => PowerCurve {
-                txp_mw,
-                cross2: f64::INFINITY,
-                k_near: t_mw * (r * r),
-                k_far: 0.0,
-            },
-            // With F(x) = (x/c)⁴ above the crossover and (x/c)² below,
-            // P(d) = T·F(r)/F(d); expanding F(d) gives the two branches.
-            PathLoss::TwoRayGround { crossover_m: c } => {
-                let q = r / c;
-                let fr = if r >= c { q * q * q * q } else { q * q };
-                PowerCurve {
-                    txp_mw,
-                    cross2: c * c,
-                    k_near: t_mw * fr * (c * c),
-                    k_far: t_mw * fr * (c * c) * (c * c),
-                }
-            }
+    fn new() -> Self {
+        let t_mw = dbm_to_mw(RX_THRESHOLD_DBM);
+        let txp_mw = dbm_to_mw(TX_POWER_DBM);
+        let (r, c) = (IDEAL_RANGE_M, CROSSOVER_M);
+        // With F(x) = (x/c)⁴ above the crossover and (x/c)² below,
+        // P(d) = T·F(r)/F(d), and `r` lies above the crossover (checked
+        // next to `CROSSOVER_M`); expanding F(d) gives the two branches.
+        let q = r / c;
+        let fr = q * q * q * q;
+        PowerCurve {
+            txp_mw,
+            cross2: c * c,
+            k_near: t_mw * fr * (c * c),
+            k_far: t_mw * fr * (c * c) * (c * c),
         }
     }
 
@@ -182,7 +169,7 @@ struct PendingRx {
 /// - a receiver locks onto the first decodable frame and does not switch
 ///   to a later, stronger one (no mid-frame capture re-lock),
 /// - interference from transmitters beyond
-///   [`PhyConfig::interference_range_m`] is folded into the noise floor,
+///   [`INTERFERENCE_RANGE_M`] is folded into the noise floor,
 /// - propagation delay is neglected (≤ 1 µs at these ranges).
 #[derive(Debug, Clone)]
 pub struct Medium {
@@ -238,7 +225,7 @@ impl Medium {
     /// given PHY parameters.
     pub fn new(phy: PhyConfig, side_m: f64) -> Self {
         let side = side_m.max(1.0);
-        let cell = (phy.interference_range_m / 2.0).min(side).max(1.0);
+        let cell = (INTERFERENCE_RANGE_M / 2.0).min(side).max(1.0);
         Medium {
             ongoing: Vec::new(),
             tx_slot: FastMap::default(),
@@ -252,7 +239,7 @@ impl Medium {
             rx_nodes_pool: Vec::new(),
             admit_scratch: Vec::new(),
             work: 0,
-            curve: PowerCurve::new(&phy),
+            curve: PowerCurve::new(),
             phy,
         }
     }
@@ -286,11 +273,6 @@ impl Medium {
             self.sender_txs.resize_with(idx + 1, Vec::new);
         }
         &mut self.sender_txs[idx]
-    }
-
-    /// Returns the PHY configuration.
-    pub fn phy(&self) -> &PhyConfig {
-        &self.phy
     }
 
     /// The distance (m) within which a transmitter marks the channel busy.
@@ -337,7 +319,7 @@ impl Medium {
     ///
     /// `candidates` are the nodes (with their current positions) that
     /// might hear the frame — typically everything within
-    /// [`PhyConfig::interference_range_m`] of the sender. The medium
+    /// [`INTERFERENCE_RANGE_M`] of the sender. The medium
     /// decides which of them start receiving it.
     ///
     /// A node that starts transmitting aborts any reception it was in the
@@ -385,8 +367,8 @@ impl Medium {
                 }
             }
             ReceptionModel::Physical { beta } => {
-                let noise_floor = dbm_to_mw(self.phy.noise_dbm);
-                let range = self.phy.interference_range_m;
+                let noise_floor = dbm_to_mw(NOISE_DBM);
+                let range = INTERFERENCE_RANGE_M;
                 let range2 = range * range;
                 // Each pending is judged independently, so single-pass
                 // marking matches the old two-phase scan. The closure runs
@@ -477,12 +459,12 @@ impl Medium {
                 ReceptionModel::Physical { beta } => {
                     // Decodable ⟺ within the calibrated ideal range (the
                     // curve equals the rx threshold exactly at `r`).
-                    let r = self.phy.ideal_range_m;
+                    let r = IDEAL_RANGE_M;
                     if d2 > r * r {
                         continue;
                     }
                     let signal_mw = self.curve.mw_at_d2(d2);
-                    let range = self.phy.interference_range_m;
+                    let range = INTERFERENCE_RANGE_M;
                     let range2 = range * range;
                     let curve = self.curve;
                     let mut contrib = self.contrib_pool.pop().unwrap_or_default();
@@ -508,7 +490,7 @@ impl Medium {
                     // Ascending tx id == the naive fold order.
                     contrib.sort_unstable_by_key(|&(tid, _)| tid);
                     let interference = contrib.iter().fold(0.0f64, |acc, &(_, mw)| acc + mw);
-                    let noise = dbm_to_mw(self.phy.noise_dbm) + interference;
+                    let noise = dbm_to_mw(NOISE_DBM) + interference;
                     let ok = signal_mw / noise >= beta;
                     rx_nodes.push(node);
                     new_pending.push(PendingRx {
@@ -579,7 +561,7 @@ impl Medium {
                 }
             }
         } else {
-            let range = self.phy.interference_range_m;
+            let range = INTERFERENCE_RANGE_M;
             let mut affected = std::mem::take(&mut self.scratch);
             affected.clear();
             affected.extend(self.rx_grid.nearby(tx.pos, range));
@@ -724,7 +706,7 @@ impl Medium {
         if !matches!(self.phy.reception, ReceptionModel::Physical { .. }) {
             return;
         }
-        let range2 = self.phy.interference_range_m * self.phy.interference_range_m;
+        let range2 = INTERFERENCE_RANGE_M * INTERFERENCE_RANGE_M;
         for p in &self.pending {
             let mut naive: Vec<(u64, f64)> = self
                 .ongoing
@@ -732,7 +714,7 @@ impl Medium {
                 .filter(|t| t.id != p.tx_id && t.sender != p.rx_node)
                 .filter_map(|t| {
                     let d2 = t.pos.distance_squared(p.rx_pos);
-                    (d2 <= range2).then(|| (t.id, received_power_mw_d2(&self.phy, d2)))
+                    (d2 <= range2).then(|| (t.id, received_power_mw_d2(d2)))
                 })
                 .collect();
             naive.sort_unstable_by_key(|&(tid, _)| tid);
@@ -770,21 +752,19 @@ mod tests {
 
     #[test]
     fn calibration_exact_at_ideal_range() {
-        let p = phy();
-        let at_range = received_power_dbm(&p, 200.0);
-        assert!((at_range - p.rx_threshold_dbm).abs() < 1e-9);
-        assert!(received_power_dbm(&p, 199.0) > p.rx_threshold_dbm);
-        assert!(received_power_dbm(&p, 201.0) < p.rx_threshold_dbm);
+        let at_range = received_power_dbm(200.0);
+        assert!((at_range - RX_THRESHOLD_DBM).abs() < 1e-9);
+        assert!(received_power_dbm(199.0) > RX_THRESHOLD_DBM);
+        assert!(received_power_dbm(201.0) < RX_THRESHOLD_DBM);
     }
 
     #[test]
     fn power_monotone_decreasing_and_capped() {
-        let p = phy();
-        assert_eq!(received_power_dbm(&p, 0.0), p.tx_power_dbm);
+        assert_eq!(received_power_dbm(0.0), TX_POWER_DBM);
         let mut last = f64::INFINITY;
         for d in [1.0, 10.0, 50.0, 86.0, 100.0, 200.0, 400.0, 1000.0] {
-            let pw = received_power_dbm(&p, d);
-            assert!(pw <= p.tx_power_dbm);
+            let pw = received_power_dbm(d);
+            assert!(pw <= TX_POWER_DBM);
             assert!(pw < last, "power must decrease with distance");
             last = pw;
         }
@@ -792,53 +772,51 @@ mod tests {
 
     #[test]
     fn two_ray_slope_changes_at_crossover() {
-        let p = phy();
         // d⁻² regime: halving distance gains 6 dB; d⁻⁴ regime: 12 dB.
-        let near = received_power_dbm(&p, 20.0) - received_power_dbm(&p, 40.0);
+        let near = received_power_dbm(20.0) - received_power_dbm(40.0);
         assert!((near - 6.02).abs() < 0.1, "near-field slope {near}");
-        let far = received_power_dbm(&p, 150.0) - received_power_dbm(&p, 300.0);
+        let far = received_power_dbm(150.0) - received_power_dbm(300.0);
         assert!((far - 12.04).abs() < 0.1, "far-field slope {far}");
     }
 
-    #[test]
-    fn free_space_slope() {
-        let p = PhyConfig {
-            path_loss: PathLoss::FreeSpace,
-            ..phy()
-        };
-        let slope = received_power_dbm(&p, 100.0) - received_power_dbm(&p, 200.0);
-        assert!((slope - 6.02).abs() < 0.1);
-    }
-
     /// The rational hot-path curve agrees with the dBm-domain reference
-    /// model (exponentiated to mW) to floating-point tolerance, for both
-    /// path-loss models, including d = 0, the crossover and the cap.
+    /// model (exponentiated to mW) to floating-point tolerance, including
+    /// d = 0, the crossover and the cap.
     #[test]
     fn rational_curve_matches_dbm_reference() {
-        for two_ray in [true, false] {
-            let p = PhyConfig {
-                path_loss: if two_ray {
-                    PathLoss::TwoRayGround { crossover_m: 86.0 }
-                } else {
-                    PathLoss::FreeSpace
-                },
-                ..phy()
-            };
-            for d in [0.0, 0.5, 1.0, 10.0, 85.9, 86.0, 86.1, 200.0, 283.0, 1000.0] {
-                let reference = dbm_to_mw(received_power_dbm(&p, d));
-                let fast = received_power_mw_d2(&p, d * d);
-                assert!(
-                    (fast - reference).abs() <= 1e-9 * reference.max(1e-300),
-                    "mismatch at d={d} (two_ray={two_ray}): {fast} vs {reference}"
-                );
-            }
-            // Exactly at the calibrated range the curve hits the decode
-            // threshold (up to rounding), which is what makes the d² ≤ r²
-            // admission check equivalent to the dBm threshold check.
-            let at_r = received_power_mw_d2(&p, p.ideal_range_m * p.ideal_range_m);
-            let thresh = dbm_to_mw(p.rx_threshold_dbm);
-            assert!((at_r - thresh).abs() <= 1e-12 * thresh);
+        for d in [0.0, 0.5, 1.0, 10.0, 85.9, 86.0, 86.1, 200.0, 283.0, 1000.0] {
+            let reference = dbm_to_mw(received_power_dbm(d));
+            let fast = received_power_mw_d2(d * d);
+            assert!(
+                (fast - reference).abs() <= 1e-9 * reference.max(1e-300),
+                "mismatch at d={d}: {fast} vs {reference}"
+            );
         }
+        // Exactly at the calibrated range the curve hits the decode
+        // threshold (up to rounding), which is what makes the d² ≤ r²
+        // admission check equivalent to the dBm threshold check.
+        let at_r = received_power_mw_d2(IDEAL_RANGE_M * IDEAL_RANGE_M);
+        let thresh = dbm_to_mw(RX_THRESHOLD_DBM);
+        assert!((at_r - thresh).abs() <= 1e-12 * thresh);
+    }
+
+    /// The hot-path curve and noise floor, bit for bit: a changed Fig. 2
+    /// constant or a reordered f64 expression fails here.
+    #[test]
+    fn fig2_power_values_are_pinned() {
+        let pinned: [(f64, u64); 7] = [
+            (0.0, 0x403f9f6e4990f227),
+            (1.0, 0x3f9198ab93511c45),
+            (50.0, 0x3edcd473a17ded9a),
+            (150.0, 0x3e90d8f427a84c44),
+            (200.0, 0x3e75529502310086),
+            (283.0, 0x3e554674fb244242),
+            (600.0, 0x3e10d8f427a84c44),
+        ];
+        for (d, bits) in pinned {
+            assert_eq!(received_power_mw_d2(d * d).to_bits(), bits, "d = {d}");
+        }
+        assert_eq!(dbm_to_mw(NOISE_DBM).to_bits(), 0x3dd5d5968969795c);
     }
 
     fn tx(medium: &mut Medium, id: u64, sender: u32, pos: Point, cands: &[(u32, Point)]) {

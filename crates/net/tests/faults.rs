@@ -2,6 +2,7 @@
 //! the unicast conservation invariant, determinism, transparency of the
 //! empty plan, partitions, timed crashes and delay/duplicate faults.
 
+use pqs_net::config::{IDEAL_RANGE_M, RX_THRESHOLD_DBM};
 use pqs_net::geometry::Point;
 use pqs_net::{FaultPlan, MacDst, MobilityModel, NetConfig, Network, NodeId, Stack, Upcall};
 use pqs_sim::{SimDuration, SimTime};
@@ -142,7 +143,7 @@ fn sender_turnaround_aborts_are_accounted() {
     for seed in 1..=5u64 {
         let mut cfg = static_config(50, seed);
         // Margin of -20 dB: cs_range = 200 m * 10^(-20/40) ≈ 63 m.
-        cfg.phy.cs_threshold_dbm = cfg.phy.rx_threshold_dbm + 20.0;
+        cfg.phy.cs_threshold_dbm = RX_THRESHOLD_DBM + 20.0;
         let mut net = Network::new(cfg);
         let mut stack = Counter::default();
         // Dense bidirectional traffic: every connected node unicasts to
@@ -218,7 +219,7 @@ fn partition_severs_cross_boundary_links_only() {
     let mut net: Network<String> = Network::new(static_config(80, 21));
     let side = net.side_m();
     let boundary = 0.5 * side;
-    let range = net.config().phy.ideal_range_m;
+    let range = IDEAL_RANGE_M;
     // A neighbour pair straddling the boundary, and one on a single side.
     let nodes = net.alive_nodes();
     let crossing = nodes

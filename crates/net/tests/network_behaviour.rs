@@ -2,7 +2,8 @@
 //! acknowledgements and retries, heartbeat neighbour discovery, mobility
 //! and churn.
 
-use pqs_net::{MacDst, MobilityModel, NetConfig, Network, NodeId, Stack, Upcall};
+use pqs_net::config::IDEAL_RANGE_M;
+use pqs_net::{MacDst, MobilityModel, NetConfig, NetStats, Network, NodeId, Stack, Upcall};
 use pqs_sim::{SimDuration, SimTime};
 
 /// Records every upcall.
@@ -13,10 +14,15 @@ struct Recorder {
     timers: Vec<(NodeId, u64)>,
     failed: Vec<NodeId>,
     joined: Vec<NodeId>,
+    /// Arrival time (µs) of every frame and send-result upcall.
+    times: Vec<u64>,
 }
 
 impl Stack<String> for Recorder {
-    fn on_upcall(&mut self, _net: &mut Network<String>, up: Upcall<String>) {
+    fn on_upcall(&mut self, net: &mut Network<String>, up: Upcall<String>) {
+        if matches!(up, Upcall::Frame { .. } | Upcall::SendResult { .. }) {
+            self.times.push(net.now().as_micros());
+        }
         match up {
             Upcall::Frame {
                 at,
@@ -104,7 +110,7 @@ fn broadcast_reaches_only_nodes_in_range() {
     let mut rec = Recorder::default();
     net.run(&mut rec, SimTime::from_secs(2));
     assert_eq!(rec.results, vec![(a, 1, true)], "broadcast send completes");
-    let range = net.config().phy.ideal_range_m;
+    let range = IDEAL_RANGE_M;
     for &(at, from, _, _) in &rec.frames {
         assert_eq!(from, a);
         assert!(
@@ -117,29 +123,44 @@ fn broadcast_reaches_only_nodes_in_range() {
 
 #[test]
 fn heartbeats_discover_neighbours_without_prepopulation() {
-    let mut cfg = static_config(50, 14);
-    cfg.prepopulate_neighbors = false;
-    let mut net = Network::new(cfg);
-    let a = net.alive_nodes()[0];
-    assert!(net.neighbors(a).is_empty(), "tables start empty");
+    // Construction fills the tables from ground truth; nodes brought in
+    // later start empty and must learn their neighbours from hellos.
+    let mut net = Network::new(static_config(50, 14));
+    let late: Vec<NodeId> = (0..10).map(|_| net.add_node()).collect();
+    for &node in &late {
+        net.schedule_join(node, SimTime::from_secs(1));
+    }
     let mut rec = Recorder::default();
-    net.run(&mut rec, SimTime::from_secs(25));
-    // After two heartbeat cycles every node with in-range peers knows some.
+    net.run(&mut rec, SimTime::from_secs(1));
+    assert_eq!(rec.joined, late);
+    assert!(
+        late.iter().all(|&node| net.neighbors(node).is_empty()),
+        "tables start empty"
+    );
+    // After two heartbeat cycles every late node with in-range peers
+    // knows some, and its peers know it (it announces on joining).
+    net.run(&mut rec, SimTime::from_secs(26));
     let g = net.connectivity_graph();
     let mut discovered = 0;
     let mut expected = 0;
-    for node in net.alive_nodes() {
-        let truth = g.degree(node.index());
-        if truth > 0 {
+    for &node in &late {
+        if g.degree(node.index()) > 0 {
             expected += 1;
             if !net.neighbors(node).is_empty() {
                 discovered += 1;
             }
         }
+        for &peer in g.neighbors(node.index()) {
+            assert!(
+                net.neighbors(NodeId(peer as u32)).contains(&node),
+                "{peer} never heard {node}"
+            );
+        }
     }
+    assert!(expected > 0, "some late node has in-range peers");
     assert!(
         discovered * 10 >= expected * 9,
-        "only {discovered}/{expected} nodes discovered neighbours"
+        "only {discovered}/{expected} late nodes discovered neighbours"
     );
 }
 
@@ -209,7 +230,7 @@ fn mobile_nodes_move_and_tables_adapt() {
     assert!(moved > 50.0, "node barely moved: {moved} m");
     // Neighbour views remain plausible: mostly within ~1.5× range of truth
     // (staleness up to the expiry window is expected).
-    let range = net.config().phy.ideal_range_m;
+    let range = IDEAL_RANGE_M;
     let mut total = 0;
     let mut close = 0;
     for node in net.alive_nodes() {
@@ -243,7 +264,7 @@ fn connectivity_graph_matches_brute_force() {
     for horizon in [0u64, 3, 10, 31, 77] {
         net.run(&mut rec, SimTime::from_secs(horizon));
         let g = net.connectivity_graph();
-        let range = net.config().phy.ideal_range_m;
+        let range = IDEAL_RANGE_M;
         let n = g.node_count();
         for i in 0..n {
             for j in (i + 1)..n {
@@ -292,17 +313,56 @@ fn neighbour_tables_stay_bounded_on_long_mobile_runs() {
 
 #[test]
 fn deterministic_given_seed() {
+    // A unicast, a broadcast and a burst of unicasts from every
+    // neighbour of `a` to `a` at once, so that the trace also runs
+    // through carrier-sense defers, collisions and MAC retries.
     let run = |seed: u64| {
         let mut net = Network::new(static_config(60, seed));
         let (a, b) = neighbour_pair(&net);
         net.send(a, MacDst::Unicast(b), "x".into(), 1);
         net.send(b, MacDst::Broadcast, "y".into(), 2);
+        for (i, nbr) in net.neighbors(a).into_iter().enumerate() {
+            net.send(nbr, MacDst::Unicast(a), "z".into(), 10 + i as u64);
+        }
         let mut rec = Recorder::default();
         net.run(&mut rec, SimTime::from_secs(30));
-        (*net.stats(), rec.frames.len(), rec.results.clone())
+        (*net.stats(), rec.results, rec.times)
     };
     assert_eq!(run(99), run(99), "same seed, same trace");
     assert_ne!(run(99).0, run(100).0, "different seeds diverge");
+    // The exact trace pins the Fig. 2 radio: the hello count follows the
+    // heartbeat period, the defers, retries and losses follow the
+    // propagation constants, and the upcall times follow the slot, DIFS,
+    // SIFS, jitter, airtime and ACK-timeout constants.
+    let expected_stats = NetStats {
+        phy_tx: 204,
+        data_tx: 18,
+        hello_tx: 180,
+        ack_tx: 6,
+        delivered: 12,
+        mac_retries: 11,
+        mac_backoff_draws: 210,
+        mac_channel_defers: 12,
+        unicast_data_tx: 17,
+        unicast_delivered: 6,
+        unicast_lost: 11,
+        ..NetStats::default()
+    };
+    let n = NodeId;
+    let expected_results = vec![
+        (n(17), 12, true),
+        (n(0), 1, true),
+        (n(39), 14, true),
+        (n(3), 2, true),
+        (n(3), 10, true),
+        (n(4), 11, true),
+        (n(20), 13, true),
+    ];
+    let expected_times = vec![
+        969, 1227, 1876, 2134, 6721, 6979, 11848, 11848, 11848, 11848, 11848, 11848, 11848, 12917,
+        13175, 21064, 21322, 30700, 30958,
+    ];
+    assert_eq!(run(99), (expected_stats, expected_results, expected_times));
 }
 
 #[test]

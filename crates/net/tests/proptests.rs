@@ -1,9 +1,9 @@
 //! Property-based tests for geometry, power math and the PHY.
 
-use pqs_net::config::{dbm_to_mw, mw_to_dbm};
+use pqs_net::config::{dbm_to_mw, mw_to_dbm, IDEAL_RANGE_M, TX_POWER_DBM};
 use pqs_net::geometry::{Point, SpatialGrid};
 use pqs_net::phy::{received_power_dbm, Medium, TxId};
-use pqs_net::{PathLoss, PhyConfig};
+use pqs_net::PhyConfig;
 use pqs_sim::SimTime;
 use proptest::prelude::*;
 
@@ -15,23 +15,15 @@ proptest! {
         prop_assert!((back - dbm).abs() < 1e-9);
     }
 
-    /// Received power decreases monotonically with distance, for both
-    /// path-loss models, and never exceeds the transmit power.
+    /// Received power decreases monotonically with distance and never
+    /// exceeds the transmit power.
     #[test]
-    fn path_loss_monotone(d1 in 0.0f64..2_000.0, d2 in 0.0f64..2_000.0, two_ray in any::<bool>()) {
-        let phy = PhyConfig {
-            path_loss: if two_ray {
-                PathLoss::TwoRayGround { crossover_m: 86.0 }
-            } else {
-                PathLoss::FreeSpace
-            },
-            ..PhyConfig::default()
-        };
+    fn path_loss_monotone(d1 in 0.0f64..2_000.0, d2 in 0.0f64..2_000.0) {
         let (near, far) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-        let p_near = received_power_dbm(&phy, near);
-        let p_far = received_power_dbm(&phy, far);
+        let p_near = received_power_dbm(near);
+        let p_far = received_power_dbm(far);
         prop_assert!(p_near >= p_far - 1e-9);
-        prop_assert!(p_near <= phy.tx_power_dbm + 1e-9);
+        prop_assert!(p_near <= TX_POWER_DBM + 1e-9);
     }
 
     /// Grid queries return a superset of the true in-range set.
@@ -129,7 +121,7 @@ proptest! {
         medium.begin_tx(TxId(1), 0, sender_pos, SimTime::from_millis(1), &candidates);
         let decoded = medium.end_tx(TxId(1));
         for (id, pos) in candidates {
-            let in_range = sender_pos.distance(pos) <= phy.ideal_range_m;
+            let in_range = sender_pos.distance(pos) <= IDEAL_RANGE_M;
             prop_assert_eq!(
                 decoded.contains(&id),
                 in_range,
@@ -236,7 +228,9 @@ proptest! {
 /// quadratic algorithm (rescan every ongoing transmission for every SINR
 /// check) the incremental version must reproduce bit-for-bit.
 mod naive {
-    use pqs_net::config::{dbm_to_mw, PhyConfig, ReceptionModel};
+    use pqs_net::config::{
+        dbm_to_mw, PhyConfig, ReceptionModel, IDEAL_RANGE_M, INTERFERENCE_RANGE_M, NOISE_DBM,
+    };
     use pqs_net::geometry::Point;
     use pqs_net::phy::{received_power_mw_d2, TxId};
     use pqs_sim::SimTime;
@@ -281,7 +275,7 @@ mod naive {
         /// The naive fold: every ongoing transmission in id order,
         /// out-of-range terms contributing a literal `0.0`.
         fn interference_mw(&self, pos: Point, exclude_tx: u64, exclude_sender: u32) -> f64 {
-            let range2 = self.phy.interference_range_m * self.phy.interference_range_m;
+            let range2 = INTERFERENCE_RANGE_M * INTERFERENCE_RANGE_M;
             let mut total = 0.0;
             for t in &self.ongoing {
                 if t.id == exclude_tx || t.sender == exclude_sender {
@@ -289,7 +283,7 @@ mod naive {
                 }
                 let d2 = t.pos.distance_squared(pos);
                 total += if d2 <= range2 {
-                    received_power_mw_d2(&self.phy, d2)
+                    received_power_mw_d2(d2)
                 } else {
                     0.0
                 };
@@ -327,8 +321,8 @@ mod naive {
                     }
                 }
                 ReceptionModel::Physical { beta } => {
-                    let noise_floor = dbm_to_mw(self.phy.noise_dbm);
-                    let range2 = self.phy.interference_range_m * self.phy.interference_range_m;
+                    let noise_floor = dbm_to_mw(NOISE_DBM);
+                    let range2 = INTERFERENCE_RANGE_M * INTERFERENCE_RANGE_M;
                     for i in 0..self.pending.len() {
                         let d2 = sender_pos.distance_squared(self.pending[i].rx_pos);
                         if d2 > range2 {
@@ -336,7 +330,7 @@ mod naive {
                         }
                         let p = &self.pending[i];
                         let interference = self.interference_mw(p.rx_pos, p.tx_id, p.rx_node)
-                            + received_power_mw_d2(&self.phy, d2);
+                            + received_power_mw_d2(d2);
                         if !p.corrupted && p.signal_mw / (noise_floor + interference) < beta {
                             self.pending[i].corrupted = true;
                         }
@@ -371,13 +365,12 @@ mod naive {
                         });
                     }
                     ReceptionModel::Physical { beta } => {
-                        let r = self.phy.ideal_range_m;
+                        let r = IDEAL_RANGE_M;
                         if d2 > r * r {
                             continue;
                         }
-                        let signal_mw = received_power_mw_d2(&self.phy, d2);
-                        let noise =
-                            dbm_to_mw(self.phy.noise_dbm) + self.interference_mw(pos, id.0, node);
+                        let signal_mw = received_power_mw_d2(d2);
+                        let noise = dbm_to_mw(NOISE_DBM) + self.interference_mw(pos, id.0, node);
                         self.pending.push(Pending {
                             tx_id: id.0,
                             rx_node: node,

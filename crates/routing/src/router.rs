@@ -1,6 +1,7 @@
 //! The AODV protocol engine.
 
 use crate::table::RouteTable;
+use pqs_net::config::PAYLOAD_BYTES;
 use pqs_net::{MacDst, Network, NodeId, Payload, Upcall};
 use pqs_sim::{EventId, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -447,7 +448,7 @@ impl<P: Clone> Router<P> {
         self.stats.data_tx += 1;
         let expiry = net.now() + ROUTE_LIFETIME;
         self.nodes[node.index()].table.refresh(dst, expiry);
-        let bytes = net.config().payload_bytes + DATA_HEADER_BYTES;
+        let bytes = PAYLOAD_BYTES + DATA_HEADER_BYTES;
         net.send_sized(
             node,
             MacDst::Unicast(next_hop),
@@ -909,7 +910,7 @@ impl<P: Clone> Router<P> {
                 });
                 let expiry = now + ROUTE_LIFETIME;
                 self.nodes[at.index()].table.refresh(dst, expiry);
-                let bytes = net.config().payload_bytes + DATA_HEADER_BYTES;
+                let bytes = PAYLOAD_BYTES + DATA_HEADER_BYTES;
                 net.send_sized(
                     at,
                     MacDst::Unicast(route.next_hop),

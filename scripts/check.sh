@@ -101,6 +101,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+# The benchmark package compiles against the crates' public API; build
+# it here so that an API break fails early, apart from its later run.
+echo "==> benchmark package: builds against the crates' public API"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> tier-1: cargo test -q (root package + every deterministic crate)"
 cargo test -q
 
@@ -142,7 +147,7 @@ fi
 wait "$serve_pid" || { echo "pqs_serve exited non-zero"; exit 1; }
 serve_pid=""
 
-echo "==> benchmark package: builds against the crates' public API, set --quick passes"
+echo "==> benchmark package: set --quick passes"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     set --quick --out "$tmp/quick.json"
 
