@@ -170,12 +170,7 @@ impl LoopbackNet {
 
     /// Runs until `until`, then advances the clock to exactly `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        while self
-            .sched
-            .next_deadline()
-            .is_some_and(|deadline| deadline <= until)
-        {
-            let (_, ev) = self.sched.pop().expect("deadline implies an event");
+        while let Some((_, ev)) = self.sched.pop_until(until) {
             self.dispatch(ev);
         }
         if self.sched.now() < until {

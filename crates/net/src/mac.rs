@@ -19,8 +19,9 @@
 
 use crate::config::{CW_MAX, CW_MIN};
 use crate::NodeId;
+use pqs_sim::hash::FastMap;
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Link-layer destination of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,7 +107,7 @@ pub struct MacState<P> {
     /// Highest data sequence number delivered per source (frames arrive
     /// in order per sender, so anything ≤ the stored value is a MAC
     /// retransmission).
-    delivered: HashMap<NodeId, u64>,
+    delivered: FastMap<NodeId, u64>,
 }
 
 impl<P> Default for MacState<P> {
@@ -118,7 +119,7 @@ impl<P> Default for MacState<P> {
             retries: 0,
             cw: CW_MIN,
             next_seq: 0,
-            delivered: HashMap::new(),
+            delivered: FastMap::default(),
         }
     }
 }

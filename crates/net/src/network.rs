@@ -625,11 +625,7 @@ impl<P: Clone> Network<P> {
     /// Returns the number of events processed.
     pub fn run<S: Stack<P>>(&mut self, stack: &mut S, until: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.scheduler.next_deadline() {
-            if t > until {
-                break;
-            }
-            let (_, event) = self.scheduler.pop().expect("peeked event exists");
+        while let Some((_, event)) = self.scheduler.pop_until(until) {
             processed += 1;
             let upcalls = self.handle(event);
             for up in upcalls {

@@ -446,3 +446,37 @@ fn crashed_node_is_never_a_phy_candidate() {
         "rejoined node must decode frames again"
     );
 }
+
+/// Consumes every upcall: the substrate alone (wheel, PHY, MAC,
+/// heartbeats) does the work.
+struct Sink;
+
+impl Stack<()> for Sink {
+    fn on_upcall(&mut self, _net: &mut Network<()>, _up: Upcall<()>) {}
+}
+
+/// Pins the substrate's counted work at the paper's density: the exact
+/// number of events `run` processes over 120 simulated seconds, driven
+/// in 100 ms steps as the benchmark's `sim-substrate-1k` drives it, and
+/// the exact link counters. A scheduler that skipped or repeated an
+/// event, or reordered two, moves one of these.
+#[test]
+fn substrate_counted_work_is_pinned() {
+    let mut cfg = NetConfig::paper(1000);
+    cfg.seed = 1;
+    let mut net: Network<()> = Network::new(cfg);
+    let events: u64 = (1..=1200u64)
+        .map(|step| net.run(&mut Sink, SimTime::from_millis(step * 100)))
+        .sum();
+    assert_eq!(events, 36_125);
+    assert_eq!(
+        *net.stats(),
+        NetStats {
+            phy_tx: 11_998,
+            hello_tx: 11_998,
+            mac_backoff_draws: 12_008,
+            mac_channel_defers: 8,
+            ..NetStats::default()
+        }
+    );
+}

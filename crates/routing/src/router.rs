@@ -3,8 +3,8 @@
 use crate::table::RouteTable;
 use pqs_net::config::PAYLOAD_BYTES;
 use pqs_net::{MacDst, Network, NodeId, Payload, Upcall};
+use pqs_sim::hash::{FastMap, FastSet};
 use pqs_sim::{EventId, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
 
 /// Tokens with this bit set belong to the router; the application layer
 /// must allocate its link-level tokens below this bit.
@@ -234,7 +234,7 @@ struct NodeRouting {
     seq: u32,
     next_rreq_id: u64,
     next_data_id: u64,
-    seen_rreqs: HashSet<(NodeId, u64)>,
+    seen_rreqs: FastSet<(NodeId, u64)>,
 }
 
 #[derive(Clone)]
@@ -267,9 +267,9 @@ enum TimerCtx {
 #[derive(Clone)]
 pub struct Router<P> {
     nodes: Vec<NodeRouting>,
-    pending: HashMap<(NodeId, NodeId), Discovery<P>>,
-    tokens: HashMap<u64, TokenCtx>,
-    timers: HashMap<u64, TimerCtx>,
+    pending: FastMap<(NodeId, NodeId), Discovery<P>>,
+    tokens: FastMap<u64, TokenCtx>,
+    timers: FastMap<u64, TimerCtx>,
     next_token: u64,
     stats: RoutingStats,
     node_forwards: Vec<u64>,
@@ -280,9 +280,9 @@ impl<P: Clone> Router<P> {
     pub fn new(n: usize) -> Self {
         Router {
             nodes: (0..n).map(|_| NodeRouting::default()).collect(),
-            pending: HashMap::new(),
-            tokens: HashMap::new(),
-            timers: HashMap::new(),
+            pending: FastMap::default(),
+            tokens: FastMap::default(),
+            timers: FastMap::default(),
             next_token: 1,
             stats: RoutingStats::default(),
             node_forwards: vec![0; n],

@@ -1,8 +1,8 @@
 //! The per-node AODV route table.
 
 use pqs_net::NodeId;
+use pqs_sim::hash::FastMap;
 use pqs_sim::SimTime;
-use std::collections::HashMap;
 
 /// One routing-table entry: how to reach a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct Route {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    routes: HashMap<NodeId, Route>,
+    routes: FastMap<NodeId, Route>,
 }
 
 impl RouteTable {

@@ -7,8 +7,8 @@
 //! - [`SimTime`] / [`SimDuration`]: microsecond-resolution virtual time,
 //! - [`EventQueue`]: a time-ordered queue with FIFO tie-breaking and
 //!   cancellation,
-//! - [`Scheduler`]: the queue plus a virtual clock,
-//! - [`Simulate`] / [`run_until`]: a minimal driver loop,
+//! - [`Scheduler`]: the queue plus a virtual clock; a simulation drives
+//!   it with [`Scheduler::pop_until`] up to a horizon,
 //! - [`rng`]: seedable, stream-split random number generators so that every
 //!   component of a simulation draws from an independent, reproducible
 //!   stream,
@@ -29,29 +29,19 @@
 //! # Examples
 //!
 //! ```
-//! use pqs_sim::{Scheduler, SimTime, SimDuration, Simulate, run_until};
+//! use pqs_sim::{Scheduler, SimTime, SimDuration};
 //!
-//! struct Counter {
-//!     scheduler: Scheduler<u32>,
-//!     sum: u64,
-//! }
-//!
-//! impl Simulate for Counter {
-//!     type Event = u32;
-//!     fn scheduler_mut(&mut self) -> &mut Scheduler<u32> { &mut self.scheduler }
-//!     fn handle(&mut self, event: u32) {
-//!         self.sum += u64::from(event);
-//!         if event < 3 {
-//!             let next = self.scheduler.now() + SimDuration::from_millis(10);
-//!             self.scheduler.schedule_at(next, event + 1);
-//!         }
+//! let mut scheduler = Scheduler::new();
+//! scheduler.schedule_at(SimTime::ZERO, 1u32);
+//! let mut sum = 0;
+//! while let Some((now, event)) = scheduler.pop_until(SimTime::from_secs(1)) {
+//!     sum += event;
+//!     if event < 3 {
+//!         scheduler.schedule_at(now + SimDuration::from_millis(10), event + 1);
 //!     }
 //! }
-//!
-//! let mut sim = Counter { scheduler: Scheduler::new(), sum: 0 };
-//! sim.scheduler.schedule_at(SimTime::ZERO, 1);
-//! run_until(&mut sim, SimTime::from_secs(1));
-//! assert_eq!(sim.sum, 1 + 2 + 3);
+//! assert_eq!(sum, 1 + 2 + 3);
+//! assert_eq!(scheduler.now(), SimTime::from_millis(20));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,5 +59,5 @@ mod time;
 pub mod trace;
 
 pub use queue::{EventId, EventQueue};
-pub use scheduler::{run_until, Scheduler, Simulate};
+pub use scheduler::Scheduler;
 pub use time::{SimDuration, SimTime};

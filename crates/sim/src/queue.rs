@@ -1,15 +1,17 @@
 //! The time-ordered event queue.
 //!
-//! Since PR 8 the production [`EventQueue`] is a hierarchical timer wheel
-//! (Varghese–Lauck style): O(1) amortized schedule/cancel/pop instead of
-//! the `BinaryHeap`'s O(log n), which is what lets the simulator hold
+//! The production [`EventQueue`] is a hierarchical timer wheel
+//! (Varghese–Lauck style): O(1) schedule and amortized O(1) pop instead
+//! of the `BinaryHeap`'s O(log n), which is what lets the simulator hold
 //! 100k nodes' worth of in-flight events without the scheduler becoming
-//! the bottleneck. A heap-backed queue survives as the oracle in
+//! the bottleneck. Cancellation is eager: an [`EventId`] carries its
+//! event's firing time, which names the one slot per wheel level the
+//! entry can sit in, so `cancel` binary-searches those slots and removes
+//! the entry on the spot. A heap-backed queue survives as the oracle in
 //! `tests/queue_oracle.rs`, which the property tests drive in lockstep
 //! with the wheel to prove the pop sequences are identical. See
 //! DESIGN.md §16 for the full design notes.
 
-use crate::hash::FastSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -33,6 +35,8 @@ static NEXT_QUEUE_NONCE: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId {
     queue: u64,
+    /// Firing time in microseconds: where `cancel` looks for the entry.
+    at: u64,
     seq: u64,
 }
 
@@ -44,12 +48,18 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
+    }
+}
+
 // Ordering: earliest time first; ties broken FIFO by sequence number.
 // Used by the `past` side-heap, a max-heap, so the comparison is
 // reversed.
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -60,7 +70,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -77,19 +87,20 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// go to the overflow list until the wheel turns far enough.
 const SPAN: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
-/// Queues storing fewer than this many entries are never compacted: the
-/// rebuild would cost more than the tombstones it reclaims.
-const COMPACT_MIN_STORED: usize = 64;
+/// The slot an entry firing at `at` occupies on `level`: that level's
+/// digit of the timestamp, whatever `base` is.
+fn slot_of(at: u64, level: usize) -> usize {
+    ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
+}
 
 /// A deterministic, time-ordered event queue with cancellation, backed by
 /// a hierarchical timer wheel.
 ///
 /// Events scheduled for the same instant are popped in the order they were
 /// scheduled (FIFO), which keeps simulations reproducible regardless of
-/// the wheel's internals. Cancellation is lazy: a cancelled event stays in
-/// its slot until the wheel reaches it — but when tombstones outnumber
-/// live entries the storage is compacted in place, so a schedule/cancel
-/// storm (e.g. MAC defer churn) cannot grow the queue far beyond [`len`].
+/// the wheel's internals. Cancellation removes the entry at once, so the
+/// queue stores exactly [`len`] entries however many schedule/cancel
+/// pairs (e.g. MAC defer churn) it has seen.
 ///
 /// Cloning a queue clones every pending event; the clone keeps the
 /// parent's identity, so [`EventId`]s minted before the clone cancel on
@@ -108,6 +119,7 @@ const COMPACT_MIN_STORED: usize = 64;
 /// queue.schedule(SimTime::from_secs(1), "early-second");
 /// assert!(queue.cancel(id));
 /// assert_eq!(queue.pop().map(|(_, e)| e), Some("early-second"));
+/// assert_eq!(queue.pop_until(SimTime::from_secs(1)), None);
 /// assert_eq!(queue.pop().map(|(_, e)| e), Some("late"));
 /// assert!(queue.pop().is_none());
 /// ```
@@ -115,35 +127,28 @@ const COMPACT_MIN_STORED: usize = 64;
 pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` slot deques, level-major (`level * SLOTS + slot`).
     /// Invariant: every deque is sorted ascending by `(at, seq)` — direct
-    /// schedules append (their seq is the largest alive), cascades merge.
+    /// schedules append (their seq is the largest stored), cascades merge.
     slots: Vec<VecDeque<Entry<E>>>,
-    /// One occupancy bit per slot, per level. A set bit may cover only
-    /// tombstones; a clear bit always means an empty deque.
+    /// One occupancy bit per slot, per level: set exactly when the
+    /// slot's deque is non-empty.
     occupied: [u64; LEVELS],
-    /// The wheel's origin: no wheel entry fires before `base`. Advanced
-    /// only by [`pop`](Self::pop) (to the next event's time or slot band)
-    /// — never beyond a stored entry, so slot membership stays stable.
+    /// The wheel's origin: no wheel or overflow entry fires before
+    /// `base`. Advanced only by [`pop_until`](Self::pop_until) (to the
+    /// next event's time or slot band, never past its `until`) — never
+    /// beyond a stored entry, so slot membership stays stable.
     base: u64,
     /// Entries scheduled strictly before `base`. The raw queue has no
     /// clock, so "past" schedules are legal; they are strictly earlier
     /// than every wheel entry and drain first. Empty in practice (the
     /// `Scheduler` clamps to `now`).
     past: BinaryHeap<Entry<E>>,
-    /// Entries ≥ `SPAN` ahead of `base`, unsorted; reseated into the
-    /// wheel once `base` turns close enough.
+    /// Entries ≥ `SPAN` ahead of `base` when scheduled, unsorted;
+    /// reseated into the wheel once `base` turns close enough.
     overflow: Vec<Entry<E>>,
-    /// Minimum `at` over `overflow` (including tombstones); `u64::MAX`
-    /// when the list is empty.
+    /// Minimum `at` over `overflow`; `u64::MAX` when the list is empty.
     overflow_min: u64,
-    /// Sequence numbers of events that are scheduled and not yet popped or
-    /// cancelled. Makes `cancel` O(1); the stored entry of a cancelled
-    /// event is discarded lazily when the wheel reaches it (or in bulk by
-    /// the tombstone compaction). Seed-free hashing: iteration order is
-    /// never observed, so determinism is unaffected.
-    pending: FastSet<u64>,
-    /// Total entries across slots + past + overflow; `stored -
-    /// pending.len()` is the tombstone count driving compaction.
-    stored: usize,
+    /// Entries stored across slots + past + overflow: the pending events.
+    len: usize,
     next_seq: u64,
     /// This queue's identity, stamped into every [`EventId`] it mints so
     /// foreign ids are rejected instead of aliasing a local event.
@@ -152,11 +157,11 @@ pub struct EventQueue<E> {
 
 /// Inserts `entry` into a slot deque, keeping it sorted by `(at, seq)`.
 /// Direct schedules always take the `push_back` fast path (their seq is
-/// the maximum alive); only cascades and overflow reseats ever merge.
+/// the maximum stored); only cascades and overflow reseats ever merge.
 fn slot_insert<E>(deque: &mut VecDeque<Entry<E>>, entry: Entry<E>) {
     match deque.back() {
-        Some(b) if (b.at, b.seq) > (entry.at, entry.seq) => {
-            let pos = deque.partition_point(|e| (e.at, e.seq) < (entry.at, entry.seq));
+        Some(b) if b.key() > entry.key() => {
+            let pos = deque.partition_point(|e| e.key() < entry.key());
             deque.insert(pos, entry);
         }
         _ => deque.push_back(entry),
@@ -173,8 +178,7 @@ impl<E> EventQueue<E> {
             past: BinaryHeap::new(),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            pending: FastSet::default(),
-            stored: 0,
+            len: 0,
             next_seq: 0,
             nonce: NEXT_QUEUE_NONCE.fetch_add(1, AtomicOrdering::Relaxed),
         }
@@ -185,15 +189,12 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.stored += 1;
-        self.insert_entry(Entry {
-            at: at.as_micros(),
-            seq,
-            event,
-        });
+        self.len += 1;
+        let at = at.as_micros();
+        self.insert_entry(Entry { at, seq, event });
         EventId {
             queue: self.nonce,
+            at,
             seq,
         }
     }
@@ -217,79 +218,76 @@ impl<E> EventQueue<E> {
         } else {
             ((63 - delta.leading_zeros()) / SLOT_BITS) as usize
         };
-        let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        let slot = slot_of(at, level);
         slot_insert(&mut self.slots[level * SLOTS + slot], entry);
         self.occupied[level] |= 1 << slot;
     }
 
-    /// Cancels a previously scheduled event.
+    /// Cancels a previously scheduled event, removing it from the queue.
     ///
     /// Returns `true` if the event was still pending; `false` if it has
     /// already fired, was already cancelled, or was minted by a
     /// *different* queue (sequence numbers are per-queue, so honouring a
     /// foreign id would silently cancel an unrelated event).
+    ///
+    /// Costs a binary search in the one slot `at` maps to on each
+    /// occupied level, then a shift within the slot the entry leaves.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.queue != self.nonce {
             return false;
         }
-        let cancelled = self.pending.remove(&id.seq);
-        if cancelled {
-            self.maybe_compact();
+        let removed = if id.at < self.base {
+            // Only `past` holds entries before `base`.
+            let before = self.past.len();
+            self.past.retain(|e| e.seq != id.seq);
+            self.past.len() < before
+        } else {
+            self.remove_from_wheel(id.at, id.seq) || self.remove_from_overflow(id.at, id.seq)
+        };
+        if removed {
+            self.len -= 1;
         }
-        cancelled
+        removed
     }
 
-    /// Rebuilds the storage without its tombstones once they outnumber the
-    /// live entries. Pop order is unaffected: slot deques retain their
-    /// relative order and entries never change slots.
-    fn maybe_compact(&mut self) {
-        if self.stored < COMPACT_MIN_STORED || self.stored - self.pending.len() <= self.stored / 2 {
-            return;
-        }
-        let pending = &self.pending;
-        for (level, bits) in self.occupied.iter_mut().enumerate() {
-            let mut occupied = 0u64;
-            for slot in 0..SLOTS {
-                let deque = &mut self.slots[level * SLOTS + slot];
-                deque.retain(|e| pending.contains(&e.seq));
-                if !deque.is_empty() {
-                    occupied |= 1 << slot;
-                }
+    /// Removes the entry `(at, seq)` from whichever wheel level holds it.
+    fn remove_from_wheel(&mut self, at: u64, seq: u64) -> bool {
+        for level in 0..LEVELS {
+            let slot = slot_of(at, level);
+            if self.occupied[level] & (1 << slot) == 0 {
+                continue;
             }
-            *bits = occupied;
+            let deque = &mut self.slots[level * SLOTS + slot];
+            if let Ok(i) = deque.binary_search_by(|e| e.key().cmp(&(at, seq))) {
+                deque.remove(i);
+                if deque.is_empty() {
+                    self.occupied[level] &= !(1 << slot);
+                }
+                return true;
+            }
         }
-        self.past.retain(|e| pending.contains(&e.seq));
-        self.overflow.retain(|e| pending.contains(&e.seq));
+        false
+    }
+
+    /// Removes the entry `(at, seq)` from the overflow list.
+    fn remove_from_overflow(&mut self, at: u64, seq: u64) -> bool {
+        if at < self.overflow_min {
+            return false;
+        }
+        let Some(i) = self.overflow.iter().position(|e| e.seq == seq) else {
+            return false;
+        };
+        self.overflow.swap_remove(i);
         self.overflow_min = self.overflow.iter().map(|e| e.at).min().unwrap_or(u64::MAX);
-        self.stored = self.pending.len();
+        true
     }
 
-    /// Drops every stored entry (they are all tombstones once `pending`
-    /// is empty) so a drained queue holds no memory of its churn. `base`,
-    /// `next_seq` and the nonce are preserved.
-    fn clear_storage(&mut self) {
-        if self.stored == 0 {
-            return;
-        }
-        for deque in &mut self.slots {
-            deque.clear();
-        }
-        self.occupied = [0; LEVELS];
-        self.past.clear();
-        self.overflow.clear();
-        self.overflow_min = u64::MAX;
-        self.stored = 0;
-    }
-
-    /// Moves every overflow entry within `SPAN` of `base` into the wheel,
-    /// dropping tombstones along the way.
+    /// Moves every overflow entry within `SPAN` of `base` into the wheel.
     fn reseat_due_overflow(&mut self) {
         let mut kept = Vec::new();
         let mut min = u64::MAX;
         for entry in std::mem::take(&mut self.overflow) {
-            if !self.pending.contains(&entry.seq) {
-                self.stored -= 1;
-            } else if entry.at - self.base < SPAN {
+            if entry.at - self.base < SPAN {
                 self.insert_entry(entry);
             } else {
                 min = min.min(entry.at);
@@ -302,117 +300,116 @@ impl<E> EventQueue<E> {
 
     /// Empties the slot at (`level`, `slot`) into the levels below it.
     /// Caller guarantees `base` equals the slot's band start, so every
-    /// live entry lands strictly below `level` (or fires at `base`
-    /// itself, i.e. level 0's current slot).
+    /// entry lands strictly below `level` (or fires at `base` itself,
+    /// i.e. level 0's current slot).
     fn cascade_slot(&mut self, level: usize, slot: usize) {
         let mut deque = std::mem::take(&mut self.slots[level * SLOTS + slot]);
         self.occupied[level] &= !(1 << slot);
         for entry in deque.drain(..) {
-            if self.pending.contains(&entry.seq) {
-                debug_assert!(entry.at >= self.base && entry.at - self.base < SPAN);
-                self.insert_entry(entry);
-            } else {
-                self.stored -= 1;
-            }
+            debug_assert!(entry.at >= self.base && entry.at - self.base < SPAN);
+            self.insert_entry(entry);
         }
     }
 
-    /// Finds the next slot the wheel must visit: the earliest level-0
-    /// instant and, per upper level, the earliest occupied band start.
-    /// Returns `(time, level, slot)`; the caller cascades if `level > 0`
-    /// (ties prefer the *highest* level so same-instant entries finish
-    /// cascading, in seq order, before any of them pops). At least one
-    /// occupancy bit must be set.
+    /// The earliest occupied slot of `level` and its start: the instant
+    /// itself on level 0, the band start above it. `None` when the
+    /// level is empty.
     ///
     /// Every entry in a slot provably shares one band (all stored times
     /// lie in `[base, base + rotation)` for that level), so a slot's band
     /// start is read off its front entry rather than inferred from the
     /// cursor — inference goes wrong for the cursor slot itself, which
     /// can hold either the band containing `base` (entries that became
-    /// due lazily) or a full rotation later.
-    fn find_next(&self) -> (u64, usize, usize) {
-        let mut best_t = u64::MAX;
-        let mut best_level = 0usize;
-        let mut best_slot = 0usize;
-        let cur0 = (self.base & (SLOTS as u64 - 1)) as u32;
-        let rot = self.occupied[0].rotate_right(cur0);
-        if rot != 0 {
-            let off = rot.trailing_zeros();
-            best_t = self.base + u64::from(off);
-            best_slot = ((cur0 + off) as usize) & (SLOTS - 1);
+    /// due while lower levels were busy) or a full rotation later.
+    fn level_next(&self, level: usize) -> Option<(u64, usize)> {
+        let bits = self.occupied[level];
+        if bits == 0 {
+            return None;
         }
-        for level in 1..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            let shift = SLOT_BITS * level as u32;
-            let band_mask = !((1u64 << shift) - 1);
-            let cur = ((self.base >> shift) & (SLOTS as u64 - 1)) as u32;
-            let band_start = |slot: usize| {
-                let front = self.slots[level * SLOTS + slot]
-                    .front()
-                    .expect("occupied slot is non-empty");
-                front.at & band_mask
-            };
-            // The cursor slot is either the earliest band at this level
-            // or the latest; every other occupied slot falls in circular
-            // cursor order, so the first of those is their minimum.
-            let mut t = u64::MAX;
-            let mut slot = 0usize;
-            if self.occupied[level] & (1 << cur) != 0 {
-                slot = cur as usize;
-                t = band_start(slot);
-            }
-            let rest = self.occupied[level] & !(1 << cur);
-            if rest != 0 {
-                let start = (cur + 1) & (SLOTS as u32 - 1);
-                let off = rest.rotate_right(start).trailing_zeros();
-                let s = (((start + off) & (SLOTS as u32 - 1)) as usize) & (SLOTS - 1);
-                let ts = band_start(s);
-                if ts < t {
-                    t = ts;
-                    slot = s;
+        let cur = slot_of(self.base, level) as u32;
+        if level == 0 {
+            let off = bits.rotate_right(cur).trailing_zeros();
+            return Some((
+                self.base + u64::from(off),
+                ((cur + off) as usize) & (SLOTS - 1),
+            ));
+        }
+        let band_mask = !((1u64 << (SLOT_BITS * level as u32)) - 1);
+        let band_start = |slot: usize| {
+            let front = self.slots[level * SLOTS + slot]
+                .front()
+                .expect("occupied slot is non-empty");
+            (front.at & band_mask, slot)
+        };
+        // The cursor slot is either the earliest band at this level or
+        // the latest; every other occupied slot falls in circular cursor
+        // order, so the first of those is their minimum.
+        let at_cursor = (bits & (1 << cur) != 0).then(|| band_start(cur as usize));
+        let rest = bits & !(1 << cur);
+        let after_cursor = (rest != 0).then(|| {
+            let start = (cur + 1) & (SLOTS as u32 - 1);
+            let off = rest.rotate_right(start).trailing_zeros();
+            band_start(((start + off) as usize) & (SLOTS - 1))
+        });
+        at_cursor.into_iter().chain(after_cursor).min()
+    }
+
+    /// Finds the next slot the wheel must visit: the earliest level-0
+    /// instant and, per upper level, the earliest occupied band start.
+    /// Returns `(time, level, slot)`; the caller cascades if `level > 0`
+    /// (ties prefer the *highest* level so same-instant entries finish
+    /// cascading, in seq order, before any of them pops). `None` when
+    /// the wheel is empty.
+    fn find_next(&self) -> Option<(u64, usize, usize)> {
+        let mut best: Option<(u64, usize, usize)> = None;
+        for level in 0..LEVELS {
+            if let Some((t, slot)) = self.level_next(level) {
+                if best.is_none_or(|(best_t, _, _)| t <= best_t) {
+                    best = Some((t, level, slot));
                 }
             }
-            if t <= best_t {
-                best_t = t;
-                best_level = level;
-                best_slot = slot;
-            }
         }
-        (best_t, best_level, best_slot)
+        best
     }
 
     /// Removes and returns the earliest pending event with its firing time.
     ///
-    /// Returns `None` when no live events remain.
+    /// Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.pending.is_empty() {
-            self.clear_storage();
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest pending event if it fires at or
+    /// before `until`; otherwise returns `None` and leaves the pending
+    /// events, [`len`](Self::len) and
+    /// [`next_deadline`](Self::next_deadline) as they were.
+    ///
+    /// One wheel scan per event, where a deadline probe followed by
+    /// [`pop`](Self::pop) takes two; and the wheel's origin never
+    /// advances past `until`, so events the caller schedules next,
+    /// relative to a clock still at or before `until`, enter the wheel.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        if self.len == 0 {
             return None;
         }
+        let until = until.as_micros();
         // Past entries (scheduled before `base`) are strictly earlier
         // than everything in the wheel, so they drain first.
-        while let Some(top) = self.past.peek() {
-            if self.pending.contains(&top.seq) {
-                let entry = self.past.pop().expect("peeked entry exists");
-                self.stored -= 1;
-                self.pending.remove(&entry.seq);
-                return Some((SimTime::from_micros(entry.at), entry.event));
+        if let Some(top) = self.past.peek() {
+            if top.at > until {
+                return None;
             }
-            self.past.pop();
-            self.stored -= 1;
+            let entry = self.past.pop().expect("peeked entry exists");
+            self.len -= 1;
+            return Some((SimTime::from_micros(entry.at), entry.event));
         }
         loop {
             if self.occupied == [0; LEVELS] {
-                if self.overflow.is_empty() {
-                    // pending is non-empty, so a live entry must be stored
-                    // somewhere; reaching here would be a bookkeeping bug.
-                    debug_assert!(false, "live events pending but none stored");
-                    return None;
-                }
                 // The wheel is idle: jump straight to the overflow's
                 // earliest entry instead of turning through empty spans.
+                if self.overflow_min > until {
+                    return None;
+                }
                 self.base = self.base.max(self.overflow_min);
                 self.reseat_due_overflow();
                 continue;
@@ -420,7 +417,10 @@ impl<E> EventQueue<E> {
             if !self.overflow.is_empty() && self.overflow_min - self.base < SPAN {
                 self.reseat_due_overflow();
             }
-            let (t, level, slot) = self.find_next();
+            let (t, level, slot) = self.find_next().expect("the wheel is occupied");
+            if t > until {
+                return None;
+            }
             // An upper level's band start can lie at or before `base`
             // (entries that became due while lower levels were busy);
             // `base` itself never moves backwards.
@@ -430,103 +430,42 @@ impl<E> EventQueue<E> {
                 continue;
             }
             let deque = &mut self.slots[slot];
-            while let Some(entry) = deque.pop_front() {
-                self.stored -= 1;
-                if self.pending.remove(&entry.seq) {
-                    if deque.is_empty() {
-                        self.occupied[0] &= !(1 << slot);
-                    }
-                    return Some((SimTime::from_micros(entry.at), entry.event));
-                }
+            let entry = deque.pop_front().expect("occupied slot is non-empty");
+            if deque.is_empty() {
+                self.occupied[0] &= !(1 << slot);
             }
-            // The slot held only tombstones; keep turning.
-            self.occupied[0] &= !(1 << slot);
+            self.len -= 1;
+            return Some((SimTime::from_micros(entry.at), entry.event));
         }
     }
 
     /// Returns the firing time of the earliest pending event without
-    /// removing it — and without mutating the queue, so read-only
-    /// deadline probes no longer force an exclusive borrow.
+    /// removing it — and without mutating the queue: the front entry of
+    /// each level's earliest slot, against `past` and the overflow.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        if self.pending.is_empty() {
+        if self.len == 0 {
             return None;
         }
-        let mut best = u64::MAX;
-        let mut found = false;
-        for entry in self.past.iter() {
-            if self.pending.contains(&entry.seq) {
-                best = best.min(entry.at);
-                found = true;
-            }
+        if let Some(top) = self.past.peek() {
+            return Some(SimTime::from_micros(top.at));
         }
-        for level in 0..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            // Walk occupied slots in circular (= chronological) order;
-            // the first slot holding a live entry yields this level's
-            // minimum, because slot deques are sorted by `(at, seq)`.
-            // Above level 0 the cursor slot sits outside that order (it
-            // holds either the earliest band or the latest), so it is
-            // probed separately and min-merged.
-            let shift = SLOT_BITS * level as u32;
-            let cur = ((self.base >> shift) & (SLOTS as u64 - 1)) as u32;
-            let live_min = |slot: usize| {
-                self.slots[level * SLOTS + slot]
-                    .iter()
-                    .find(|e| self.pending.contains(&e.seq))
-                    .map(|e| e.at)
-            };
-            let mut bits = self.occupied[level];
-            let start = if level == 0 {
-                cur
-            } else {
-                if bits & (1 << cur) != 0 {
-                    if let Some(at) = live_min(cur as usize) {
-                        best = best.min(at);
-                        found = true;
-                    }
-                    bits &= !(1 << cur);
-                }
-                (cur + 1) & (SLOTS as u32 - 1)
-            };
-            let mut rot = bits.rotate_right(start);
-            while rot != 0 {
-                let off = rot.trailing_zeros();
-                let slot = ((start + off) & (SLOTS as u32 - 1)) as usize;
-                if let Some(at) = live_min(slot) {
-                    best = best.min(at);
-                    found = true;
-                    break;
-                }
-                rot &= rot - 1;
-            }
-        }
-        for entry in &self.overflow {
-            if self.pending.contains(&entry.seq) {
-                best = best.min(entry.at);
-                found = true;
-            }
-        }
-        debug_assert!(found, "pending non-empty but no live entry stored");
-        found.then(|| SimTime::from_micros(best))
+        let earliest = (0..LEVELS)
+            .filter_map(|level| {
+                let (_, slot) = self.level_next(level)?;
+                self.slots[level * SLOTS + slot].front().map(|e| e.at)
+            })
+            .fold(self.overflow_min, u64::min);
+        Some(SimTime::from_micros(earliest))
     }
 
-    /// Returns the number of pending (non-cancelled) events.
+    /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.len
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Total stored entries including tombstones — the compaction
-    /// bookkeeping, exposed for the storm tests.
-    #[cfg(test)]
-    fn stored_entries(&self) -> usize {
-        self.stored
+        self.len == 0
     }
 }
 
@@ -664,6 +603,11 @@ mod tests {
         assert!(parent.is_empty());
     }
 
+    /// Every entry the queue stores, wherever it sits.
+    fn stored_entries<E>(q: &EventQueue<E>) -> usize {
+        q.slots.iter().map(VecDeque::len).sum::<usize>() + q.past.len() + q.overflow.len()
+    }
+
     #[test]
     fn tombstone_storm_keeps_storage_bounded() {
         let mut q = EventQueue::new();
@@ -672,16 +616,16 @@ mod tests {
             q.schedule(SimTime::from_secs(1000 + i), i as i64);
         }
         // Storm: schedule far-future events and cancel them immediately,
-        // so none is ever reached for lazy reclamation.
+        // so none is ever reached by a pop.
         for i in 0..100_000 {
             let id = q.schedule(SimTime::from_secs(2000), i);
             assert!(q.cancel(id));
         }
         assert_eq!(q.len(), 10);
-        assert!(
-            q.stored_entries() <= 2 * COMPACT_MIN_STORED,
-            "storage grew to {} entries under a cancel storm of 100k",
-            q.stored_entries()
+        assert_eq!(
+            stored_entries(&q),
+            q.len(),
+            "a cancel leaves nothing behind"
         );
         // Live events are all still there, in order.
         let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -689,12 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_fifo_ties() {
+    fn cancel_preserves_fifo_ties() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
         let mut live = Vec::new();
-        // Interleave live and cancelled entries at one instant so the
-        // compaction rebuild happens with ties in flight.
+        // Interleave live and cancelled entries at one instant, so every
+        // removal shifts a slot with ties in flight.
         for i in 0..512 {
             let id = q.schedule(t, i);
             if i % 3 == 0 {
@@ -707,8 +651,101 @@ mod tests {
             let id = q.schedule(SimTime::from_secs(5), i);
             q.cancel(id);
         }
+        assert_eq!(stored_entries(&q), live.len());
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, live, "FIFO tie order survives compaction");
+        assert_eq!(order, live, "FIFO tie order survives cancellation");
+    }
+
+    #[test]
+    fn cancel_from_past() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(100), "now");
+        q.pop();
+        let past = q.schedule(SimTime::from_secs(1), "past");
+        q.schedule(SimTime::from_secs(2), "past-2");
+        q.schedule(SimTime::from_secs(200), "future");
+        assert_eq!(q.past.len(), 2, "both land before the wheel's origin");
+        assert!(q.cancel(past));
+        assert!(!q.cancel(past), "double cancel is a no-op");
+        assert_eq!(q.len(), 2);
+        assert_eq!(stored_entries(&q), 2);
+        assert_eq!(q.next_deadline(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "past-2")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(200), "future")));
+    }
+
+    #[test]
+    fn cancel_from_overflow() {
+        let mut q = EventQueue::new();
+        let beyond = q.schedule(SimTime::from_micros(SPAN + 100), "beyond");
+        let later = q.schedule(SimTime::from_micros(SPAN + 200), "later");
+        q.schedule(SimTime::MAX, "sentinel");
+        q.schedule(SimTime::from_micros(150), "near");
+        assert_eq!(q.overflow.len(), 3);
+        assert!(q.cancel(beyond));
+        assert_eq!(
+            q.overflow_min,
+            SPAN + 200,
+            "the minimum follows the removal"
+        );
+        assert_eq!(q.pop(), Some((SimTime::from_micros(150), "near")));
+        // The wheel has turned to within `SPAN` of `later`, which still
+        // waits in the overflow list: cancel finds it there.
+        assert_eq!(q.overflow.len(), 2);
+        assert!(q.cancel(later));
+        assert!(!q.cancel(later));
+        assert_eq!(q.next_deadline(), Some(SimTime::MAX));
+        assert_eq!(q.pop(), Some((SimTime::MAX, "sentinel")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(stored_entries(&q), 0);
+    }
+
+    #[test]
+    fn cancel_from_upper_level_beside_a_level0_twin() {
+        // "first" cascades from level 3 down to level 1 while "mover"
+        // fires 10 µs before it; "second", scheduled then for the same
+        // instant, lands at level 0. Each twin cancels from where it sits.
+        let target = 1_000_000u64;
+        let mut q = EventQueue::new();
+        let first = q.schedule(SimTime::from_micros(target), "first");
+        q.schedule(SimTime::from_micros(target - 10), "mover");
+        assert_eq!(q.pop().map(|(_, e)| e), Some("mover"));
+        let second = q.schedule(SimTime::from_micros(target), "second");
+        assert_eq!(q.occupied[0], 1 << slot_of(target, 0));
+        assert_eq!(q.occupied[1], 1 << slot_of(target, 1));
+
+        let mut fork = q.clone();
+        assert!(q.cancel(first), "found at level 1 past the level-0 twin");
+        assert_eq!(q.occupied[1], 0);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(target), "second")));
+        assert!(q.is_empty());
+
+        assert!(fork.cancel(second), "found at level 0");
+        assert_eq!(fork.occupied[0], 0);
+        assert_eq!(fork.pop(), Some((SimTime::from_micros(target), "first")));
+        assert!(fork.is_empty());
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_and_the_origin_alone() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_micros(1_000_000), "late");
+        q.schedule(SimTime::from_micros(300), "early");
+        let bound = SimTime::from_micros(500);
+        assert_eq!(
+            q.pop_until(bound),
+            Some((SimTime::from_micros(300), "early"))
+        );
+        assert_eq!(q.pop_until(bound), None);
+        assert_eq!(q.len(), 1);
+        assert!(q.base <= 500, "the origin stayed at or before the bound");
+        // What the caller schedules next, after the bound, enters the
+        // wheel rather than the past heap.
+        q.schedule(SimTime::from_micros(600), "next");
+        assert!(q.past.is_empty());
+        assert_eq!(q.next_deadline(), Some(SimTime::from_micros(600)));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(600), "next")));
+        assert_eq!(q.pop(), Some((SimTime::from_micros(1_000_000), "late")));
     }
 
     #[test]

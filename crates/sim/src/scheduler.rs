@@ -8,7 +8,8 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// The scheduler is pure data: it never calls back into user code. A
 /// simulation owns a `Scheduler` alongside its own state and drives it
-/// either manually with [`Scheduler::pop`] or through [`run_until`].
+/// with [`Scheduler::pop`], or with [`Scheduler::pop_until`] up to a
+/// horizon (see the crate-level example).
 ///
 /// Cloning forks the queue and the clock: `EventId`s minted before the
 /// clone stay cancellable on both copies, and the copies evolve
@@ -82,18 +83,18 @@ impl<E> Scheduler<E> {
     /// Removes the earliest pending event, advances the clock to its firing
     /// time, and returns it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = self.queue.pop()?;
-        self.now = at;
-        Some((at, event))
+        self.pop_until(SimTime::MAX)
     }
 
-    /// Returns the firing time of the next event without removing it.
-    ///
-    /// Takes `&self`: probing the deadline is read-only and never
-    /// perturbs pop order, so it composes with shared borrows of the
-    /// simulation.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.queue.next_deadline()
+    /// Like [`pop`](Self::pop), but only if the earliest pending event
+    /// fires at or before `until`: otherwise returns `None` and leaves
+    /// the queue and the clock as they were. Events at exactly `until`
+    /// still pop, so `while let Some(..) = s.pop_until(end)` runs a
+    /// simulation through `end` inclusive.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let (at, event) = self.queue.pop_until(until)?;
+        self.now = at;
+        Some((at, event))
     }
 
     /// Returns the number of pending events.
@@ -110,40 +111,6 @@ impl<E> Scheduler<E> {
 impl<E> Default for Scheduler<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A simulation that can be driven by [`run_until`].
-///
-/// Implementors own a [`Scheduler`] and dispatch each popped event in
-/// [`handle`](Simulate::handle), during which they may schedule further
-/// events. See the crate-level example.
-pub trait Simulate {
-    /// The event type processed by this simulation.
-    type Event;
-
-    /// Grants the driver access to the scheduler.
-    fn scheduler_mut(&mut self) -> &mut Scheduler<Self::Event>;
-
-    /// Processes one event at the current virtual time.
-    fn handle(&mut self, event: Self::Event);
-}
-
-/// Runs `sim` until its queue is exhausted or the next event would fire
-/// after `end`. Returns the number of events processed.
-///
-/// Events scheduled exactly at `end` are still processed.
-pub fn run_until<S: Simulate>(sim: &mut S, end: SimTime) -> u64 {
-    let mut processed = 0;
-    loop {
-        match sim.scheduler_mut().next_deadline() {
-            Some(at) if at <= end => {
-                let (_, event) = sim.scheduler_mut().pop().expect("peeked event exists");
-                sim.handle(event);
-                processed += 1;
-            }
-            _ => return processed,
-        }
     }
 }
 
@@ -170,49 +137,40 @@ mod tests {
         assert_eq!(at, SimTime::from_secs(3));
     }
 
-    struct Chain {
-        scheduler: Scheduler<u32>,
-        fired: Vec<(SimTime, u32)>,
-    }
-
-    impl Simulate for Chain {
-        type Event = u32;
-        fn scheduler_mut(&mut self) -> &mut Scheduler<u32> {
-            &mut self.scheduler
-        }
-        fn handle(&mut self, event: u32) {
-            self.fired.push((self.scheduler.now(), event));
+    /// Runs a chain of events, each scheduling the next one a second
+    /// later up to event 5, through `end`; returns what fired when.
+    fn chain_until(end: SimTime) -> (Scheduler<u32>, Vec<(SimTime, u32)>) {
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::ZERO, 1);
+        let mut fired = Vec::new();
+        while let Some((at, event)) = s.pop_until(end) {
+            fired.push((at, event));
             if event < 5 {
-                self.scheduler
-                    .schedule_in(SimDuration::from_secs(1), event + 1);
+                s.schedule_in(SimDuration::from_secs(1), event + 1);
             }
         }
+        (s, fired)
     }
 
     #[test]
-    fn run_until_processes_chain() {
-        let mut sim = Chain {
-            scheduler: Scheduler::new(),
-            fired: Vec::new(),
-        };
-        sim.scheduler.schedule_at(SimTime::ZERO, 1);
-        let n = run_until(&mut sim, SimTime::from_secs(10));
-        assert_eq!(n, 5);
-        assert_eq!(sim.fired.len(), 5);
-        assert_eq!(sim.fired[4], (SimTime::from_secs(4), 5));
+    fn pop_until_processes_chain() {
+        let (s, fired) = chain_until(SimTime::from_secs(10));
+        assert_eq!(fired.len(), 5);
+        assert_eq!(fired[4], (SimTime::from_secs(4), 5));
+        assert!(s.is_empty());
     }
 
     #[test]
-    fn run_until_respects_horizon_inclusive() {
-        let mut sim = Chain {
-            scheduler: Scheduler::new(),
-            fired: Vec::new(),
-        };
-        sim.scheduler.schedule_at(SimTime::ZERO, 1);
-        let n = run_until(&mut sim, SimTime::from_secs(2));
-        // Events at t=0, 1, 2 fire; the one at t=3 does not.
-        assert_eq!(n, 3);
-        assert_eq!(sim.scheduler.len(), 1);
+    fn pop_until_respects_horizon_inclusive() {
+        let (mut s, fired) = chain_until(SimTime::from_secs(2));
+        // Events at t=0, 1, 2 fire; the one at t=3 does not, and the
+        // clock stays at the last event fired.
+        assert_eq!(fired.len(), 3);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.now(), SimTime::from_secs(2));
+        assert_eq!(s.pop_until(SimTime::from_millis(2_500)), None);
+        assert_eq!(s.now(), SimTime::from_secs(2));
+        assert_eq!(s.pop(), Some((SimTime::from_secs(3), 4)));
     }
 
     #[test]

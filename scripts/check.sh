@@ -89,6 +89,17 @@ for my $doc (@ARGV) {
 exit $bad;
 PERL
 
+echo "==> hot-path maps: sim, net and routing use pqs_sim::hash, not std's SipHash maps"
+# std's HashMap/HashSet hash with SipHash under a per-process random
+# seed: slow on the per-event path, and a seed that differs between
+# runs. Only hash.rs, which builds FastMap/FastSet on them, may name them;
+# the crates' tests/ directories are exempt.
+if grep -rnwE 'HashMap|HashSet' crates/sim/src crates/net/src crates/routing/src \
+    | grep -v '^crates/sim/src/hash\.rs:'; then
+    echo "use pqs_sim::hash::{FastMap, FastSet} in place of the std maps above"
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
